@@ -115,9 +115,17 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .features import kinematic_features, write_signal_csv
-    from .ingest import CHANNELS, impute_missing, parse_raw, remove_outliers, salvageable, standardize
+    from .ingest import (
+        CHANNELS,
+        impute_missing,
+        merge_duplicate_times,
+        parse_raw,
+        remove_outliers,
+        salvageable,
+        standardize,
+    )
 
-    records = parse_raw(args.raw, cfg.raw_format)
+    records = [merge_duplicate_times(r) for r in parse_raw(args.raw, cfg.raw_format)]
     out = _prepare_out(cfg)
     lines, subjects = [], []
     kept = dropped = 0
@@ -241,7 +249,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     model = HsdaNet(model_cfg, seed=cfg.seed)
     restore_parameters(model, params)
-    metrics = evaluate(model, [dataset[i] for i in test_idx])
+    metrics = evaluate(model, [dataset[i] for i in test_idx], train_cfg.batch_size)
     out = _prepare_out(cfg)
     write_metrics(os.path.join(out, "metrics.txt"), metrics)
     print(metrics.table())
@@ -273,32 +281,34 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         checks += 1
 
     model_cfg = {"toy": toy_config, "synth": synth_config}[args.scale](blocks_per_stage=2)
-    print("composed %s model (2 coordinates per parameter):" % args.scale)
-    with dc.using_dtype(np.float64):
-        model = HsdaNet(model_cfg, seed=cfg.seed)
-        gen = np.random.default_rng(cfg.seed)
-        # init puts most weights within 2 sigma of zero; spreading them out
-        # avoids checking gradients only in the near-linear regime
-        for _, p in model.parameters():
-            p.values = p.values + gen.normal(size=p.shape) * 0.2
-        img = gen.normal(size=(3, model_cfg.canvas_size, model_cfg.canvas_size))
-        sig = gen.normal(size=(model_cfg.n_channels, 32))
-        target = gen.normal(size=(1, model_cfg.n_classes))
+    # batch 2 covers gradients summed across the samples of a batch
+    for batch in (1, 2):
+        print("composed %s model, batch %d (2 coordinates per parameter):" % (args.scale, batch))
+        with dc.using_dtype(np.float64):
+            model = HsdaNet(model_cfg, seed=cfg.seed)
+            gen = np.random.default_rng(cfg.seed)
+            # init puts most weights within 2 sigma of zero; spreading them out
+            # avoids checking gradients only in the near-linear regime
+            for _, p in model.parameters():
+                p.values = p.values + gen.normal(size=p.shape) * 0.2
+            imgs = gen.normal(size=(batch, 3, model_cfg.canvas_size, model_cfg.canvas_size))
+            sigs = [gen.normal(size=(model_cfg.n_channels, 32 + 7 * i)) for i in range(batch)]
+            target = gen.normal(size=(batch, model_cfg.n_classes))
 
-        def loss_fn():
-            logits, _ = model(img, sig)
-            return dc.sum_(dc.mul(logits, dc.Tensor(target)))
+            def loss_fn():
+                logits, _ = model(imgs, sigs)
+                return dc.sum_(dc.mul(logits, dc.Tensor(target)))
 
-        errs = dc.check_parameter_gradients(
-            loss_fn,
-            model.parameter_dict(),
-            samples_per_param=2,
-            rng=np.random.default_rng(cfg.seed + 1),
-        )
-    for name in sorted(errs):
-        report(name, errs[name])
-        worst = max(worst, errs[name])
-        checks += 1
+            errs = dc.check_parameter_gradients(
+                loss_fn,
+                model.parameter_dict(),
+                samples_per_param=2,
+                rng=np.random.default_rng(cfg.seed + batch),
+            )
+        for name in sorted(errs):
+            report(name, errs[name])
+            worst = max(worst, errs[name])
+            checks += 1
 
     print("max rel err %.3e over %d checks" % (worst, checks))
     return 1 if failures else 0

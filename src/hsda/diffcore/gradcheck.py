@@ -180,31 +180,49 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
     run("max:axis1", lambda x: ops.max_(x, axis=1), _distinct(rng, (3, 4)))
     run("max:axis0-keep", lambda x: ops.max_(x, axis=0, keepdims=True), _distinct(rng, (3, 4)))
 
+    b234 = rng.normal(size=(2, 3, 4))
+
     run("reshape", lambda x: ops.reshape(x, (4, 3)), m34)
     run("flatten", ops.flatten, rng.normal(size=(2, 3, 4)))
     run("permute", lambda x: ops.permute(x, (2, 0, 1)), rng.normal(size=(2, 3, 4)))
     run("transpose", ops.transpose, m34)
+    run("transpose:batched", ops.transpose, b234)
     run("concat:first", lambda x: ops.concat([x, Tensor(m34b)], axis=1), m34)
     run("concat:second", lambda x: ops.concat([Tensor(m34b), x], axis=0), m34)
-    run("take_row", lambda x: ops.take_row(x, 1), m34)
 
     mm_r = rng.normal(size=(4, 2))
     mm_l = rng.normal(size=(2, 3))
     run("matmul:lhs", lambda x: ops.matmul(x, Tensor(mm_r)), m34)
     run("matmul:rhs", lambda x: ops.matmul(Tensor(mm_l), x), m34)
+    run("matmul:batched-lhs", lambda x: ops.matmul(x, Tensor(mm_r)), b234)
+    run("matmul:batched-rhs", lambda x: ops.matmul(Tensor(b234), x), mm_r)
+    mm_p = rng.normal(size=(2, 4, 2))
+    run("matmul:paired-lhs", lambda x: ops.matmul(x, Tensor(mm_p)), b234)
+    run("matmul:paired-rhs", lambda x: ops.matmul(Tensor(b234), x), mm_p)
     bias = rng.normal(size=4)
     run("add_bias:mat", lambda x: ops.add_bias(x, Tensor(bias)), m34)
     run("add_bias:vec", lambda x: ops.add_bias(Tensor(m34), x), bias)
+    run("add_bias:batched-x", lambda x: ops.add_bias(x, Tensor(bias)), b234)
+    run("add_bias:batched-vec", lambda x: ops.add_bias(Tensor(b234), x), bias)
+    run("add_bias:batched-mat", lambda x: ops.add_bias(Tensor(b234), x), m34b)
     scales = rng.normal(size=(3, 1))
     run("scale_rows:mat", lambda x: ops.scale_rows(x, Tensor(scales)), m34)
     run("scale_rows:s", lambda x: ops.scale_rows(Tensor(m34), x), scales)
+    b_scales = rng.normal(size=(2, 3, 1))
+    run("scale_rows:batched-mat", lambda x: ops.scale_rows(x, Tensor(b_scales)), b234)
+    run("scale_rows:batched-s", lambda x: ops.scale_rows(Tensor(b234), x), b_scales)
 
     q0 = _distinct(rng, (3, 5))
     k0 = _distinct(rng, (4, 5)) + 0.11
     run("pairwise_absdiff:q", lambda x: ops.pairwise_absdiff(x, Tensor(k0)), q0)
     run("pairwise_absdiff:k", lambda x: ops.pairwise_absdiff(Tensor(q0), x), k0)
+    bq0 = _distinct(rng, (2, 3, 5))
+    bk0 = _distinct(rng, (2, 4, 5)) + 0.11
+    run("pairwise_absdiff:batched-q", lambda x: ops.pairwise_absdiff(x, Tensor(bk0)), bq0)
+    run("pairwise_absdiff:batched-k", lambda x: ops.pairwise_absdiff(Tensor(bq0), x), bk0)
 
     run("softmax_rows", ops.softmax_rows, 2.0 * rng.normal(size=(3, 5)))
+    run("softmax_rows:batched", ops.softmax_rows, 2.0 * rng.normal(size=(2, 3, 5)))
     gam = rng.uniform(0.5, 1.5, size=5)
     bet = rng.normal(size=5)
     ln_x = rng.normal(size=(3, 5))
@@ -212,13 +230,14 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
     run("layer_norm:gamma", lambda x: ops.layer_norm(Tensor(ln_x), x, Tensor(bet)), gam)
     run("layer_norm:beta", lambda x: ops.layer_norm(Tensor(ln_x), Tensor(gam), x), bet)
 
-    v0 = rng.normal(size=(1, 6)) + 0.3
-    v1 = rng.normal(size=(1, 6)) - 0.2
-    run("cosine:a", lambda x: ops.cosine_similarity(x, Tensor(v1)), v0)
-    run("cosine:b", lambda x: ops.cosine_similarity(Tensor(v0), x), v1)
+    v0 = rng.normal(size=(3, 6)) + 0.3
+    v1 = rng.normal(size=(3, 6)) - 0.2
+    run("cosine_rows:a", lambda x: ops.cosine_rows(x, Tensor(v1)), v0)
+    run("cosine_rows:b", lambda x: ops.cosine_rows(Tensor(v0), x), v1)
 
     run("avg_pool1d", lambda x: ops.adaptive_avg_pool1d(x, 3), rng.normal(size=(2, 7)))
     run("max_pool1d", lambda x: ops.adaptive_max_pool1d(x, 3), _distinct(rng, (2, 7)))
+    run("max_pool1d:batched", lambda x: ops.adaptive_max_pool1d(x, 3), _distinct(rng, (2, 2, 7)))
 
     w1 = rng.normal(size=(3, 2, 3)) * 0.5
     b1 = rng.normal(size=3)
@@ -242,6 +261,13 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
         lambda x: ops.conv1d(x, Tensor(w1), Tensor(b1), stride=1, padding=1),
         rng.normal(size=(2, 2, 8)),
     )
+    xb1 = rng.normal(size=(2, 2, 8))
+    run("conv1d:batched-w", lambda w: ops.conv1d(Tensor(xb1), w, Tensor(b1), padding=1), w1)
+    run("conv1d:batched-b", lambda b: ops.conv1d(Tensor(xb1), Tensor(w1), b, padding=1), b1)
+    wg1 = rng.normal(size=(6, 2, 3)) * 0.5
+    xg1 = rng.normal(size=(2, 4, 7))
+    run("conv1d:grouped-x", lambda x: ops.conv1d(x, Tensor(wg1), None, stride=2, padding=1, groups=2), xg1)
+    run("conv1d:grouped-w", lambda w: ops.conv1d(Tensor(xg1), w, None, stride=2, padding=1, groups=2), wg1)
 
     w2 = rng.normal(size=(3, 2, 3, 3)) * 0.5
     b2 = rng.normal(size=3)
@@ -266,5 +292,14 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
         lambda x: ops.conv2d(x, Tensor(w11), None),
         rng.normal(size=(4, 5, 5)),
     )
+
+    xb2 = rng.normal(size=(2, 2, 5, 5))
+    run("conv2d:batched-x", lambda x: ops.conv2d(x, Tensor(w2), Tensor(b2), stride=2, padding=1), xb2)
+    run("conv2d:batched-w", lambda w: ops.conv2d(Tensor(xb2), w, Tensor(b2), stride=2, padding=1), w2)
+    run("conv2d:batched-b", lambda b: ops.conv2d(Tensor(xb2), Tensor(w2), b, stride=2, padding=1), b2)
+    wg2 = rng.normal(size=(4, 2, 3, 3)) * 0.5
+    xg2 = rng.normal(size=(2, 4, 4, 4))
+    run("conv2d:grouped-x", lambda x: ops.conv2d(x, Tensor(wg2), None, padding=1, groups=2), xg2)
+    run("conv2d:grouped-w", lambda w: ops.conv2d(Tensor(xg2), w, None, padding=1, groups=2), wg2)
 
     return results

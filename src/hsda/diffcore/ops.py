@@ -3,8 +3,16 @@
 Every function takes/returns :class:`Tensor` and registers a backward rule on
 the active tape. Broadcasting is deliberately narrow: elementwise ops accept
 identical shapes or a scalar on one side, nothing else. Dedicated primitives
-(add_bias, scale_rows, pairwise_absdiff) cover the row/column patterns the
-network needs, which keeps every backward rule simple enough to audit.
+(add_bias, scale_rows, pairwise_absdiff, cosine_rows) cover the row/column
+patterns the network needs, which keeps every backward rule simple enough to
+audit.
+
+The model runs a whole batch of samples through one call, so the matrix ops
+take a leading batch axis: matmul, add_bias, scale_rows, pairwise_absdiff,
+softmax_rows, transpose and layer_norm act on the trailing axes of (B, ...)
+inputs, flatten keeps the batch axis, and the convolutions and
+adaptive_max_pool1d take (B, C, ...) maps. Each records one tape node for the
+whole batch.
 """
 
 from __future__ import annotations
@@ -191,8 +199,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def flatten(a: Tensor) -> Tensor:
-    """Flatten to a single row vector (1, size), ready for a perceptron."""
-    return reshape(a, (1, a.size))
+    """Flatten each sample of a batch (B, ...) to one row (B, size / B), ready for a perceptron."""
+    return reshape(a, (a.shape[0], -1))
 
 
 def permute(a: Tensor, axes) -> Tensor:
@@ -203,9 +211,11 @@ def permute(a: Tensor, axes) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError("transpose expects a matrix, got shape %s" % (a.shape,))
-    return permute(a, (1, 0))
+    """Swap the last two axes: a matrix's transpose, taken per sample for (B, m, n)."""
+    nd = a.values.ndim
+    if nd < 2:
+        raise ShapeError("transpose expects at least a matrix, got shape %s" % (a.shape,))
+    return permute(a, tuple(range(nd - 2)) + (nd - 1, nd - 2))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -222,86 +232,97 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(tensors, out, bwd, "concat")
 
 
-def take_row(a: Tensor, i: int) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError("take_row expects a matrix, got shape %s" % (a.shape,))
-    out = _out(a.values[i : i + 1].copy(), a.requires_grad)
-
-    def bwd(g):
-        gx = np.zeros_like(a.values)
-        gx[i : i + 1] = g
-        return (gx,)
-
-    return _record((a,), out, bwd, "take_row")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError("matmul expects matrices, got %s and %s" % (a.shape, b.shape))
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul inner dimensions disagree: %s vs %s" % (a.shape, b.shape))
-    out = _out(a.values @ b.values, _requires(a, b))
+    """Product over the last two axes.
 
-    def bwd(g):
-        return g @ b.values.T, a.values.T @ g
+    (m, k) @ (k, n) is the plain matrix product. A batch (B, m, k) takes either
+    a shared (k, n) right operand, computed as one (B*m, k) @ (k, n) product, or
+    a per-sample (B, k, n) one.
+    """
+    ad, bd = a.values.ndim, b.values.ndim
+    shared = bd == 2 and ad in (2, 3)
+    paired = ad == bd == 3 and a.shape[0] == b.shape[0]
+    if not (shared or paired):
+        raise ShapeError("matmul expects (m,k) or (B,m,k) times (k,n) or (B,k,n), got %s and %s" % (a.shape, b.shape))
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError("matmul inner dimensions disagree: %s vs %s" % (a.shape, b.shape))
+    if shared:
+        a2 = a.values.reshape(-1, a.shape[-1])
+        out = _out((a2 @ b.values).reshape(a.shape[:-1] + b.shape[1:]), _requires(a, b))
+
+        def bwd(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.values.T).reshape(a.shape), a2.T @ g2
+
+    else:
+        out = _out(np.matmul(a.values, b.values), _requires(a, b))
+
+        def bwd(g):
+            return np.matmul(g, b.values.transpose(0, 2, 1)), np.matmul(a.values.transpose(0, 2, 1), g)
 
     return _record((a, b), out, bwd, "matmul")
 
 
 def add_bias(a: Tensor, b: Tensor) -> Tensor:
-    """Add a length-n bias vector to every row of an (m, n) matrix."""
-    if a.values.ndim != 2 or b.values.ndim != 1 or a.shape[1] != b.shape[0]:
-        raise ShapeError("add_bias: matrix %s with bias %s" % (a.shape, b.shape))
-    out = _out(a.values + b.values[None, :], _requires(a, b))
+    """Add b to a at every leading index; b's shape must equal a's trailing axes.
+
+    A length-n vector goes onto every row of (m, n) or (B, m, n); an (m, n)
+    matrix goes onto every sample of (B, m, n).
+    """
+    nb = b.values.ndim
+    if nb < 1 or a.values.ndim < nb or a.shape[-nb:] != b.shape:
+        raise ShapeError("add_bias: array %s with bias %s" % (a.shape, b.shape))
+    lead = tuple(range(a.values.ndim - nb))
+    out = _out(a.values + b.values, _requires(a, b))
 
     def bwd(g):
-        return g, g.sum(axis=0)
+        return g, g.sum(axis=lead)
 
     return _record((a, b), out, bwd, "add_bias")
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of an (m, n) matrix by scalar s[i] from an (m, 1) column."""
-    if a.values.ndim != 2 or s.shape != (a.shape[0], 1):
+    """Multiply row i of an (..., m, n) matrix by scalar s[..., i, 0] from an (..., m, 1) column."""
+    if a.values.ndim < 2 or s.shape != a.shape[:-1] + (1,):
         raise ShapeError("scale_rows: matrix %s with scales %s" % (a.shape, s.shape))
     out = _out(a.values * s.values, _requires(a, s))
 
     def bwd(g):
-        return g * s.values, (g * a.values).sum(axis=1, keepdims=True)
+        return g * s.values, (g * a.values).sum(axis=-1, keepdims=True)
 
     return _record((a, s), out, bwd, "scale_rows")
 
 
 def pairwise_absdiff(q: Tensor, k: Tensor) -> Tensor:
-    """D[i, j, :] = |q_i - k_j| for row sets q (m, d) and k (n, d)."""
-    if q.values.ndim != 2 or k.values.ndim != 2 or q.shape[1] != k.shape[1]:
+    """D[..., i, j, :] = |q_i - k_j| for row sets q (..., m, d) and k (..., n, d)."""
+    if q.values.ndim < 2 or k.values.ndim != q.values.ndim or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
         raise ShapeError("pairwise_absdiff: %s vs %s" % (q.shape, k.shape))
-    diff = q.values[:, None, :] - k.values[None, :, :]
+    diff = q.values[..., :, None, :] - k.values[..., None, :, :]
     sign = np.sign(diff)
     out = _out(np.abs(diff), _requires(q, k))
 
     def bwd(g):
         gs = g * sign
-        return gs.sum(axis=1), -gs.sum(axis=0)
+        return gs.sum(axis=-2), -gs.sum(axis=-3)
 
     return _record((q, k), out, bwd, "pairwise_absdiff")
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; every output row sums to 1."""
-    if a.values.ndim != 2:
-        raise ShapeError("softmax_rows expects a matrix, got %s" % (a.shape,))
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
+    """Softmax over the last axis with max subtraction; every output row sums to 1."""
+    if a.values.ndim < 2:
+        raise ShapeError("softmax_rows expects a matrix or a batch of them, got %s" % (a.shape,))
+    shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = _out(y, a.requires_grad)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _record((a,), out, bwd, "softmax_rows")
 
@@ -335,36 +356,33 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record((a, gamma, beta), out, bwd, "layer_norm")
 
 
-def cosine_similarity(a: Tensor, b: Tensor, floor: float = 1e-8) -> Tensor:
-    """Cosine of the angle between two flattened vectors (scalar output).
+def cosine_rows(a: Tensor, b: Tensor, floor: float = 1e-8) -> Tensor:
+    """Cosine of the angle between row i of a and row i of b, for (n, d) inputs -> (n,).
 
-    The norm product is floored at `floor`; while the floor is active the
-    denominator is treated as a constant for the gradient.
+    Each row's norm product is floored at `floor`; while the floor is active
+    that row's denominator is treated as a constant for the gradient.
     """
-    if a.size != b.size:
-        raise ShapeError("cosine_similarity: sizes %d vs %d" % (a.size, b.size))
-    av = a.values.reshape(-1)
-    bv = b.values.reshape(-1)
-    na = np.sqrt(av @ av)
-    nb = np.sqrt(bv @ bv)
+    if a.values.ndim != 2 or a.shape != b.shape:
+        raise ShapeError("cosine_rows: %s vs %s (need two (n, d) matrices)" % (a.shape, b.shape))
+    av, bv = a.values, b.values
+    na = np.sqrt((av * av).sum(axis=1))
+    nb = np.sqrt((bv * bv).sum(axis=1))
     prod = na * nb
-    clamped = prod < floor
-    denom = max(prod, floor)
-    dot = av @ bv
-    c = dot / denom
-    out = _out(np.asarray(c, dtype=a.values.dtype), _requires(a, b))
+    live = prod >= floor
+    denom = np.maximum(prod, floor)
+    c = (av * bv).sum(axis=1) / denom
+    out = _out(c.astype(av.dtype), _requires(a, b))
 
     def bwd(g):
-        gs = float(g)
-        if clamped:
-            da = gs * bv / denom
-            db = gs * av / denom
-        else:
-            da = gs * (bv / denom - c * av / (na * na))
-            db = gs * (av / denom - c * bv / (nb * nb))
-        return da.reshape(a.shape).astype(a.values.dtype), db.reshape(b.shape).astype(b.values.dtype)
+        # the norm terms vanish on floored rows, whose denominator is a constant
+        ca = c * np.divide(1.0, na * na, out=np.zeros_like(na), where=live)
+        cb = c * np.divide(1.0, nb * nb, out=np.zeros_like(nb), where=live)
+        gs = g[:, None]
+        da = gs * (bv / denom[:, None] - ca[:, None] * av)
+        db = gs * (av / denom[:, None] - cb[:, None] * bv)
+        return da.astype(av.dtype), db.astype(bv.dtype)
 
-    return _record((a, b), out, bwd, "cosine_similarity")
+    return _record((a, b), out, bwd, "cosine_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +417,28 @@ def adaptive_avg_pool1d(a: Tensor, out_len: int) -> Tensor:
 
 
 def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
-    """Max over each bin; gradient goes to the first maximal entry per bin."""
-    if a.values.ndim != 2:
-        raise ShapeError("adaptive_max_pool1d expects (C, T), got %s" % (a.shape,))
-    C, T = a.shape
+    """Max over each bin of the last axis of (C, T) or (B, C, T).
+
+    The gradient goes to the first maximal entry per bin.
+    """
+    if a.values.ndim not in (2, 3):
+        raise ShapeError("adaptive_max_pool1d expects (C, T) or (B, C, T), got %s" % (a.shape,))
+    T = a.shape[-1]
     starts, ends = _pool_bins(T, out_len)
-    y = np.empty((C, out_len), dtype=a.values.dtype)
-    arg = np.empty((C, out_len), dtype=np.int64)
+    y = np.empty(a.shape[:-1] + (out_len,), dtype=a.values.dtype)
+    arg = np.empty(y.shape, dtype=np.int64)
     for i in range(out_len):
-        window = a.values[:, starts[i] : ends[i]]
-        aw = window.argmax(axis=1)
-        arg[:, i] = starts[i] + aw
-        y[:, i] = np.take_along_axis(window, aw[:, None], axis=1)[:, 0]
+        window = a.values[..., starts[i] : ends[i]]
+        aw = window.argmax(axis=-1)
+        arg[..., i] = starts[i] + aw
+        y[..., i] = np.take_along_axis(window, aw[..., None], axis=-1)[..., 0]
     out = _out(y, a.requires_grad)
 
     def bwd(g):
-        gx = np.zeros_like(a.values)
-        rows = np.arange(C)[:, None]
-        np.add.at(gx, (np.broadcast_to(rows, arg.shape), arg), g)
-        return (gx,)
+        gx = np.zeros_like(a.values).reshape(-1, T)
+        rows = np.broadcast_to(np.arange(gx.shape[0])[:, None], (gx.shape[0], out_len))
+        np.add.at(gx, (rows, arg.reshape(-1, out_len)), g.reshape(-1, out_len))
+        return (gx.reshape(a.shape),)
 
     return _record((a,), out, bwd, "adaptive_max_pool1d")
 
@@ -430,19 +451,51 @@ def _conv_out_len(L: int, k: int, stride: int, padding: int) -> int:
     return (L + 2 * padding - k) // stride + 1
 
 
+# Both convolutions unfold the input into columns laid out (C_in, taps, B * L):
+# the batch and the output positions share the GEMM's column axis, so every
+# group of every sample goes through one stacked matmul.
+
+
+def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
+    """Grouped weights (C_out, C_in/groups, *kernel) times columns (C_in, taps, N) -> (C_out, N)."""
+    wg = w.reshape(groups, w.shape[0] // groups, -1)
+    cg = cols.reshape(groups, wg.shape[2], -1)
+    return np.matmul(wg, cg).reshape(w.shape[0], -1)
+
+
+def _group_matmul_grads(w: np.ndarray, cols: np.ndarray, gy: np.ndarray, groups: int):
+    """(dw, dcols) of _group_matmul for the output gradient gy (C_out, N)."""
+    wg = w.reshape(groups, w.shape[0] // groups, -1)
+    cg = cols.reshape(groups, wg.shape[2], -1)
+    gg = gy.reshape(groups, wg.shape[1], -1)
+    dw = np.matmul(gg, cg.transpose(0, 2, 1)).reshape(w.shape)
+    dcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(cols.shape)
+    return dw, dcols
+
+
+def _check_groups(name: str, C_in: int, C_out: int, C_g: int, groups: int, w_shape) -> None:
+    if C_in % groups or C_out % groups:
+        raise ConfigError(
+            "%s channels (%d in, %d out) not divisible by groups=%d" % (name, C_in, C_out, groups)
+        )
+    if C_g != C_in // groups:
+        raise ShapeError("%s weight %s inconsistent with C_in=%d groups=%d" % (name, w_shape, C_in, groups))
+
+
 def _im2col1d(xp: np.ndarray, k: int, stride: int, T_out: int) -> np.ndarray:
-    # xp: (C, Tp) -> (C, k, T_out)
-    C = xp.shape[0]
-    cols = np.empty((C, k, T_out), dtype=xp.dtype)
+    # xp: (B, C, Tp) -> (C, k, B, T_out)
+    B, C, _ = xp.shape
+    cols = np.empty((C, k, B, T_out), dtype=xp.dtype)
     for j in range(k):
-        cols[:, j, :] = xp[:, j : j + stride * T_out : stride]
+        cols[:, j] = xp[:, :, j : j + stride * T_out : stride].transpose(1, 0, 2)
     return cols
 
-def _col2im1d(cols: np.ndarray, Tp: int, k: int, stride: int, T_out: int) -> np.ndarray:
-    C = cols.shape[0]
-    xp = np.zeros((C, Tp), dtype=cols.dtype)
+
+def _col2im1d(cols: np.ndarray, Tp: int, stride: int) -> np.ndarray:
+    C, k, B, T_out = cols.shape
+    xp = np.zeros((B, C, Tp), dtype=cols.dtype)
     for j in range(k):
-        xp[:, j : j + stride * T_out : stride] += cols[:, j, :]
+        xp[:, :, j : j + stride * T_out : stride] += cols[:, j].transpose(1, 0, 2)
     return xp
 
 
@@ -456,8 +509,8 @@ def conv1d(
 ) -> Tensor:
     """1D cross-correlation over the last axis.
 
-    x is (C_in, T) or batched (B, C_in, T); w is (C_out, C_in/groups, k).
-    Depthwise = groups == C_in with C_out == C_in.
+    x is a batch (B, C_in, T) or one sample (C_in, T); w is
+    (C_out, C_in/groups, k). Depthwise = groups == C_in with C_out == C_in.
     """
     if w.values.ndim != 3:
         raise ShapeError("conv1d weight must be (C_out, C_in/g, k), got %s" % (w.shape,))
@@ -469,78 +522,57 @@ def conv1d(
     C_out, C_g, k = w.shape
     if k % 2 == 0:
         raise ConfigError("conv1d kernel size must be odd, got %d" % k)
-    if C_in % groups or C_out % groups:
-        raise ConfigError(
-            "conv1d channels (%d in, %d out) not divisible by groups=%d" % (C_in, C_out, groups)
-        )
-    if C_g != C_in // groups:
-        raise ShapeError("conv1d weight %s inconsistent with C_in=%d groups=%d" % (w.shape, C_in, groups))
+    _check_groups("conv1d", C_in, C_out, C_g, groups, w.shape)
     T_out = _conv_out_len(T, k, stride, padding)
     if T_out < 1:
         raise ShapeError("conv1d output length %d < 1 (T=%d k=%d)" % (T_out, T, k))
 
     xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
     Tp = xp.shape[2]
-    cols = np.empty((B, C_in, k, T_out), dtype=xp.dtype)
-    for b in range(B):
-        cols[b] = _im2col1d(xp[b], k, stride, T_out)
-
-    og = C_out // groups
-    y = np.empty((B, C_out, T_out), dtype=xp.dtype)
-    for g in range(groups):
-        wg = w.values[g * og : (g + 1) * og].reshape(og, C_g * k)
-        cg = cols[:, g * C_g : (g + 1) * C_g].reshape(B, C_g * k, T_out)
-        y[:, g * og : (g + 1) * og] = np.einsum("op,bpt->bot", wg, cg, optimize=True)
+    cols = _im2col1d(xp, k, stride, T_out)
+    y = _group_matmul(w.values, cols, groups)  # (C_out, B * T_out)
     if bias is not None:
         if bias.shape != (C_out,):
             raise ShapeError("conv1d bias must be (C_out,), got %s" % (bias.shape,))
-        y += bias.values[None, :, None]
+        y += bias.values[:, None]
+    y = np.ascontiguousarray(y.reshape(C_out, B, T_out).transpose(1, 0, 2))
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    out_v = y if batched else y[0]
-    out = _out(out_v, _requires(*inputs))
+    out = _out(y if batched else y[0], _requires(*inputs))
 
     def bwd(g):
         gb = g if batched else g[None]
-        dw = np.zeros_like(w.values)
-        dcols = np.empty_like(cols)
-        for gi in range(groups):
-            sl_o = slice(gi * og, (gi + 1) * og)
-            sl_c = slice(gi * C_g, (gi + 1) * C_g)
-            cg = cols[:, sl_c].reshape(B, C_g * k, T_out)
-            gg = gb[:, sl_o]
-            dw[sl_o] = np.einsum("bot,bpt->op", gg, cg, optimize=True).reshape(og, C_g, k)
-            wg = w.values[sl_o].reshape(og, C_g * k)
-            dcols[:, sl_c] = np.einsum("op,bot->bpt", wg, gg, optimize=True).reshape(B, C_g, k, T_out)
-        dxp = np.zeros((B, C_in, Tp), dtype=g.dtype)
-        for b in range(B):
-            dxp[b] = _col2im1d(dcols[b], Tp, k, stride, T_out)
+        gy = gb.transpose(1, 0, 2).reshape(C_out, B * T_out)
+        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups)
+        dxp = _col2im1d(dcols, Tp, stride)
         dx = dxp[:, :, padding : Tp - padding] if padding else dxp
         dx = dx if batched else dx[0]
         if bias is None:
             return dx, dw
-        return dx, dw, gb.sum(axis=(0, 2))
+        return dx, dw, gy.sum(axis=1)
 
     return _record(inputs, out, bwd, "conv1d")
 
 
 def _im2col2d(xp: np.ndarray, kh: int, kw: int, stride: int, H_out: int, W_out: int) -> np.ndarray:
-    # xp: (C, Hp, Wp) -> (C, kh*kw, H_out*W_out)
-    C = xp.shape[0]
-    cols = np.empty((C, kh, kw, H_out, W_out), dtype=xp.dtype)
+    # xp: (B, C, Hp, Wp) -> (C, kh*kw, B*H_out*W_out)
+    B, C = xp.shape[:2]
+    cols = np.empty((C, kh, kw, B, H_out, W_out), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
-    return cols.reshape(C, kh * kw, H_out * W_out)
+            window = xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
+            cols[:, i, j] = window.transpose(1, 0, 2, 3)
+    return cols.reshape(C, kh * kw, B * H_out * W_out)
 
 
-def _col2im2d(cols, Hp, Wp, kh, kw, stride, H_out, W_out):
+def _col2im2d(cols, B, Hp, Wp, kh, kw, stride, H_out, W_out):
     C = cols.shape[0]
-    xp = np.zeros((C, Hp, Wp), dtype=cols.dtype)
-    cols = cols.reshape(C, kh, kw, H_out, W_out)
+    xp = np.zeros((B, C, Hp, Wp), dtype=cols.dtype)
+    cols = cols.reshape(C, kh, kw, B, H_out, W_out)
     for i in range(kh):
         for j in range(kw):
-            xp[:, i : i + stride * H_out : stride, j : j + stride * W_out : stride] += cols[:, i, j]
+            window = xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
+            window += cols[:, i, j].transpose(1, 0, 2, 3)
     return xp
 
 
@@ -552,61 +584,51 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """2D cross-correlation. x is (C_in, H, W); w is (C_out, C_in/groups, kh, kw)."""
-    if x.values.ndim != 3:
-        raise ShapeError("conv2d input must be (C, H, W), got %s" % (x.shape,))
+    """2D cross-correlation.
+
+    x is a batch (B, C_in, H, W) or one sample (C_in, H, W); w is
+    (C_out, C_in/groups, kh, kw).
+    """
+    batched = x.values.ndim == 4
+    if not batched and x.values.ndim != 3:
+        raise ShapeError("conv2d input must be (C, H, W) or (B, C, H, W), got %s" % (x.shape,))
     if w.values.ndim != 4:
         raise ShapeError("conv2d weight must be (C_out, C_in/g, kh, kw), got %s" % (w.shape,))
-    C_in, H, W = x.shape
+    xv = x.values if batched else x.values[None]
+    B, C_in, H, W = xv.shape
     C_out, C_g, kh, kw = w.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError("conv2d kernel extents must be odd, got %dx%d" % (kh, kw))
-    if C_in % groups or C_out % groups:
-        raise ConfigError(
-            "conv2d channels (%d in, %d out) not divisible by groups=%d" % (C_in, C_out, groups)
-        )
-    if C_g != C_in // groups:
-        raise ShapeError("conv2d weight %s inconsistent with C_in=%d groups=%d" % (w.shape, C_in, groups))
+    _check_groups("conv2d", C_in, C_out, C_g, groups, w.shape)
     H_out = _conv_out_len(H, kh, stride, padding)
     W_out = _conv_out_len(W, kw, stride, padding)
     if H_out < 1 or W_out < 1:
         raise ShapeError("conv2d output %dx%d < 1 (input %dx%d)" % (H_out, W_out, H, W))
 
-    xp = np.pad(x.values, ((0, 0), (padding, padding), (padding, padding))) if padding else x.values
-    Hp, Wp = xp.shape[1:]
-    cols = _im2col2d(xp, kh, kw, stride, H_out, W_out)  # (C_in, kh*kw, L)
-    L = H_out * W_out
-    og = C_out // groups
-    y = np.empty((C_out, L), dtype=xp.dtype)
-    for g in range(groups):
-        wg = w.values[g * og : (g + 1) * og].reshape(og, C_g * kh * kw)
-        cg = cols[g * C_g : (g + 1) * C_g].reshape(C_g * kh * kw, L)
-        y[g * og : (g + 1) * og] = wg @ cg
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(xv, pad) if padding else xv
+    Hp, Wp = xp.shape[2:]
+    cols = _im2col2d(xp, kh, kw, stride, H_out, W_out)
+    y = _group_matmul(w.values, cols, groups)  # (C_out, B * H_out * W_out)
     if bias is not None:
         if bias.shape != (C_out,):
             raise ShapeError("conv2d bias must be (C_out,), got %s" % (bias.shape,))
         y += bias.values[:, None]
-    y = y.reshape(C_out, H_out, W_out)
+    y = np.ascontiguousarray(y.reshape(C_out, B, H_out, W_out).transpose(1, 0, 2, 3))
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    out = _out(y, _requires(*inputs))
+    out = _out(y if batched else y[0], _requires(*inputs))
 
     def bwd(g):
-        gf = g.reshape(C_out, L)
-        dw = np.zeros_like(w.values)
-        dcols = np.empty_like(cols)
-        for gi in range(groups):
-            sl_o = slice(gi * og, (gi + 1) * og)
-            sl_c = slice(gi * C_g, (gi + 1) * C_g)
-            cg = cols[sl_c].reshape(C_g * kh * kw, L)
-            dw[sl_o] = (gf[sl_o] @ cg.T).reshape(og, C_g, kh, kw)
-            wg = w.values[sl_o].reshape(og, C_g * kh * kw)
-            dcols[sl_c] = (wg.T @ gf[sl_o]).reshape(C_g, kh * kw, L)
-        dxp = _col2im2d(dcols, Hp, Wp, kh, kw, stride, H_out, W_out)
-        dx = dxp[:, padding : Hp - padding, padding : Wp - padding] if padding else dxp
+        gb = g if batched else g[None]
+        gy = gb.transpose(1, 0, 2, 3).reshape(C_out, -1)
+        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups)
+        dxp = _col2im2d(dcols, B, Hp, Wp, kh, kw, stride, H_out, W_out)
+        dx = dxp[:, :, padding : Hp - padding, padding : Wp - padding] if padding else dxp
+        dx = dx if batched else dx[0]
         if bias is None:
             return dx, dw
-        return dx, dw, gf.sum(axis=1)
+        return dx, dw, gy.sum(axis=1)
 
     return _record(inputs, out, bwd, "conv2d")
 

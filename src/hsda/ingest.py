@@ -179,6 +179,26 @@ def _interpolate_channel(t: np.ndarray, v: np.ndarray, where) -> np.ndarray:
     return out
 
 
+def merge_duplicate_times(r: RawRecord) -> RawRecord:
+    """Collapse samples that share a timestamp into one sample.
+
+    csv-v1 allows repeated timestamps, but the kinematics difference along
+    strictly increasing time. Each channel takes the mean of its finite values
+    at that time, or stays missing for impute_missing when it has none.
+    """
+    t, first = np.unique(r.t, return_index=True)
+    if t.size == len(r):
+        return r
+    merged = {}
+    for name in CHANNELS:
+        v = r.channel(name)
+        finite = np.isfinite(v)
+        total = np.add.reduceat(np.where(finite, v, 0.0), first)
+        count = np.add.reduceat(finite.astype(np.int64), first)
+        merged[name] = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+    return r.replace_channels(t=t, **merged)
+
+
 def impute_missing(r: RawRecord) -> RawRecord:
     """Fill missing x/y/p by linear interpolation along the timestamp axis."""
     updates = {}
@@ -296,8 +316,8 @@ def drop_incomplete(records: Iterable[RawRecord]) -> List[RawRecord]:
 
 
 def preprocess(records: Iterable[RawRecord], z_max: float = 6.0) -> List[StrokeSequence]:
-    """drop_incomplete -> impute_missing -> remove_outliers -> standardize."""
+    """merge_duplicate_times -> drop_incomplete -> impute_missing -> remove_outliers -> standardize."""
     out = []
-    for r in drop_incomplete(records):
+    for r in drop_incomplete(merge_duplicate_times(rec) for rec in records):
         out.append(standardize(remove_outliers(impute_missing(r), z_max=z_max)))
     return out

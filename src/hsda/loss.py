@@ -63,19 +63,9 @@ def contrastive(f: Tensor, labels: np.ndarray, tmpl: Templates) -> Tensor:
     n = f.shape[0]
     if labels.shape != (n,):
         raise dc.ShapeError("labels shape %s for %d rows" % (labels.shape, n))
-    dtype = f.values.dtype
-    anchors = (
-        Tensor(tmpl.t_neg, dtype=dtype),
-        Tensor(tmpl.t_pos, dtype=dtype),
-    )
-    terms = [
-        dc.sub(1.0, dc.cosine_similarity(dc.take_row(f, i), anchors[labels[i]], NORM_FLOOR))
-        for i in range(n)
-    ]
-    total = terms[0]
-    for term in terms[1:]:
-        total = dc.add(total, term)
-    return dc.mul(total, 1.0 / n)
+    anchors = np.stack([tmpl.t_neg, tmpl.t_pos])[labels]  # each row's true-class template
+    cos = dc.cosine_rows(f, Tensor(anchors, dtype=f.values.dtype), NORM_FLOOR)
+    return dc.mean(dc.sub(1.0, cos))
 
 
 def total_loss(ce: Tensor, ctr: Tensor, weight: float = CONTRASTIVE_WEIGHT) -> Tensor:

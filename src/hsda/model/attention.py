@@ -6,6 +6,9 @@ difference weights from the pairwise absolute feature differences aggregated
 by parallel convolutions (kernels 5/3/1) over the key axis and reduced to a
 scalar logit per pair. A per-query-row scalar gate blends the two, which
 keeps the blend row-stochastic, and the blended weights aggregate the values.
+
+Tokens are (n, width) for one sample or (B, n, width) for a batch; every
+weight matrix then carries the same leading axes, (B, n, n) for a batch.
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ ENTROPY_FLOOR = 1e-12
 
 
 def saw(q: Tensor, k: Tensor, bias: Tensor) -> Tensor:
-    """Similarity attention weights: softmax_rows(q k^T / sqrt(d_h) + bias)."""
-    d_h = q.shape[1]
+    """Similarity attention weights: softmax_rows(q k^T / sqrt(d_h) + bias).
+
+    q and k are (n, d_h) or a batch (B, n, d_h); the (n, n) bias is shared by
+    every sample.
+    """
+    d_h = q.shape[-1]
     logits = dc.mul(dc.matmul(q, dc.transpose(k)), 1.0 / math.sqrt(d_h))
-    return dc.softmax_rows(dc.add(logits, bias))
+    return dc.softmax_rows(dc.add_bias(logits, bias))
 
 
 class DiscrepancyNet(Module):
@@ -44,23 +51,24 @@ class DiscrepancyNet(Module):
         self.reduce = Mlp(d_h, d_h, 1, rng)
 
     def __call__(self, q: Tensor, k: Tensor) -> Tensor:
-        n_q, d_h = q.shape
-        n_k = k.shape[0]
-        diff = dc.pairwise_absdiff(q, k)  # (n_q, n_k, d_h)
-        stacked = dc.permute(diff, (0, 2, 1))  # (n_q, d_h, n_k): keys are the time axis
+        """q (..., n_q, d_h) and k (..., n_k, d_h) -> weights (..., n_q, n_k)."""
+        d_h, n_k = q.shape[-1], k.shape[-2]
+        diff = dc.pairwise_absdiff(q, k)  # (..., n_q, n_k, d_h)
+        # one (d_h, n_k) sequence per query row of every sample: keys are the time axis
+        stacked = dc.reshape(dc.transpose(diff), (-1, d_h, n_k))
         agg = dc.add(dc.add(self.conv5(stacked), self.conv3(stacked)), self.conv1(stacked))
-        flat = dc.reshape(dc.permute(agg, (0, 2, 1)), (n_q * n_k, d_h))
-        logits = dc.reshape(self.reduce(flat), (n_q, n_k))
+        flat = dc.reshape(dc.transpose(agg), (-1, d_h))
+        logits = dc.reshape(self.reduce(flat), diff.shape[:-1])
         return dc.softmax_rows(logits)
 
 
 def _row_stats(w: Tensor) -> List[Tensor]:
     entropy = dc.neg(
-        dc.sum_(dc.mul(w, dc.log(dc.clamp_min(w, ENTROPY_FLOOR))), axis=1, keepdims=True)
+        dc.sum_(dc.mul(w, dc.log(dc.clamp_min(w, ENTROPY_FLOOR))), axis=-1, keepdims=True)
     )
     return [
-        dc.mean(w, axis=1, keepdims=True),
-        dc.max_(w, axis=1, keepdims=True),
+        dc.mean(w, axis=-1, keepdims=True),
+        dc.max_(w, axis=-1, keepdims=True),
         entropy,
     ]
 
@@ -77,8 +85,8 @@ class GatingMix(Module):
         self.gate = Linear(6, 1, rng)
 
     def __call__(self, saw_m: Tensor, daw_m: Tensor):
-        stats = dc.concat(_row_stats(saw_m) + _row_stats(daw_m), axis=1)  # (n, 6)
-        g = dc.sigmoid(self.gate(stats))  # (n, 1)
+        stats = dc.concat(_row_stats(saw_m) + _row_stats(daw_m), axis=-1)  # (..., n, 6)
+        g = dc.sigmoid(self.gate(stats))  # (..., n, 1)
         mix = dc.add(dc.scale_rows(saw_m, g), dc.scale_rows(daw_m, dc.sub(1.0, g)))
         return mix, g
 
@@ -122,6 +130,6 @@ class HybridBlock(Module):
     def __call__(self, x: Tensor, collect: Optional[list] = None) -> Tensor:
         h = self.ln1(x)
         head_outs = [head(h, collect) for head in self.heads]
-        attn = self.proj(dc.concat(head_outs, axis=1))
+        attn = self.proj(dc.concat(head_outs, axis=-1))
         y = dc.add(x, attn)
         return dc.add(y, self.ffn(self.ln2(y)))

@@ -11,7 +11,9 @@ that the refinement path keeps shrinking.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from .. import diffcore as dc
 from ..diffcore import Tensor
@@ -37,18 +39,19 @@ class ImageStem(Module):
         map_hw = cfg.stem_map_size
         self.token_mlp = Mlp(c_full * map_hw * map_hw, cfg.token_mlp_hidden, cfg.d, rng)
 
-    def __call__(self, image: Tensor) -> Tuple[Tensor, Tensor]:
-        if image.shape != (3, self.canvas_size, self.canvas_size):
+    def __call__(self, images: Tensor) -> Tuple[Tensor, Tensor]:
+        """(B, 3, S, S) images -> tokens (B, d) and stem maps (B, C, S/8, S/8)."""
+        if images.values.ndim != 4 or images.shape[1:] != (3, self.canvas_size, self.canvas_size):
             raise ConfigError(
-                "stem expects a (3, %d, %d) image, got %s"
-                % (self.canvas_size, self.canvas_size, image.shape)
+                "stem expects (B, 3, %d, %d) images, got %s"
+                % (self.canvas_size, self.canvas_size, images.shape)
             )
-        x = dc.relu(self.norm1(self.conv1(image)))
+        x = dc.relu(self.norm1(self.conv1(images)))
         x = dc.relu(self.norm2(self.conv2(x)))
         x = dc.relu(self.norm3(self.conv3(x)))
         x = dc.relu(self.norm4(self.conv4(x)))
-        token = self.token_mlp(dc.flatten(x))  # (1, d)
-        return token, x
+        tokens = self.token_mlp(dc.flatten(x))  # (B, d)
+        return tokens, x
 
 
 class SignalEmbed(Module):
@@ -63,17 +66,27 @@ class SignalEmbed(Module):
         self.map_len = cfg.signal_map_len
         self.map_conv = Conv1d(cfg.n_channels, cfg.signal_map_channels, 1, rng)
 
-    def __call__(self, signal: Tensor) -> Tuple[Tensor, Tensor]:
-        if signal.shape[0] != self.n_channels:
-            raise ConfigError(
-                "signal embed expects %d channels, got %s" % (self.n_channels, signal.shape)
-            )
-        if signal.shape[1] < 1:
-            raise ConfigError("signal embed needs at least one time step")
-        pooled = dc.adaptive_avg_pool1d(signal, self.pool_len)  # (n, pool_len)
-        h = dc.relu(self.norm1(self.fc1(pooled)))
+    def __call__(self, signals: Sequence[np.ndarray]) -> Tuple[Tensor, Tensor]:
+        """B signal matrices (n, T_i) of any lengths -> tokens (B, n, d) and 1D maps (B, C1, T_1).
+
+        Each signal is pooled to fixed lengths on its own, then the pooled
+        matrices run through the layers as one batch. The pools have no
+        parameters and the raw signals need no gradient, so they stay off
+        the tape.
+        """
+        pooled, pooled_map = [], []
+        for signal in signals:
+            sig = Tensor(signal)
+            if sig.values.ndim != 2 or sig.shape[0] != self.n_channels:
+                raise ConfigError(
+                    "signal embed expects %d channels, got %s" % (self.n_channels, sig.shape)
+                )
+            if sig.shape[1] < 1:
+                raise ConfigError("signal embed needs at least one time step")
+            pooled.append(dc.adaptive_avg_pool1d(sig, self.pool_len).values)
+            pooled_map.append(dc.adaptive_avg_pool1d(sig, self.map_len).values)
+        h = dc.relu(self.norm1(self.fc1(Tensor(np.stack(pooled)))))  # (B, n, hidden)
         h = dc.relu(self.norm2(self.fc2(h)))
-        tokens = self.token_mlp(h)  # (n, d)
-        pooled_map = dc.adaptive_avg_pool1d(signal, self.map_len)
-        map1d = self.map_conv(pooled_map)  # (map_channels, map_len)
+        tokens = self.token_mlp(h)  # (B, n, d)
+        map1d = self.map_conv(Tensor(np.stack(pooled_map)))  # (B, map_channels, map_len)
         return tokens, map1d

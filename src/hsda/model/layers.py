@@ -46,7 +46,7 @@ class Module:
 
 
 class Linear(Module):
-    """x @ w + b for row-major inputs (m, in) -> (m, out)."""
+    """x @ w + b over the last axis: (m, in) -> (m, out), or (B, m, in) -> (B, m, out)."""
 
     def __init__(self, d_in: int, d_out: int, rng, zero_init: bool = False, bias: bool = True):
         self.w = Tensor(
@@ -109,19 +109,17 @@ class Conv1d(Module):
 
 
 class ChannelNorm2d(Module):
-    """LayerNorm over the channel axis of a (C, H, W) map, per position."""
+    """LayerNorm over the channel axis of a (B, C, H, W) map, per sample and position."""
 
     def __init__(self, channels: int):
         self.ln = LayerNorm(channels)
 
     def __call__(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
-        flat = dc.reshape(dc.permute(x, (1, 2, 0)), (h * w, c))
-        return dc.permute(dc.reshape(self.ln(flat), (h, w, c)), (2, 0, 1))
+        return dc.permute(self.ln(dc.permute(x, (0, 2, 3, 1))), (0, 3, 1, 2))
 
 
 class ChannelNorm1d(Module):
-    """LayerNorm over the channel axis of a (C, T) map, per time step."""
+    """LayerNorm over the channel axis of a (B, C, T) map, per sample and time step."""
 
     def __init__(self, channels: int):
         self.ln = LayerNorm(channels)

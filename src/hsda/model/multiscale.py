@@ -35,9 +35,10 @@ class Rfm2d(Module):
         self.summary = Mlp(channels * self.out_hw * self.out_hw, d_prime, d_prime, rng)
 
     def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
+        """(B, C, h, w) map -> refined (B, C, h', w') map and summary z' (B, d_prime)."""
         y = self.pool(x)
         refined = dc.add(y, self.pw2(self.dw(self.pw1(y))))
-        z_prime = self.summary(dc.flatten(refined))  # (1, d_prime)
+        z_prime = self.summary(dc.flatten(refined))
         return refined, z_prime
 
 
@@ -54,25 +55,31 @@ class Rfm1d(Module):
         self.summary = Mlp(channels * self.out_len, d_prime, n_signal_tokens * d_prime, rng)
 
     def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
+        """(B, C, T) map -> refined (B, C, T') map and summaries z'' (B, n, d_prime)."""
         y = dc.adaptive_max_pool1d(x, self.out_len)
         refined = dc.add(y, self.pw2(self.dw(self.pw1(y))))
-        flat_summary = self.summary(dc.flatten(refined))  # (1, n * d_prime)
-        z_dprime = dc.reshape(flat_summary, (self.n_signal_tokens, self.d_prime))
+        flat_summary = self.summary(dc.flatten(refined))  # (B, n * d_prime)
+        z_dprime = dc.reshape(flat_summary, (x.shape[0], self.n_signal_tokens, self.d_prime))
         return refined, z_dprime
 
 
 def multiscale_concat(tokens: Tensor, z_prime: Tensor, z_dprime: Tensor) -> Tensor:
-    """Widen every token by d_prime: image token gets z', signal tokens z''."""
-    if z_prime.shape[0] != 1:
-        raise dc.ShapeError("z' must be a single row, got %s" % (z_prime.shape,))
-    if z_prime.shape[1] != z_dprime.shape[1]:
+    """Widen every token by d_prime: image token gets z', signal tokens z''.
+
+    tokens (B, n, w), z' (B, d_prime), z'' (B, n - 1, d_prime) -> (B, n, w + d_prime).
+    """
+    batch = tokens.shape[0]
+    if z_prime.values.ndim != 2 or z_prime.shape[0] != batch:
+        raise dc.ShapeError("z' must be one row per sample, got %s for %d samples" % (z_prime.shape, batch))
+    if z_dprime.values.ndim != 3 or z_dprime.shape[0] != batch or z_prime.shape[1] != z_dprime.shape[2]:
         raise dc.ShapeError(
-            "summary widths differ: %s vs %s" % (z_prime.shape, z_dprime.shape)
+            "summaries do not match: z' %s vs z'' %s" % (z_prime.shape, z_dprime.shape)
         )
-    if tokens.shape[0] != 1 + z_dprime.shape[0]:
+    if tokens.shape[1] != 1 + z_dprime.shape[1]:
         raise dc.ShapeError(
             "token count %d does not match 1 + %d summaries"
-            % (tokens.shape[0], z_dprime.shape[0])
+            % (tokens.shape[1], z_dprime.shape[1])
         )
-    widening = dc.concat([z_prime, z_dprime], axis=0)  # (n_tokens, d_prime)
-    return dc.concat([tokens, widening], axis=1)
+    z_image = dc.reshape(z_prime, (batch, 1, z_prime.shape[1]))
+    widening = dc.concat([z_image, z_dprime], axis=1)  # (B, n, d_prime)
+    return dc.concat([tokens, widening], axis=2)

@@ -60,24 +60,34 @@ class HsdaNet(Module):
 
     def __call__(
         self,
-        image: np.ndarray,
-        signal: np.ndarray,
+        images,
+        signals,
         collect: Optional[list] = None,
     ) -> Tuple[Tensor, Tensor]:
-        """Run one sample; returns (logits (1, n_classes), feature f (1, d))."""
+        """Run a batch; returns (logits (B, n_classes), feature f (B, d)).
+
+        images is (B, 3, S, S), or a sequence of B (3, S, S) arrays; signals
+        is a sequence of B (n_channels, T_i) matrices whose lengths may
+        differ. One (3, S, S) image with one (n_channels, T) signal is a
+        batch of one.
+        """
         cfg = self.cfg
-        img = image if isinstance(image, Tensor) else Tensor(image)
-        sig = signal if isinstance(signal, Tensor) else Tensor(signal)
-        image_token, map2d = self.stem(img)
-        signal_tokens, map1d = self.signal_embed(sig)
-        x = dc.concat([image_token, signal_tokens], axis=0)
+        images = np.asarray(images)
+        if images.ndim == 3:
+            images, signals = images[None], [signals]
+        if len(signals) != images.shape[0]:
+            raise ConfigError("%d images but %d signals" % (images.shape[0], len(signals)))
+        batch = images.shape[0]
+        image_tokens, map2d = self.stem(Tensor(images))
+        signal_tokens, map1d = self.signal_embed(signals)
+        x = dc.concat([dc.reshape(image_tokens, (batch, 1, cfg.d)), signal_tokens], axis=1)
 
         for stage in range(1, cfg.stages + 1):
             width = cfg.stage_width(stage)
-            if x.shape != (cfg.n_tokens, width):
+            if x.shape != (batch, cfg.n_tokens, width):
                 raise ConfigError(
-                    "stage %d expects tokens (%d, %d), got %s"
-                    % (stage, cfg.n_tokens, width, x.shape)
+                    "stage %d expects tokens (%d, %d, %d), got %s"
+                    % (stage, batch, cfg.n_tokens, width, x.shape)
                 )
             base = (stage - 1) * cfg.blocks_per_stage
             for block in self.blocks[base : base + cfg.blocks_per_stage]:
@@ -87,11 +97,7 @@ class HsdaNet(Module):
                 map1d, z_dprime = self.rfm1d[stage - 1](map1d)
                 x = multiscale_concat(x, z_prime, z_dprime)
 
-        pooled = dc.mean(self.head_norm(x), axis=0, keepdims=True)
+        pooled = dc.mean(self.head_norm(x), axis=1)  # (B, width)
         f = self.head_proj(pooled)
         logits = self.classifier(f)
         return logits, f
-
-    def predict_proba(self, image: np.ndarray, signal: np.ndarray) -> np.ndarray:
-        logits, _ = self(image, signal)
-        return dc.softmax_rows(logits).values[0]

@@ -243,22 +243,27 @@ class Metrics:
         return "\n".join((head, row, counts))
 
 
-def predict(model: HsdaNet, sample: Sample) -> int:
-    logits, _ = model(sample.image, sample.signal)
-    return int(np.argmax(logits.values[0]))
+def predict(model: HsdaNet, samples: Sequence[Sample], batch_size: int) -> np.ndarray:
+    """Predicted class of every sample, forwarding chunks of at most batch_size."""
+    preds = []
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start : start + batch_size]
+        logits, _ = model([s.image for s in chunk], [s.signal for s in chunk])
+        preds.append(np.argmax(logits.values, axis=1))
+    return np.concatenate(preds)
 
 
-def evaluate(model: HsdaNet, test_set: Sequence[Sample]) -> Metrics:
+def evaluate(model: HsdaNet, test_set: Sequence[Sample], batch_size: int) -> Metrics:
     if len(test_set) == 0:
         raise ValueError("empty test set")
-    tp = fp = fn = tn = 0
-    for sample in test_set:
-        pred = predict(model, sample)
-        if sample.label == 1:
-            tp, fn = tp + (pred == 1), fn + (pred == 0)
-        else:
-            fp, tn = fp + (pred == 1), tn + (pred == 0)
-    return Metrics.from_counts(tp, fp, fn, tn)
+    pred = predict(model, test_set, batch_size) == 1
+    truth = np.array([s.label for s in test_set]) == 1
+    return Metrics.from_counts(
+        int(np.sum(pred & truth)),
+        int(np.sum(pred & ~truth)),
+        int(np.sum(~pred & truth)),
+        int(np.sum(~pred & ~truth)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +278,6 @@ class FoldResult:
     best_state: Dict[str, np.ndarray]
     history: List[Tuple[int, float, float, float]]  # (epoch, lr, train_loss, val_acc)
     templates: Templates
-
-
-def _forward_batch(model: HsdaNet, batch: Sequence[Sample]):
-    prob_rows, f_rows = [], []
-    for sample in batch:
-        logits, f = model(sample.image, sample.signal)
-        prob_rows.append(dc.softmax_rows(logits))
-        f_rows.append(f)
-    probs = prob_rows[0] if len(prob_rows) == 1 else dc.concat(prob_rows, axis=0)
-    feats = f_rows[0] if len(f_rows) == 1 else dc.concat(f_rows, axis=0)
-    return probs, feats
-
-
-def _val_accuracy(model: HsdaNet, val_set: Sequence[Sample]) -> float:
-    correct = sum(predict(model, s) == s.label for s in val_set)
-    return correct / len(val_set)
 
 
 def train_loop(
@@ -307,6 +296,7 @@ def train_loop(
     history: List[Tuple[int, float, float, float]] = []
     best_acc, best_epoch, since_best = -1.0, -1, 0
     best_state = {name: t.values.copy() for name, t in params.items()}
+    val_labels = np.array([s.label for s in val_set])
 
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(epoch, cfg.lr0, cfg.max_epochs)
@@ -317,8 +307,8 @@ def train_loop(
             batch_labels = np.array([s.label for s in batch])
             model.zero_grad()
             with dc.Tape() as tape:
-                probs, feats = _forward_batch(model, batch)
-                ce = cross_entropy(probs, batch_labels)
+                logits, feats = model([s.image for s in batch], [s.signal for s in batch])
+                ce = cross_entropy(dc.softmax_rows(logits), batch_labels)
                 if cfg.contrastive_weight > 0.0:
                     loss = total_loss(
                         ce, contrastive(feats, batch_labels, templates), cfg.contrastive_weight
@@ -335,7 +325,7 @@ def train_loop(
             templates = update_templates(templates, feats.values, batch_labels)
             batch_losses.append(loss_value)
 
-        val_acc = _val_accuracy(model, val_set)
+        val_acc = int(np.sum(predict(model, val_set, cfg.batch_size) == val_labels)) / len(val_set)
         history.append((epoch, lr, float(np.mean(batch_losses)), val_acc))
         if val_acc > best_acc:
             best_acc, best_epoch, since_best = val_acc, epoch, 0
@@ -382,7 +372,7 @@ def run_protocol(
     final = HsdaNet(model_cfg, seed=cfg.seed)
     for name, t in final.parameter_dict().items():
         t.values = fold_results[best_fold].best_state[name].copy()
-    metrics = evaluate(final, test_set)
+    metrics = evaluate(final, test_set, cfg.batch_size)
     return ProtocolResult(fold_results, best_fold, metrics, test_idx, final)
 
 

@@ -1,10 +1,14 @@
 """Command-line behavior: determinism, provenance sidecars, exit codes."""
 
+import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hsda
 from hsda import cli
 from hsda.diffcore import Tensor, ops
 from hsda.errors import ConfigError
@@ -238,3 +242,20 @@ class TestExitCodesAndEnv:
         assert cli.main(["synth", "--n", "2", "--out", str(tmp_path / "d")]) == 0
         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             assert os.environ[name] == "2"
+
+    def test_training_identical_at_one_and_two_threads(self, tmp_path):
+        # synth scale with a full batch of 16: its GEMMs are large enough for
+        # OpenBLAS to split them across both threads, unlike toy scale
+        data = make_synth(tmp_path, n=20, seed=5)  # 8 test, 2 folds of 16 + 16
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text("max_epochs = 2\npatience = 2\nk_folds = 2\nbatch_size = 16\n")
+        src = os.path.dirname(os.path.dirname(hsda.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("threads" + threads)
+            env = dict(os.environ, HSDA_THREADS=threads, PYTHONPATH=src)
+            argv = ["train", data, "--config", str(cfg), "--scale", "synth", "--seed", "3", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "hsda.cli"] + argv, env=env, check=True, timeout=600)
+            weights = hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest()
+            runs.append(((out / "history.csv").read_bytes(), weights))
+        assert runs[0] == runs[1]

@@ -26,7 +26,7 @@ from hsda.diffcore import (
     concat,
     conv1d,
     conv2d,
-    cosine_similarity,
+    cosine_rows,
     flatten,
     grad_check,
     layer_norm,
@@ -44,7 +44,6 @@ from hsda.diffcore import (
     softmax_rows,
     sub,
     sum_,
-    take_row,
     transpose,
     using_dtype,
 )
@@ -161,6 +160,30 @@ class TestForward:
                 single = conv1d(Tensor(x[i]), Tensor(w), Tensor(b), padding=1).values
                 np.testing.assert_allclose(batched[i], single, rtol=1e-12)
 
+    def test_matmul_batched_matches_per_sample(self):
+        rng = make_rng(8, "check")
+        with using_dtype(np.float64):
+            a = rng.normal(size=(3, 2, 4))
+            shared = rng.normal(size=(4, 5))
+            paired = rng.normal(size=(3, 4, 5))
+            got_shared = matmul(Tensor(a), Tensor(shared)).values
+            got_paired = matmul(Tensor(a), Tensor(paired)).values
+            for i in range(3):
+                np.testing.assert_allclose(got_shared[i], matmul_oracle(a[i], shared), rtol=1e-12)
+                np.testing.assert_allclose(got_paired[i], matmul_oracle(a[i], paired[i]), rtol=1e-12)
+
+    def test_conv2d_batched_matches_per_sample(self):
+        rng = make_rng(14, "check")
+        with using_dtype(np.float64):
+            x = rng.normal(size=(3, 4, 6, 5))
+            w = rng.normal(size=(6, 2, 3, 3))
+            b = rng.normal(size=6)
+            batched = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1, groups=2).values
+            for i in range(3):
+                np.testing.assert_allclose(
+                    batched[i], conv2d_oracle(x[i], w, b, 2, 1, 2), rtol=1e-12, atol=1e-12
+                )
+
     @pytest.mark.parametrize(
         "C_in,C_out,k,H,W,stride,padding,groups",
         [
@@ -169,6 +192,7 @@ class TestForward:
             (3, 4, 3, 7, 5, 2, 1, 1),
             (4, 4, 3, 5, 5, 1, 1, 4),
             (2, 5, 1, 4, 4, 1, 0, 1),
+            (4, 6, 3, 6, 5, 2, 1, 2),
         ],
     )
     def test_conv2d_against_oracle(self, C_in, C_out, k, H, W, stride, padding, groups):
@@ -204,6 +228,10 @@ class TestForward:
         out = adaptive_max_pool1d(x, 2).values
         # bins [0,3) and [2,5): maxima 2,4 and 7,9
         np.testing.assert_allclose(out, [[2.0, 4.0], [7.0, 9.0]])
+        # a batch pools each sample on its own
+        batched = adaptive_max_pool1d(Tensor(np.stack([x.values, -x.values])), 2).values
+        np.testing.assert_array_equal(batched[0], out)
+        np.testing.assert_allclose(batched[1], [[-0.0, -2.0], [-5.0, -7.0]])
 
     def test_softmax_rows_known_values(self):
         x = Tensor(np.array([[0.0, 0.0], [np.log(1.0), np.log(3.0)]]))
@@ -222,9 +250,12 @@ class TestForward:
 
     def test_cosine_similarity_endpoints(self):
         a = Tensor(np.array([[1.0, 0.0]]))
-        assert cosine_similarity(a, Tensor(np.array([[2.0, 0.0]]))).item() == pytest.approx(1.0)
-        assert cosine_similarity(a, Tensor(np.array([[0.0, 3.0]]))).item() == pytest.approx(0.0)
-        assert cosine_similarity(a, Tensor(np.array([[-1.0, 0.0]]))).item() == pytest.approx(-1.0)
+        assert cosine_rows(a, Tensor(np.array([[2.0, 0.0]]))).item() == pytest.approx(1.0)
+        assert cosine_rows(a, Tensor(np.array([[0.0, 3.0]]))).item() == pytest.approx(0.0)
+        assert cosine_rows(a, Tensor(np.array([[-1.0, 0.0]]))).item() == pytest.approx(-1.0)
+        # one row pair per output entry
+        rows = cosine_rows(Tensor(np.array([[1.0, 0.0], [0.0, 2.0]])), Tensor(np.array([[3.0, 0.0], [-1.0, 0.0]])))
+        np.testing.assert_allclose(rows.values, [1.0, 0.0], atol=1e-7)
 
     def test_pairwise_absdiff_values(self):
         q = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]))
@@ -427,7 +458,7 @@ class TestProperties:
         x = Tensor(np.array(vals).reshape(2, 3))
         back = permute(permute(x, (1, 0)), (1, 0)).values
         np.testing.assert_array_equal(back, x.values)
-        flat = flatten(x)
+        flat = flatten(reshape(x, (1, 2, 3)))  # one sample: flatten keeps the batch axis
         assert flat.shape == (1, 6)
         np.testing.assert_array_equal(reshape(flat, (2, 3)).values, x.values)
 
@@ -440,20 +471,6 @@ class TestProperties:
         out = concat([Tensor(a), Tensor(b)], axis=0).values
         np.testing.assert_array_equal(out[:m], a.astype(out.dtype))
         np.testing.assert_array_equal(out[m:], b.astype(out.dtype))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_take_row_grad_is_indicator(self, seed):
-        rng = make_rng(seed, "check")
-        with using_dtype(np.float64):
-            x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-            i = int(rng.integers(0, 4))
-            with Tape() as tape:
-                y = sum_(take_row(x, i))
-            backward(y, tape)
-            expect = np.zeros((4, 3))
-            expect[i] = 1.0
-            np.testing.assert_allclose(x.grad, expect)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hsda.ingest import (
     RawRecord,
     drop_incomplete,
     impute_missing,
+    merge_duplicate_times,
     parse_raw,
     preprocess,
     remove_outliers,
@@ -251,6 +252,43 @@ class TestDropIncomplete:
 
     def test_empty_input(self):
         assert drop_incomplete([]) == []
+
+
+class TestDuplicateTimes:
+    def test_repeated_timestamp_merged_by_finite_mean(self):
+        r = make_record(
+            n=6,
+            t=np.array([0.0, 5.0, 5.0, 5.0, 10.0, 15.0]),
+            x=np.array([0.0, 1.0, 2.0, np.nan, 4.0, 5.0]),
+            y=np.array([0.0, np.nan, np.nan, np.nan, 4.0, 5.0]),
+        )
+        merged = merge_duplicate_times(r)
+        np.testing.assert_array_equal(merged.t, [0.0, 5.0, 10.0, 15.0])
+        np.testing.assert_array_equal(merged.x, [0.0, 1.5, 4.0, 5.0])
+        # no finite value at t=5: left missing for impute_missing
+        assert np.isnan(merged.y[1])
+        np.testing.assert_array_equal(merged.p, [r.p[0], r.p[1:4].mean(), r.p[4], r.p[5]])
+
+    def test_strictly_increasing_record_unchanged(self):
+        r = make_record()
+        assert merge_duplicate_times(r) is r
+
+    def test_repeated_timestamp_reaches_the_dataset(self, tmp_path):
+        from hsda.features import kinematic_features
+        from hsda.train import build_dataset
+
+        lines = ["s8,2,HC"]
+        rng = np.random.default_rng(2)
+        for i in range(30):
+            t = 5 * (i - 1) if i == 7 else 5 * i  # sample 7 repeats sample 6's time
+            lines.append("%d,%.3f,%.3f,%.3f" % (t, rng.normal(), rng.normal(), rng.uniform(0, 1)))
+        seqs = preprocess(parse_raw(write(tmp_path, "\n".join(lines) + "\n")))
+        assert len(seqs) == 1 and len(seqs[0]) == 29
+        assert np.all(np.diff(seqs[0].t) > 0)
+        signal = kinematic_features(seqs[0])
+        assert np.all(np.isfinite(signal.channels))
+        (sample,) = build_dataset([(seqs[0], seqs[0].label)], canvas_size=16)
+        assert sample.signal.shape == (9, 29) and sample.label == 0
 
 
 class TestPipeline:

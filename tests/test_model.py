@@ -207,37 +207,37 @@ class TestRefinement:
             sizes.append((sizes[-1] - 1) // 2 + 1)
         assert sizes == [16, 8, 4, 2]
         rng = make_rng(7, "init")
-        x = rand_tensor(np.random.default_rng(11), (4, 16, 16))
+        x = rand_tensor(np.random.default_rng(11), (2, 4, 16, 16))
         for in_hw in sizes[:-1]:
             rfm = Rfm2d(4, 8, in_hw, rng)
             x, z = rfm(x)
-            assert x.shape == (4, rfm.out_hw, rfm.out_hw)
-            assert z.shape == (1, 8)
+            assert x.shape == (2, 4, rfm.out_hw, rfm.out_hw)
+            assert z.shape == (2, 8)
 
     def test_rfm2d_unit_map_is_fixed_point(self):
         rfm = Rfm2d(3, 4, 1, make_rng(8, "init"))
-        out, _ = rfm(rand_tensor(np.random.default_rng(12), (3, 1, 1)))
-        assert out.shape == (3, 1, 1)
+        out, _ = rfm(rand_tensor(np.random.default_rng(12), (1, 3, 1, 1)))
+        assert out.shape == (1, 3, 1, 1)
 
     def test_fresh_rfm2d_branch_is_inert(self):
         rfm = Rfm2d(3, 4, 6, make_rng(9, "init"))
-        x = rand_tensor(np.random.default_rng(13), (3, 6, 6))
+        x = rand_tensor(np.random.default_rng(13), (2, 3, 6, 6))
         refined, _ = rfm(x)
         np.testing.assert_array_equal(refined.values, rfm.pool(x).values)
 
     def test_rfm1d_halves_with_floor(self):
         rng = make_rng(10, "init")
-        x = rand_tensor(np.random.default_rng(14), (5, 9))
+        x = rand_tensor(np.random.default_rng(14), (2, 5, 9))
         rfm = Rfm1d(5, 9, 4, 9, rng)
         out, z = rfm(x)
-        assert out.shape == (5, 4)
-        assert z.shape == (9, 4)
-        out2, _ = Rfm1d(5, 9, 4, 1, rng)(rand_tensor(np.random.default_rng(15), (5, 1)))
-        assert out2.shape == (5, 1)
+        assert out.shape == (2, 5, 4)
+        assert z.shape == (2, 9, 4)
+        out2, _ = Rfm1d(5, 9, 4, 1, rng)(rand_tensor(np.random.default_rng(15), (1, 5, 1)))
+        assert out2.shape == (1, 5, 1)
 
     def test_fresh_rfm1d_branch_is_inert(self):
         rfm = Rfm1d(4, 9, 4, 10, make_rng(11, "init"))
-        x = rand_tensor(np.random.default_rng(16), (4, 10))
+        x = rand_tensor(np.random.default_rng(16), (2, 4, 10))
         refined, _ = rfm(x)
         np.testing.assert_array_equal(
             refined.values, dc.adaptive_max_pool1d(x, 5).values
@@ -245,52 +245,53 @@ class TestRefinement:
 
     def test_multiscale_concat_widens_every_token(self):
         rng = np.random.default_rng(17)
-        tokens = rand_tensor(rng, (10, 16))
-        z_prime = rand_tensor(rng, (1, 8))
-        z_dprime = rand_tensor(rng, (9, 8))
+        tokens = rand_tensor(rng, (2, 10, 16))
+        z_prime = rand_tensor(rng, (2, 8))
+        z_dprime = rand_tensor(rng, (2, 9, 8))
         out = multiscale_concat(tokens, z_prime, z_dprime)
-        assert out.shape == (10, 24)
-        np.testing.assert_array_equal(out.values[:, :16], tokens.values)
-        np.testing.assert_array_equal(out.values[0, 16:], z_prime.values[0])
-        np.testing.assert_array_equal(out.values[1:, 16:], z_dprime.values)
+        assert out.shape == (2, 10, 24)
+        np.testing.assert_array_equal(out.values[:, :, :16], tokens.values)
+        np.testing.assert_array_equal(out.values[:, 0, 16:], z_prime.values)
+        np.testing.assert_array_equal(out.values[:, 1:, 16:], z_dprime.values)
 
     def test_multiscale_concat_rejects_mismatches(self):
         rng = np.random.default_rng(18)
-        tokens = rand_tensor(rng, (10, 16))
+        tokens = rand_tensor(rng, (1, 10, 16))
         with pytest.raises(dc.ShapeError):
-            multiscale_concat(tokens, rand_tensor(rng, (2, 8)), rand_tensor(rng, (9, 8)))
+            multiscale_concat(tokens, rand_tensor(rng, (2, 8)), rand_tensor(rng, (1, 9, 8)))
         with pytest.raises(dc.ShapeError):
-            multiscale_concat(tokens, rand_tensor(rng, (1, 8)), rand_tensor(rng, (9, 4)))
+            multiscale_concat(tokens, rand_tensor(rng, (1, 8)), rand_tensor(rng, (1, 9, 4)))
         with pytest.raises(dc.ShapeError):
-            multiscale_concat(tokens, rand_tensor(rng, (1, 8)), rand_tensor(rng, (5, 8)))
+            multiscale_concat(tokens, rand_tensor(rng, (1, 8)), rand_tensor(rng, (1, 5, 8)))
 
 
 class TestEmbeddings:
     def test_stem_shapes_and_stride_arithmetic(self):
         cfg = toy_config()
         stem = ImageStem(cfg, make_rng(12, "init"))
-        img = rand_tensor(np.random.default_rng(19), (3, 16, 16))
+        img = rand_tensor(np.random.default_rng(19), (2, 3, 16, 16))
         token, map2d = stem(img)
-        assert token.shape == (1, cfg.d)
-        assert map2d.shape == (cfg.stem_channels, 2, 2)
+        assert token.shape == (2, cfg.d)
+        assert map2d.shape == (2, cfg.stem_channels, 2, 2)
 
     def test_stem_rejects_wrong_canvas(self):
         stem = ImageStem(toy_config(), make_rng(13, "init"))
         with pytest.raises(ConfigError):
-            stem(rand_tensor(np.random.default_rng(20), (3, 32, 32)))
+            stem(rand_tensor(np.random.default_rng(20), (1, 3, 32, 32)))
 
     def test_signal_embed_shapes_any_length(self):
         cfg = toy_config()
         embed = SignalEmbed(cfg, make_rng(14, "init"))
-        for t_len in (5, 16, 57, 400):
-            tokens, map1d = embed(rand_tensor(np.random.default_rng(t_len), (9, t_len)))
-            assert tokens.shape == (9, cfg.d)
-            assert map1d.shape == (cfg.signal_map_channels, cfg.signal_map_len)
+        lengths = (5, 16, 57, 400)
+        signals = [np.random.default_rng(t_len).normal(size=(9, t_len)) for t_len in lengths]
+        tokens, map1d = embed(signals)
+        assert tokens.shape == (len(lengths), 9, cfg.d)
+        assert map1d.shape == (len(lengths), cfg.signal_map_channels, cfg.signal_map_len)
 
     def test_signal_embed_rejects_wrong_channel_count(self):
         embed = SignalEmbed(toy_config(), make_rng(15, "init"))
         with pytest.raises(ConfigError):
-            embed(rand_tensor(np.random.default_rng(21), (7, 32)))
+            embed([np.random.default_rng(21).normal(size=(7, 32))])
 
 
 class TestNetwork:
@@ -347,7 +348,53 @@ class TestNetwork:
         net(img, sig, collect)
         assert len(collect) == cfg.stages * cfg.blocks_per_stage * cfg.heads
         for entry in collect:
-            assert entry["saw"].shape == (cfg.n_tokens, cfg.n_tokens)
+            assert entry["saw"].shape == (1, cfg.n_tokens, cfg.n_tokens)
+
+    def batch_inputs(self, n, seed, canvas=16):
+        rng = np.random.default_rng(seed)
+        images = rng.normal(size=(n, 3, canvas, canvas))
+        signals = [rng.normal(size=(9, int(t))) for t in rng.integers(5, 300, size=n)]
+        return images, signals
+
+    def test_batch_rows_match_single_sample_calls(self):
+        # batched float32 GEMMs may round differently from per-sample ones,
+        # so rows agree to float32 tolerances, not bitwise
+        cfg = toy_config()
+        net = HsdaNet(cfg, seed=0)
+        gen = np.random.default_rng(25)
+        for _, p in net.parameters():
+            p.values = (p.values + gen.normal(size=p.shape) * 0.2).astype(p.values.dtype)
+        images, signals = self.batch_inputs(5, seed=26)
+        logits, f = net(images, signals)
+        assert logits.shape == (5, cfg.n_classes)
+        assert f.shape == (5, cfg.d)
+        for i in range(5):
+            li, fi = net(images[i], signals[i])
+            np.testing.assert_allclose(logits.values[i], li.values[0], rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(f.values[i], fi.values[0], rtol=1e-5, atol=1e-6)
+
+    def test_batch_collect_stays_row_stochastic(self):
+        cfg = toy_config()
+        net = HsdaNet(cfg, seed=1)
+        images, signals = self.batch_inputs(3, seed=27)
+        collect = []
+        net(images, signals, collect)
+        assert len(collect) == cfg.stages * cfg.blocks_per_stage * cfg.heads
+        n = cfg.n_tokens
+        for entry in collect:
+            for key in ("saw", "daw", "mix"):
+                w = entry[key].values
+                assert w.shape == (3, n, n)
+                np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
+                assert np.all(w >= 0.0)
+            g = entry["gate"].values
+            assert g.shape == (3, n, 1)
+            assert np.all(g > 0.0) and np.all(g < 1.0)
+
+    def test_batch_needs_one_signal_per_image(self):
+        images, signals = self.batch_inputs(3, seed=28)
+        with pytest.raises(ConfigError):
+            HsdaNet(toy_config(), seed=0)(images, signals[:2])
 
     def test_gradients_flow_to_all_parameters(self):
         net = HsdaNet(toy_config(), seed=0)

@@ -211,7 +211,7 @@ class TestEvaluate:
     def test_counts_match_independent_loop(self):
         model = HsdaNet(toy_config(), seed=0)
         samples = tiny_samples(10, seed=1, separable=False)
-        m = evaluate(model, samples)
+        m = evaluate(model, samples, 4)  # chunks of 4, 4 and 2 samples
         preds = [int(np.argmax(model(s.image, s.signal)[0].values[0])) for s in samples]
         tp = sum(p == 1 and s.label == 1 for p, s in zip(preds, samples))
         fp = sum(p == 1 and s.label == 0 for p, s in zip(preds, samples))
@@ -221,7 +221,7 @@ class TestEvaluate:
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            evaluate(HsdaNet(toy_config(), seed=0), [])
+            evaluate(HsdaNet(toy_config(), seed=0), [], 4)
 
 
 class TestTrainLoop:
