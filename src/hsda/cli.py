@@ -2,9 +2,11 @@
 
 Subcommands: preprocess | render | synth | train | evaluate | gradcheck.
 Settings merge three layers, later winning: dataclass defaults, --config
-file, explicit flags. Every output directory receives a config.txt with the
-fully merged settings, so any artifact can be traced back to the run that
-made it. Identical inputs, flags, and seed give byte-identical outputs.
+file, explicit flags; evaluate then takes the SIDECAR_KEYS settings from the
+checkpoint sidecar. Every value is checked at the merge. Every output
+directory receives a config.txt with the fully merged settings, so any
+artifact can be traced back to the run that made it. Identical inputs,
+flags, and seed give byte-identical outputs.
 
 Exit codes: 0 success, 1 validation or check failure, 2 usage error.
 
@@ -29,6 +31,10 @@ from .runconfig import (
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# settings that ride with the weights in the checkpoint sidecar, so evaluate
+# rebuilds the same split and architecture without re-specifying flags
+SIDECAR_KEYS = ("scale", "multiscale", "seed", "k_folds", "test_fraction")
+
 
 def _pin_threads() -> None:
     cap = os.environ.get("HSDA_THREADS")
@@ -40,7 +46,8 @@ def _pin_threads() -> None:
         os.environ[name] = cap
 
 
-def _runconfig_from(args: argparse.Namespace) -> RunConfig:
+def _runconfig_from(args: argparse.Namespace, sidecar=None) -> RunConfig:
+    """Defaults, then --config, then flags, then the checkpoint sidecar."""
     overrides = {}
     for key in ("seed", "out", "raw_format", "z_max", "size", "n", "scale"):
         if getattr(args, key, None) is not None:
@@ -49,6 +56,7 @@ def _runconfig_from(args: argparse.Namespace) -> RunConfig:
         overrides["multiscale"] = False
     if getattr(args, "no_contrastive", False):
         overrides["contrastive_weight"] = 0.0
+    overrides.update(sidecar or {})
     return make_runconfig(getattr(args, "config", None), overrides)
 
 
@@ -67,23 +75,6 @@ def _model_config(cfg: RunConfig):
 
     preset = {"toy": toy_config, "synth": synth_config, "full": ModelConfig}[cfg.scale]
     return preset(use_multiscale=cfg.multiscale)
-
-
-def _train_config(cfg: RunConfig):
-    from .train import TrainConfig
-
-    return TrainConfig(
-        lr0=cfg.lr0,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        k_folds=cfg.k_folds,
-        test_fraction=cfg.test_fraction,
-        seed=cfg.seed,
-        contrastive_weight=cfg.contrastive_weight,
-    )
 
 
 def _load_sequences(data_path: str, cfg: RunConfig):
@@ -112,42 +103,27 @@ def _load_sequences(data_path: str, cfg: RunConfig):
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
-    import numpy as np
-
     from .features import kinematic_features, write_signal_csv
-    from .ingest import (
-        CHANNELS,
-        impute_missing,
-        merge_duplicate_times,
-        parse_raw,
-        remove_outliers,
-        salvageable,
-        standardize,
-    )
+    from .ingest import clean_record, parse_raw
 
-    records = [merge_duplicate_times(r) for r in parse_raw(args.raw, cfg.raw_format)]
+    records = parse_raw(args.raw, cfg.raw_format)
     out = _prepare_out(cfg)
     lines, subjects = [], []
     kept = dropped = 0
     for r in records:
         if r.subject_id not in subjects:
             subjects.append(r.subject_id)
-        if not salvageable(r):
+        seq, outliers = clean_record(r, cfg.z_max)
+        if seq is None:
             dropped += 1
             lines.append("%s task %02d: dropped (unsalvageable)" % (r.subject_id, r.task_id))
             continue
-        imputed = impute_missing(r)
-        cleaned = remove_outliers(imputed, z_max=cfg.z_max)
-        changed = np.zeros(len(imputed), dtype=bool)
-        for name in CHANNELS:
-            changed |= imputed.channel(name) != cleaned.channel(name)
-        seq = standardize(cleaned)
         filename = _record_stem(r.subject_id, r.task_id) + ".csv"
         write_signal_csv(kinematic_features(seq), os.path.join(out, filename))
         kept += 1
         lines.append(
             "%s task %02d: ok, outliers replaced %d -> %s"
-            % (r.subject_id, r.task_id, int(changed.sum()), filename)
+            % (r.subject_id, r.task_id, outliers, filename)
         )
     with open(os.path.join(out, "manifest.txt"), "w") as fh:
         fh.write("subjects: %s\n" % " ".join(subjects))
@@ -189,10 +165,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .train import build_dataset, run_protocol, write_history_csv, write_metrics
 
     model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg)
     sequences = _load_sequences(args.data, cfg)
     dataset = build_dataset([(s, s.label) for s in sequences], canvas_size=model_cfg.canvas_size)
-    result = run_protocol(dataset, model_cfg, train_cfg)
+    result = run_protocol(dataset, model_cfg, cfg)
 
     out = _prepare_out(cfg)
     for fr in result.fold_results:
@@ -203,53 +178,35 @@ def cmd_train(args: argparse.Namespace) -> int:
     best = result.fold_results[result.best_fold]
     write_history_csv(os.path.join(out, "history.csv"), best.history)
     write_metrics(os.path.join(out, "metrics.txt"), result.test_metrics)
-    # protocol-critical settings ride with the weights so evaluate can
-    # rebuild the same split and architecture without re-specifying flags
-    save_checkpoint(
-        os.path.join(out, "checkpoint.bin"),
-        result.model.parameter_dict(),
-        {
-            "scale": cfg.scale,
-            "multiscale": cfg.multiscale,
-            "seed": cfg.seed,
-            "k_folds": cfg.k_folds,
-            "test_fraction": cfg.test_fraction,
-            "best_fold": result.best_fold,
-        },
-    )
+    sidecar = {key: getattr(cfg, key) for key in SIDECAR_KEYS}
+    sidecar["best_fold"] = result.best_fold
+    save_checkpoint(os.path.join(out, "checkpoint.bin"), result.model.parameter_dict(), sidecar)
     print(result.test_metrics.table())
     print("checkpoint, history, metrics -> %s" % out)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    cfg = _runconfig_from(args)
+    _runconfig_from(args)  # flags and --config fail here, before the checkpoint is read
     from .model import HsdaNet, load_checkpoint, restore_parameters
     from .train import build_dataset, evaluate, split_and_fold, write_metrics
 
     params, meta = load_checkpoint(args.checkpoint)
-    for key in ("scale", "multiscale", "seed", "k_folds", "test_fraction"):
+    for key in SIDECAR_KEYS:
         if key not in meta:
             raise ProtocolError("checkpoint sidecar is missing %r" % key)
-    cfg = dataclasses.replace(
-        cfg,
-        scale=meta["scale"],
-        multiscale=meta["multiscale"].lower() == "true",
-        seed=int(meta["seed"]),
-        k_folds=int(meta["k_folds"]),
-        test_fraction=float(meta["test_fraction"]),
-    )
+    try:
+        cfg = _runconfig_from(args, {key: meta[key] for key in SIDECAR_KEYS})
+    except ConfigError as exc:
+        raise ConfigError("checkpoint sidecar of %s: %s" % (args.checkpoint, exc)) from None
     model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg)
     sequences = _load_sequences(args.data, cfg)
     dataset = build_dataset([(s, s.label) for s in sequences], canvas_size=model_cfg.canvas_size)
-    test_idx, _ = split_and_fold([s.label for s in dataset], train_cfg)
+    test_idx, _ = split_and_fold([s.label for s in dataset], cfg)
 
     model = HsdaNet(model_cfg, seed=cfg.seed)
     restore_parameters(model, params)
-    metrics = evaluate(model, [dataset[i] for i in test_idx], train_cfg.batch_size)
+    metrics = evaluate(model, [dataset[i] for i in test_idx], cfg.batch_size)
     out = _prepare_out(cfg)
     write_metrics(os.path.join(out, "metrics.txt"), metrics)
     print(metrics.table())
@@ -264,21 +221,25 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     from . import diffcore as dc
     from .model import HsdaNet, synth_config, toy_config
 
-    failures = 0
+    failures = checks = 0
+    worst = 0.0
 
     def report(name: str, err: float) -> None:
-        nonlocal failures
+        nonlocal failures, checks, worst
         ok = err < GRADCHECK_TOLERANCE
         failures += not ok
+        checks += 1
+        worst = max(worst, err)
         print("  %-24s %.3e  %s" % (name, err, "ok" if ok else "FAIL"))
 
     print("primitive gradients (eps 1e-5, 64-bit):")
-    worst = 0.0
-    checks = 0
     for name, err in dc.primitive_checks(seed=cfg.seed):
         report(name, err)
-        worst = max(worst, err)
-        checks += 1
+    if failures:
+        # the composed model rests on these primitives: with one wrong, its
+        # check adds nothing and would take most of the run time
+        print("%d of %d primitive checks failed; composed model not checked" % (failures, checks))
+        return 1
 
     model_cfg = {"toy": toy_config, "synth": synth_config}[args.scale](blocks_per_stage=2)
     # batch 2 covers gradients summed across the samples of a batch
@@ -307,8 +268,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             )
         for name in sorted(errs):
             report(name, errs[name])
-            worst = max(worst, errs[name])
-            checks += 1
 
     print("max rel err %.3e over %d checks" % (worst, checks))
     return 1 if failures else 0

@@ -632,22 +632,3 @@ def conv2d(
 
     return _record(inputs, out, bwd, "conv2d")
 
-
-# ---------------------------------------------------------------------------
-# operator sugar on Tensor
-
-def _coerce_binop(fn):
-    def op(self, other):
-        return fn(self, other)
-
-    return op
-
-
-Tensor.__add__ = _coerce_binop(add)
-Tensor.__radd__ = _coerce_binop(lambda a, b: add(b, a))
-Tensor.__sub__ = _coerce_binop(sub)
-Tensor.__rsub__ = _coerce_binop(lambda a, b: sub(b, a))
-Tensor.__mul__ = _coerce_binop(mul)
-Tensor.__rmul__ = _coerce_binop(lambda a, b: mul(b, a))
-Tensor.__matmul__ = _coerce_binop(matmul)
-Tensor.__neg__ = neg

@@ -1,11 +1,14 @@
 """Deterministic random streams.
 
 Everything stochastic in the package draws from counter-based Philox
-generators keyed by (seed, stream). Streams keep independent concerns
-(weight init, shuffling, augmentation, synthesis) reproducible in isolation:
-adding draws to one stream never shifts another. Per-record substreams make
-augmentation order-independent, so records can be processed in parallel and
-still come out bitwise identical.
+generators keyed by (seed, stream, substream). Streams keep independent
+concerns (weight init, shuffling, synthesis, gradient checks) reproducible in
+isolation: adding draws to one stream never shifts another. Substreams give
+each fold and each synthetic record its own lane within a stream.
+
+The stream ids are part of every seeded output: renumbering one changes
+every weight, split and synthetic record drawn from it, so the gap at id 2
+stays.
 """
 
 from __future__ import annotations
@@ -16,14 +19,12 @@ from ..errors import ConfigError
 
 STREAM_INIT = 0
 STREAM_SHUFFLE = 1
-STREAM_AUGMENT = 2
 STREAM_SYNTH = 3
 STREAM_CHECK = 4
 
 _NAMES = {
     "init": STREAM_INIT,
     "shuffle": STREAM_SHUFFLE,
-    "augment": STREAM_AUGMENT,
     "synth": STREAM_SYNTH,
     "check": STREAM_CHECK,
 }
@@ -36,7 +37,7 @@ def make_rng(seed: int, stream=0, substream: int = 0) -> np.random.Generator:
 
     stream may be a name from the table above or a raw integer id.
     substream < 2**32 selects an independent lane within the stream
-    (one per record index during augmentation).
+    (one per fold, or one per synthetic record).
     """
     if isinstance(stream, str):
         if stream not in _NAMES:

@@ -21,10 +21,6 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
 
-class NumericError(FloatingPointError):
-    """Non-finite value detected while checked mode is enabled."""
-
-
 _state = threading.local()
 
 
@@ -32,17 +28,12 @@ def _tls():
     if not hasattr(_state, "tape_stack"):
         _state.tape_stack = []
         _state.dtype = np.float32
-        _state.checked = False
     return _state
 
 
 def default_dtype() -> np.dtype:
     """Dtype given to tensors created without an explicit dtype."""
     return _tls().dtype
-
-
-def set_default_dtype(dtype) -> None:
-    _tls().dtype = np.dtype(dtype)
 
 
 class using_dtype:
@@ -65,20 +56,6 @@ class using_dtype:
         return False
 
 
-class checked_mode:
-    """Enable NaN/Inf detection on every tensor created inside the block."""
-
-    def __enter__(self):
-        tls = _tls()
-        self._saved = tls.checked
-        tls.checked = True
-        return self
-
-    def __exit__(self, *exc):
-        _tls().checked = self._saved
-        return False
-
-
 class Tensor:
     """Shape-tagged dense array that can participate in differentiation.
 
@@ -89,10 +66,7 @@ class Tensor:
     __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(values, dtype=dtype if dtype is not None else default_dtype())
-        if _tls().checked and not np.all(np.isfinite(arr)):
-            raise NumericError("non-finite value in tensor of shape %s" % (arr.shape,))
-        self.values = arr
+        self.values = np.asarray(values, dtype=dtype if dtype is not None else default_dtype())
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
@@ -116,9 +90,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy(), requires_grad=False, dtype=self.values.dtype)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.values.shape:
             raise ShapeError(
@@ -132,9 +103,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return "Tensor(shape=%s, dtype=%s%s)" % (self.shape, self.values.dtype.name, flag)
-
-    # Arithmetic operators are attached by hsda.diffcore.ops to avoid a
-    # circular import; see the bottom of that module.
 
 
 class _Node:

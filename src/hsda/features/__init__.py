@@ -1,7 +1,5 @@
-"""Kinematic channels, dynamics-colored rendering, augmentation, synthesis."""
+"""Kinematic channels, dynamics-colored rendering, synthesis."""
 
-from .augment import OPS as AUGMENT_OPS
-from .augment import augment
 from .kinematics import (
     CHANNEL_NAMES,
     N_CHANNELS,
@@ -24,8 +22,6 @@ __all__ = [
     "render_image",
     "write_ppm",
     "read_ppm",
-    "augment",
-    "AUGMENT_OPS",
     "synth_generate",
     "write_raw_csv",
 ]

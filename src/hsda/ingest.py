@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -304,20 +304,32 @@ def salvageable(r: RawRecord) -> bool:
     return True
 
 
-def drop_incomplete(records: Iterable[RawRecord]) -> List[RawRecord]:
-    """Drop unsalvageable (subject, task) records; other tasks are unaffected."""
-    kept = []
-    for r in records:
-        if salvageable(r):
-            kept.append(r)
-        else:
-            log.info("dropping subject %s task %d (unsalvageable)", r.subject_id, r.task_id)
-    return kept
+class Cleaned(NamedTuple):
+    """What preprocessing made of one raw record."""
+
+    sequence: Optional[StrokeSequence]  # None when the record was dropped
+    outliers: int  # samples whose x, y or p the outlier repair changed
+
+
+def clean_record(r: RawRecord, z_max: float = 6.0) -> Cleaned:
+    """merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers -> standardize.
+
+    An unsalvageable record is dropped; other records of the same subject
+    are unaffected.
+    """
+    r = merge_duplicate_times(r)
+    if not salvageable(r):
+        log.info("dropping subject %s task %d (unsalvageable)", r.subject_id, r.task_id)
+        return Cleaned(None, 0)
+    imputed = impute_missing(r)
+    repaired = remove_outliers(imputed, z_max=z_max)
+    changed = np.zeros(len(imputed), dtype=bool)
+    for name in CHANNELS:
+        changed |= imputed.channel(name) != repaired.channel(name)
+    return Cleaned(standardize(repaired), int(changed.sum()))
 
 
 def preprocess(records: Iterable[RawRecord], z_max: float = 6.0) -> List[StrokeSequence]:
-    """merge_duplicate_times -> drop_incomplete -> impute_missing -> remove_outliers -> standardize."""
-    out = []
-    for r in drop_incomplete(merge_duplicate_times(rec) for rec in records):
-        out.append(standardize(remove_outliers(impute_missing(r), z_max=z_max)))
-    return out
+    """clean_record on every record; the kept sequences, in input order."""
+    cleaned = (clean_record(r, z_max).sequence for r in records)
+    return [seq for seq in cleaned if seq is not None]

@@ -18,7 +18,6 @@ from .diffcore import Tensor
 LOG_FLOOR = 1e-12
 NORM_FLOOR = 1e-8
 TEMPLATE_ALPHA = 0.9
-CONTRASTIVE_WEIGHT = 0.8
 
 
 @dataclass
@@ -68,7 +67,7 @@ def contrastive(f: Tensor, labels: np.ndarray, tmpl: Templates) -> Tensor:
     return dc.mean(dc.sub(1.0, cos))
 
 
-def total_loss(ce: Tensor, ctr: Tensor, weight: float = CONTRASTIVE_WEIGHT) -> Tensor:
+def total_loss(ce: Tensor, ctr: Tensor, weight: float) -> Tensor:
     return dc.add(ce, dc.mul(ctr, weight))
 
 

@@ -3,7 +3,6 @@ from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from .config import ModelConfig, synth_config, toy_config
 from .embeddings import ImageStem, SignalEmbed
 from .layers import (
-    ChannelNorm1d,
     ChannelNorm2d,
     Conv1d,
     Conv2d,
@@ -18,7 +17,6 @@ from .network import HsdaNet
 
 __all__ = [
     "AttentionHead",
-    "ChannelNorm1d",
     "ChannelNorm2d",
     "Conv1d",
     "Conv2d",

@@ -117,12 +117,3 @@ class ChannelNorm2d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return dc.permute(self.ln(dc.permute(x, (0, 2, 3, 1))), (0, 3, 1, 2))
 
-
-class ChannelNorm1d(Module):
-    """LayerNorm over the channel axis of a (B, C, T) map, per sample and time step."""
-
-    def __init__(self, channels: int):
-        self.ln = LayerNorm(channels)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return dc.transpose(self.ln(dc.transpose(x)))

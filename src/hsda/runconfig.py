@@ -1,5 +1,10 @@
 """Run settings merged from a key=value file and command-line overrides.
 
+TrainConfig declares, defaults and checks the training settings; RunConfig
+extends it with the pipeline settings (ingest, rendering, synthesis, model
+preset). Each setting is declared once, and every value is checked when the
+settings are merged, so a bad value fails before any command does work.
+
 The file format is one `key = value` per line, `#` comments, blank lines
 ignored. Every key has a default below; unknown or duplicate keys are
 rejected rather than silently dropped, since a typo in an experiment config
@@ -24,17 +29,10 @@ RAW_FORMATS = ("csv-v1",)
 
 
 @dataclass
-class RunConfig:
-    """Every knob the command line exposes, with its documented default."""
+class TrainConfig:
+    """Optimizer, schedule, split protocol and loss weight of a training run."""
 
     seed: int = 42
-    out: str = "out"
-    raw_format: str = "csv-v1"  # raw pen-stream dialect accepted by the parser
-    z_max: float = 6.0  # robust z-score threshold for outlier replacement
-    size: int = 128  # rendered image side in pixels
-    n: int = 20  # synthetic records per class
-    scale: str = "full"  # model preset: full | synth | toy
-    multiscale: bool = True  # stage-wise feature fusion on/off
     lr0: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.05
@@ -46,18 +44,45 @@ class RunConfig:
     contrastive_weight: float = 0.8  # 0 disables the template term
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must fit in u64, got %r" % self.seed)
+        for name in ("lr0", "batch_size", "max_epochs", "patience", "k_folds"):
+            if getattr(self, name) <= 0:
+                raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
+        for name in ("momentum", "weight_decay", "contrastive_weight"):
+            if getattr(self, name) < 0:
+                raise ConfigError("%s must be >= 0, got %r" % (name, getattr(self, name)))
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError("test_fraction must be in (0,1), got %r" % self.test_fraction)
+        if self.patience > self.max_epochs:
+            raise ConfigError(
+                "patience %d exceeds max_epochs %d" % (self.patience, self.max_epochs)
+            )
+
+
+@dataclass
+class RunConfig(TrainConfig):
+    """Every knob the command line exposes, with its documented default."""
+
+    out: str = "out"
+    raw_format: str = "csv-v1"  # raw pen-stream dialect accepted by the parser
+    z_max: float = 6.0  # robust z-score threshold for outlier replacement
+    size: int = 128  # rendered image side in pixels
+    n: int = 20  # synthetic records per class
+    scale: str = "full"  # model preset: full | synth | toy
+    multiscale: bool = True  # stage-wise feature fusion on/off
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.scale not in MODEL_SCALES:
             raise ConfigError(
                 "scale must be one of %s, got %r" % ("/".join(MODEL_SCALES), self.scale)
             )
         if self.raw_format not in RAW_FORMATS:
             raise ConfigError("unsupported raw format %r" % self.raw_format)
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in u64, got %r" % self.seed)
         for name in ("z_max", "size", "n"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
-        # training fields are re-validated by TrainConfig at construction
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

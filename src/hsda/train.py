@@ -21,7 +21,6 @@ from .errors import ConfigError, ProtocolError
 from .features import kinematic_features, render_image
 from .ingest import StrokeSequence
 from .loss import (
-    CONTRASTIVE_WEIGHT,
     Templates,
     contrastive,
     cross_entropy,
@@ -30,34 +29,7 @@ from .loss import (
     update_templates,
 )
 from .model import HsdaNet, ModelConfig
-
-
-@dataclass
-class TrainConfig:
-    lr0: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.05
-    batch_size: int = 16
-    max_epochs: int = 100
-    patience: int = 10
-    k_folds: int = 4
-    test_fraction: float = 0.2
-    seed: int = 0
-    contrastive_weight: float = CONTRASTIVE_WEIGHT  # 0 disables the template term
-
-    def __post_init__(self):
-        for name in ("lr0", "batch_size", "max_epochs", "patience", "k_folds"):
-            if getattr(self, name) <= 0:
-                raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
-        for name in ("momentum", "weight_decay", "contrastive_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError("%s must be >= 0, got %r" % (name, getattr(self, name)))
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0,1), got %r" % self.test_fraction)
-        if self.patience > self.max_epochs:
-            raise ConfigError(
-                "patience %d exceeds max_epochs %d" % (self.patience, self.max_epochs)
-            )
+from .runconfig import TrainConfig
 
 
 class Sample(NamedTuple):

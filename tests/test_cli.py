@@ -83,6 +83,11 @@ class TestRunConfig:
             make_runconfig(None, {"scale": "huge"})
         with pytest.raises(ConfigError, match="multiscale"):
             make_runconfig(None, {"multiscale": "maybe"})
+        with pytest.raises(ConfigError, match="batch_size"):
+            make_runconfig(None, {"batch_size": 0})
+        path.write_text("patience = 20\nmax_epochs = 10\n")
+        with pytest.raises(ConfigError, match="patience"):
+            make_runconfig(str(path))
 
     def test_serialization_roundtrip(self, tmp_path):
         original = RunConfig(seed=9, multiscale=False, z_max=4.5, scale="toy", out="elsewhere")
@@ -129,6 +134,32 @@ class TestPreprocessCommand:
         assert "s01 task 01: ok" in manifest
         assert (out / "s01_task01.csv").exists()
         assert not (out / "s02_task03.csv").exists()
+
+    def test_agrees_with_ingest_preprocess(self, tmp_path):
+        from hsda.features import kinematic_features, write_signal_csv
+        from hsda.ingest import parse_raw, preprocess
+
+        lines = ["s03,5,AD"]
+        for i in range(30):
+            t = 5 * (i - 1) if i == 8 else 5 * i  # sample 8 repeats sample 7's time
+            x = "50.0" if i == 20 else "%.3f" % (0.1 * i)  # one spike
+            y = "" if i == 12 else "%.3f" % np.sin(i / 5.0)  # one missing value
+            lines.append("%d,%s,%s,%.3f" % (t, x, y, 0.5 + 0.01 * i))
+        raw = tmp_path / "dirty.csv"
+        raw.write_text(TWO_SUBJECT_RAW + "\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "sig"
+        assert cli.main(["preprocess", str(raw), "--out", str(out)]) == 0
+        manifest = open(out / "manifest.txt").read()
+        assert "kept: 2\ndropped: 1\n" in manifest
+        replaced = [line for line in manifest.splitlines() if line.startswith("s03 task 05: ok")]
+        assert len(replaced) == 1
+        assert int(replaced[0].split("outliers replaced ")[1].split()[0]) >= 1
+
+        for seq in preprocess(parse_raw(str(raw))):
+            expected = tmp_path / "expected.csv"
+            write_signal_csv(kinematic_features(seq), str(expected))
+            name = "%s_task%02d.csv" % (seq.subject_id, seq.task_id)
+            assert (out / name).read_bytes() == expected.read_bytes(), name
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         raw = tmp_path / "bad.csv"
@@ -194,6 +225,21 @@ class TestTrainEvaluateCommands:
             == 0
         )
         assert (a / "history.csv").read_bytes() != (tmp_path / "b" / "history.csv").read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("seed", "abc"), ("multiscale", "maybe")])
+    def test_malformed_sidecar_exits_one(self, tmp_path, capsys, key, value):
+        from hsda.model import save_checkpoint
+
+        sidecar = {"scale": "toy", "multiscale": True, "seed": 3, "k_folds": 4, "test_fraction": 0.2}
+        sidecar[key] = value
+        checkpoint = tmp_path / "checkpoint.bin"
+        save_checkpoint(str(checkpoint), {}, sidecar)
+        data = make_synth(tmp_path, n=4, seed=1)
+        argv = ["evaluate", data, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert "Traceback" not in err
 
     def test_ablation_flags_recorded_and_train(self, tmp_path):
         out = self.train(tmp_path, tmp_path / "abl", "--no-multiscale", "--no-contrastive")

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsda.diffcore import (
-    NumericError,
     ShapeError,
     Tape,
     Tensor,
@@ -21,7 +20,6 @@ from hsda.diffcore import (
     add,
     add_bias,
     backward,
-    checked_mode,
     clamp_min,
     concat,
     conv1d,
@@ -42,7 +40,6 @@ from hsda.diffcore import (
     scale_rows,
     sigmoid,
     softmax_rows,
-    sub,
     sum_,
     transpose,
     using_dtype,
@@ -300,14 +297,6 @@ class TestGuards:
         with pytest.raises(ValueError):
             backward(y, tape)
 
-    def test_checked_mode_flags_nan(self):
-        with checked_mode():
-            with pytest.raises(NumericError):
-                Tensor(np.array([1.0, np.nan]))
-
-    def test_checked_mode_off_by_default(self):
-        Tensor(np.array([np.inf]))  # fine outside checked blocks
-
 
 # ---------------------------------------------------------------------------
 # tape mechanics
@@ -357,17 +346,6 @@ class TestTape:
             backward(y, tape)
             assert c.grad is None
             np.testing.assert_allclose(x.grad, c.values)
-
-    def test_operator_sugar_matches_functions(self):
-        with using_dtype(np.float64):
-            a = Tensor(np.array([[1.0, 2.0]]))
-            b = Tensor(np.array([[3.0, 4.0]]))
-            np.testing.assert_allclose((a + b).values, add(a, b).values)
-            np.testing.assert_allclose((a - b).values, sub(a, b).values)
-            np.testing.assert_allclose((a * b).values, mul(a, b).values)
-            np.testing.assert_allclose((2.0 * a).values, mul(a, 2.0).values)
-            np.testing.assert_allclose((-a).values, -a.values)
-            np.testing.assert_allclose((a @ transpose(b)).values, [[11.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +467,8 @@ class TestRng:
         assert not np.array_equal(a, b)
 
     def test_substreams_differ(self):
-        a = make_rng(42, "augment", substream=0).normal(size=8)
-        b = make_rng(42, "augment", substream=1).normal(size=8)
+        a = make_rng(42, "shuffle", substream=0).normal(size=8)
+        b = make_rng(42, "shuffle", substream=1).normal(size=8)
         assert not np.array_equal(a, b)
 
     def test_unknown_stream_name(self):

@@ -1,16 +1,12 @@
-"""Kinematics against closed forms, rendering geometry, augmentation, synthesis."""
+"""Kinematics against closed forms, rendering geometry, synthesis."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hsda.errors import ConfigError, DataQualityWarning, ProtocolError
 from hsda.features import (
     CHANNEL_NAMES,
     N_CHANNELS,
-    SignalMatrix,
-    augment,
     compute_channels,
     kinematic_features,
     read_ppm,
@@ -20,7 +16,6 @@ from hsda.features import (
     write_raw_csv,
     write_signal_csv,
 )
-from hsda.features.augment import _rotate
 from hsda.ingest import StrokeSequence, parse_raw
 
 FS = 200.0
@@ -197,117 +192,6 @@ class TestRender:
         assert data.startswith(b"P6\n48 48\n255\n")
         back = read_ppm(path)
         np.testing.assert_allclose(back.pixels, canvas.pixels, atol=1.0 / 255.0 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-
-
-class TestAugment:
-    def make_signal(self, T=40, seed=0):
-        rng = np.random.default_rng(seed)
-        ch = rng.normal(size=(N_CHANNELS, T))
-        return SignalMatrix(ch, CHANNEL_NAMES, FS)
-
-    def test_zero_angle_is_identity(self):
-        class _StillRng:
-            def uniform(self, lo, hi):
-                return 0.0
-
-        t_ms, x, y, p = circle_arrays(seconds=0.2)
-        s = make_stroke(t_ms, x, y, p)
-        out = _rotate(s, _StillRng())
-        np.testing.assert_allclose(out.x, s.x, atol=1e-12)
-        np.testing.assert_allclose(out.y, s.y, atol=1e-12)
-
-    def test_rotate_preserves_radii(self):
-        t_ms, x, y, p = circle_arrays(seconds=0.3)
-        s = make_stroke(t_ms, x, y, p)
-        out = augment(s, "rotate", seed=5)
-        r_in = np.hypot(s.x - s.x.mean(), s.y - s.y.mean())
-        r_out = np.hypot(out.x - out.x.mean(), out.y - out.y.mean())
-        np.testing.assert_allclose(r_out, r_in, atol=1e-9)
-        assert len(out) == len(s)
-
-    def test_rotate_angle_within_bounds(self):
-        t_ms, x, y, p = circle_arrays(seconds=0.3)
-        s = make_stroke(t_ms, x, y, p)
-        for seed in range(10):
-            out = augment(s, "rotate", seed=seed)
-            dx, dy = s.x - s.x.mean(), s.y - s.y.mean()
-            ox, oy = out.x - out.x.mean(), out.y - out.y.mean()
-            i = int(np.argmax(np.hypot(dx, dy)))
-            ang = np.arctan2(oy[i], ox[i]) - np.arctan2(dy[i], dx[i])
-            ang = (ang + np.pi) % (2 * np.pi) - np.pi
-            assert abs(np.rad2deg(ang)) <= 15.0 + 1e-9
-
-    def test_scale_factor_in_range(self):
-        t_ms, x, y, p = circle_arrays(seconds=0.3)
-        s = make_stroke(t_ms, x, y, p)
-        out = augment(s, "scale", seed=9)
-        f = np.ptp(out.x) / np.ptp(s.x)
-        assert 0.9 <= f <= 1.1
-        np.testing.assert_allclose(np.ptp(out.y) / np.ptp(s.y), f, atol=1e-9)
-
-    def test_noise_deterministic(self):
-        m = self.make_signal()
-        a = augment(m, "noise", seed=3).channels
-        b = augment(m, "noise", seed=3).channels
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, augment(m, "noise", seed=4).channels)
-
-    def test_noise_magnitude(self):
-        m = self.make_signal(T=500)
-        delta = augment(m, "noise", seed=1).channels - m.channels
-        assert 0.005 < delta.std() < 0.02
-
-    def test_window_ops_preserve_shape(self):
-        m = self.make_signal(T=57)
-        for op in ("window_warp", "window_slice"):
-            out = augment(m, op, seed=2)
-            assert out.channels.shape == m.channels.shape
-            assert out.channel_names == m.channel_names
-
-    def test_window_slice_is_crop_resampled(self):
-        # a linear ramp stays a ramp under crop + linear resampling
-        T = 50
-        ramp = np.tile(np.linspace(0.0, 1.0, T), (N_CHANNELS, 1))
-        out = augment(SignalMatrix(ramp, CHANNEL_NAMES, FS), "window_slice", seed=7)
-        row = out.channels[0]
-        diffs = np.diff(row)
-        np.testing.assert_allclose(diffs, diffs[0], atol=1e-9)
-        assert row.min() >= 0.0 and row.max() <= 1.0
-
-    def test_substreams_differ(self):
-        m = self.make_signal()
-        a = augment(m, "noise", seed=3, substream=0).channels
-        b = augment(m, "noise", seed=3, substream=1).channels
-        assert not np.array_equal(a, b)
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ConfigError, match="unknown augmentation"):
-            augment(self.make_signal(), "shear", seed=0)
-
-    def test_canvas_rejected(self):
-        t_ms, x, y, p = circle_arrays(seconds=0.2)
-        canvas = render_image(make_stroke(t_ms, x, y, p), size=32)
-        with pytest.raises(ConfigError, match="re-render"):
-            augment(canvas, "noise", seed=0)
-
-    def test_type_mismatch_rejected(self):
-        t_ms, x, y, p = circle_arrays(seconds=0.2)
-        s = make_stroke(t_ms, x, y, p)
-        with pytest.raises(ConfigError):
-            augment(s, "noise", seed=0)
-        with pytest.raises(ConfigError):
-            augment(self.make_signal(), "rotate", seed=0)
-
-    @given(st.integers(0, 2**31 - 1), st.sampled_from(["noise", "window_warp", "window_slice"]))
-    @settings(max_examples=20, deadline=None)
-    def test_signal_ops_deterministic_property(self, seed, op):
-        m = self.make_signal(T=33, seed=1)
-        a = augment(m, op, seed=seed).channels
-        b = augment(m, op, seed=seed).channels
-        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hsda.errors import DataQualityWarning, ProtocolError
 from hsda.ingest import (
     RawRecord,
-    drop_incomplete,
     impute_missing,
     merge_duplicate_times,
     parse_raw,
@@ -238,20 +237,23 @@ class TestDropIncomplete:
     def test_short_record_dropped_others_kept(self):
         good = make_record(20, task_id=1)
         short = make_record(3, task_id=8)
-        kept = drop_incomplete([good, short])
-        assert [r.task_id for r in kept] == [1]
+        kept = preprocess([good, short])
+        assert [s.task_id for s in kept] == [1]
 
     def test_unsalvageable_channel_dropped(self):
         bad = make_record(10, x=np.full(10, np.nan))
-        assert drop_incomplete([bad, make_record(10)]) != []
-        assert len(drop_incomplete([bad])) == 0
+        assert preprocess([bad, make_record(10)]) != []
+        assert len(preprocess([bad])) == 0
 
     def test_identity_when_complete(self):
         recs = [make_record(10, seed=i) for i in range(3)]
-        assert drop_incomplete(recs) == recs
+        kept = preprocess(recs)
+        assert len(kept) == len(recs)
+        for seq, r in zip(kept, recs):
+            np.testing.assert_array_equal(seq.t, r.t)
 
     def test_empty_input(self):
-        assert drop_incomplete([]) == []
+        assert preprocess([]) == []
 
 
 class TestDuplicateTimes:

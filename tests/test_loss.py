@@ -107,6 +107,7 @@ class TestContrastive:
             loss = total_loss(
                 cross_entropy(dc.softmax_rows(tensor(rng.normal(size=(3, 2)))), np.array([0, 1, 0])),
                 contrastive(f, np.array([0, 1, 0]), tmpl),
+                0.8,
             )
             dc.backward(loss, tape)
         assert f.grad is not None
@@ -127,7 +128,7 @@ class TestContrastive:
 
 class TestTotalLoss:
     def test_weighting(self):
-        assert total_loss(tensor([[1.0]]), tensor([[0.0]])).item() == pytest.approx(1.0)
+        assert total_loss(tensor([[1.0]]), tensor([[0.0]]), 0.8).item() == pytest.approx(1.0)
         assert total_loss(tensor([[0.5]]), tensor([[0.5]]), 0.8).item() == pytest.approx(0.9)
         assert total_loss(tensor([[0.7]]), tensor([[123.0]]), 0.0).item() == pytest.approx(0.7)
 
