@@ -256,13 +256,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.values.T).reshape(a.shape), a2.T @ g2
+            da = (g2 @ b.values.T).reshape(a.shape) if a.requires_grad else None
+            return da, a2.T @ g2 if b.requires_grad else None
 
     else:
         out = _out(np.matmul(a.values, b.values), _requires(a, b))
 
         def bwd(g):
-            return np.matmul(g, b.values.transpose(0, 2, 1)), np.matmul(a.values.transpose(0, 2, 1), g)
+            da = np.matmul(g, b.values.transpose(0, 2, 1)) if a.requires_grad else None
+            return da, np.matmul(a.values.transpose(0, 2, 1), g) if b.requires_grad else None
 
     return _record((a, b), out, bwd, "matmul")
 
@@ -463,14 +465,15 @@ def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
     return np.matmul(wg, cg).reshape(w.shape[0], -1)
 
 
-def _group_matmul_grads(w: np.ndarray, cols: np.ndarray, gy: np.ndarray, groups: int):
-    """(dw, dcols) of _group_matmul for the output gradient gy (C_out, N)."""
+def _group_matmul_grads(w: np.ndarray, cols: np.ndarray, gy: np.ndarray, groups: int, need_cols: bool):
+    """(dw, dcols) of _group_matmul for the output gradient gy (C_out, N); dcols is None unless needed."""
     wg = w.reshape(groups, w.shape[0] // groups, -1)
     cg = cols.reshape(groups, wg.shape[2], -1)
     gg = gy.reshape(groups, wg.shape[1], -1)
     dw = np.matmul(gg, cg.transpose(0, 2, 1)).reshape(w.shape)
-    dcols = np.matmul(wg.transpose(0, 2, 1), gg).reshape(cols.shape)
-    return dw, dcols
+    if not need_cols:
+        return dw, None
+    return dw, np.matmul(wg.transpose(0, 2, 1), gg).reshape(cols.shape)
 
 
 def _check_groups(name: str, C_in: int, C_out: int, C_g: int, groups: int, w_shape) -> None:
@@ -543,10 +546,12 @@ def conv1d(
     def bwd(g):
         gb = g if batched else g[None]
         gy = gb.transpose(1, 0, 2).reshape(C_out, B * T_out)
-        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups)
-        dxp = _col2im1d(dcols, Tp, stride)
-        dx = dxp[:, :, padding : Tp - padding] if padding else dxp
-        dx = dx if batched else dx[0]
+        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups, x.requires_grad)
+        dx = None
+        if dcols is not None:
+            dxp = _col2im1d(dcols, Tp, stride)
+            dx = dxp[:, :, padding : Tp - padding] if padding else dxp
+            dx = dx if batched else dx[0]
         if bias is None:
             return dx, dw
         return dx, dw, gy.sum(axis=1)
@@ -622,10 +627,12 @@ def conv2d(
     def bwd(g):
         gb = g if batched else g[None]
         gy = gb.transpose(1, 0, 2, 3).reshape(C_out, -1)
-        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups)
-        dxp = _col2im2d(dcols, B, Hp, Wp, kh, kw, stride, H_out, W_out)
-        dx = dxp[:, :, padding : Hp - padding, padding : Wp - padding] if padding else dxp
-        dx = dx if batched else dx[0]
+        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups, x.requires_grad)
+        dx = None
+        if dcols is not None:
+            dxp = _col2im2d(dcols, B, Hp, Wp, kh, kw, stride, H_out, W_out)
+            dx = dxp[:, :, padding : Hp - padding, padding : Wp - padding] if padding else dxp
+            dx = dx if batched else dx[0]
         if bias is None:
             return dx, dw
         return dx, dw, gy.sum(axis=1)

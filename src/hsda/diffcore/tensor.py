@@ -60,7 +60,9 @@ class Tensor:
     """Shape-tagged dense array that can participate in differentiation.
 
     ``grad`` is populated by :func:`backward` for every tensor with
-    ``requires_grad`` set, leaves and intermediates alike.
+    ``requires_grad`` set, leaves and intermediates alike. It holds the array
+    a backward rule returned, without a copy, so one array may be the
+    ``grad`` of several tensors: replace a ``grad``, never mutate it in place.
     """
 
     __slots__ = ("values", "requires_grad", "grad")
@@ -95,10 +97,10 @@ class Tensor:
             raise ShapeError(
                 "gradient shape %s does not match tensor shape %s" % (g.shape, self.values.shape)
             )
-        if self.grad is None:
-            self.grad = g.astype(self.values.dtype, copy=True)
-        else:
-            self.grad += g
+        # Never in place: a backward rule may hand one array to several inputs.
+        if self.grad is not None:
+            g = self.grad + g
+        self.grad = np.asarray(g, dtype=self.values.dtype)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -160,8 +162,10 @@ def active_tape() -> Optional[Tape]:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(tensor) into .grad of every recorded tensor.
 
-    The loss must be scalar. Gradients sum at fan-out points. The tape is
-    cleared afterwards, so a second backward needs a fresh forward pass.
+    The loss must be scalar. Gradients sum at fan-out points. A backward rule
+    may return None for an input that does not require a gradient, and skip
+    computing it; such inputs get no ``grad``. The tape is cleared
+    afterwards, so a second backward needs a fresh forward pass.
     """
     if loss.values.size != 1:
         raise ValueError("backward() needs a scalar loss, got shape %s" % (loss.shape,))

@@ -70,18 +70,27 @@ def sgd_step(
     momentum: float = 0.9,
     weight_decay: float = 0.05,
 ) -> None:
-    """v <- momentum*v + (g + wd*w); w <- w - lr*v. Mutates params and state."""
+    """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place.
+
+    state[name] is the momentum buffer v of a parameter and
+    state[name + "#scratch"] the buffer its update is computed in; both are
+    made on the first step. A missing gradient counts as zero.
+    """
     for name, t in params.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.values)
+        w, g = t.values, t.grad if t.grad is not None else 0.0
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient in %s" % name)
-        g = g + weight_decay * t.values
         v = state.get(name)
         if v is None:
-            v = np.zeros_like(t.values)
-        v = momentum * v + g
-        state[name] = v
-        t.values = t.values - lr * v
+            v = state[name] = np.zeros_like(w)
+            state[name + "#scratch"] = np.empty_like(w)
+        scratch = state[name + "#scratch"]
+        np.multiply(w, weight_decay, out=scratch)
+        scratch += g
+        v *= momentum
+        v += scratch
+        np.multiply(v, lr, out=scratch)
+        w -= scratch
 
 
 # ---------------------------------------------------------------------------

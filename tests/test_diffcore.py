@@ -337,6 +337,40 @@ class TestTape:
             pass
         assert len(tape) == 0
 
+    def test_shared_gradient_array_not_mutated(self):
+        # add hands one array to both inputs; a then gets a second gradient
+        with using_dtype(np.float64):
+            a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+            k = Tensor(np.array([0.5, -2.0]))
+            with Tape() as tape:
+                e = mul(a, k)
+                c = add(a, b)
+                y = sum_(add(c, e))
+            backward(y, tape)
+            np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+            np.testing.assert_array_equal(a.grad, 1.0 + k.values)
+
+    @pytest.mark.parametrize("op, x_shape, w_shape", [
+        (conv1d, (2, 4, 9), (6, 2, 3)),
+        (conv2d, (2, 4, 6, 6), (6, 2, 3, 3)),
+    ])
+    def test_conv_param_grads_same_without_input_grad(self, op, x_shape, w_shape):
+        rng = np.random.default_rng(5)
+        xv, wv, bv = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=6)
+        gw = rng.normal(size=op(Tensor(xv), Tensor(wv), Tensor(bv), stride=2, padding=1, groups=2).shape)
+        grads = []
+        for x_needs in (True, False):
+            x = Tensor(xv, requires_grad=x_needs)
+            w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
+            with Tape() as tape:
+                y = sum_(mul(op(x, w, b, stride=2, padding=1, groups=2), Tensor(gw)))
+            backward(y, tape)
+            assert (x.grad is not None) == x_needs
+            grads.append((w.grad, b.grad))
+        for with_x, without_x in zip(*grads):
+            np.testing.assert_array_equal(with_x, without_x)
+
     def test_constants_get_no_grad(self):
         with using_dtype(np.float64):
             x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -97,6 +97,28 @@ class TestSgdStep:
         assert t.values[0] == pytest.approx(2.0 - 0.1 * 0.1)
 
 
+    def test_matches_out_of_place_formula_bitwise(self):
+        # the update as v = momentum * v + (g + wd * w); w = w - lr * v, new arrays each step
+        rng = np.random.default_rng(8)
+        shapes = {"a": (5, 7), "b": (3,), "no_grad": (4, 2)}
+        params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+        ref_w = {n: t.values.copy() for n, t in params.items()}
+        ref_v = {n: np.zeros_like(w) for n, w in ref_w.items()}
+        state = {}
+        for step in range(3):
+            lr = 0.1 / (step + 1)
+            for n, t in params.items():
+                t.grad = None if n == "no_grad" else rng.normal(size=t.shape).astype(np.float32)
+                g = t.grad if t.grad is not None else np.zeros_like(ref_w[n])
+                ref_v[n] = 0.9 * ref_v[n] + (g + 0.05 * ref_w[n])
+                ref_w[n] = ref_w[n] - lr * ref_v[n]
+            sgd_step(params, state, lr, momentum=0.9, weight_decay=0.05)
+            for n, t in params.items():
+                assert t.values.dtype == np.float32
+                np.testing.assert_array_equal(t.values, ref_w[n])
+                np.testing.assert_array_equal(state[n], ref_v[n])
+
+
 class TestSplitAndFold:
     def labels_17_17(self):
         return np.array([0] * 17 + [1] * 17)
