@@ -229,6 +229,10 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
     run("layer_norm:x", lambda x: ops.layer_norm(x, Tensor(gam), Tensor(bet)), ln_x)
     run("layer_norm:gamma", lambda x: ops.layer_norm(Tensor(ln_x), x, Tensor(bet)), gam)
     run("layer_norm:beta", lambda x: ops.layer_norm(Tensor(ln_x), Tensor(gam), x), bet)
+    ln_map = rng.normal(size=(2, 5, 3, 2))
+    run("layer_norm:axis1-x", lambda x: ops.layer_norm(x, Tensor(gam), Tensor(bet), axis=1), ln_map)
+    run("layer_norm:axis1-gamma", lambda x: ops.layer_norm(Tensor(ln_map), x, Tensor(bet), axis=1), gam)
+    run("layer_norm:axis1-beta", lambda x: ops.layer_norm(Tensor(ln_map), Tensor(gam), x, axis=1), bet)
 
     v0 = rng.normal(size=(3, 6)) + 0.3
     v1 = rng.normal(size=(3, 6)) - 0.2

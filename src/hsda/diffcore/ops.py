@@ -12,7 +12,12 @@ take a leading batch axis: matmul, add_bias, scale_rows, pairwise_absdiff,
 softmax_rows, transpose and layer_norm act on the trailing axes of (B, ...)
 inputs, flatten keeps the batch axis, and the convolutions and
 adaptive_max_pool1d take (B, C, ...) maps. Each records one tape node for the
-whole batch.
+whole batch. layer_norm normalizes the last axis unless its ``axis`` argument
+names another; axis=1 normalizes the channels of a (B, C, H, W) map without
+moving them last.
+
+The backward rules of matmul and the convolutions skip the gradient of an
+operand that does not require one and return None for it.
 """
 
 from __future__ import annotations
@@ -257,14 +262,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bwd(g):
             g2 = g.reshape(-1, g.shape[-1])
             da = (g2 @ b.values.T).reshape(a.shape) if a.requires_grad else None
-            return da, a2.T @ g2 if b.requires_grad else None
+            db = a2.T @ g2 if b.requires_grad else None
+            return da, db
 
     else:
         out = _out(np.matmul(a.values, b.values), _requires(a, b))
 
         def bwd(g):
             da = np.matmul(g, b.values.transpose(0, 2, 1)) if a.requires_grad else None
-            return da, np.matmul(a.values.transpose(0, 2, 1), g) if b.requires_grad else None
+            db = np.matmul(a.values.transpose(0, 2, 1), g) if b.requires_grad else None
+            return da, db
 
     return _record((a, b), out, bwd, "matmul")
 
@@ -329,30 +336,42 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record((a,), out, bwd, "softmax_rows")
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to mean 0 / population variance 1, then affine."""
-    d = a.shape[-1]
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: int = -1) -> Tensor:
+    """Normalize one axis (the last by default) to mean 0 / population variance 1, then affine.
+
+    gamma and beta have that axis's length and act along it: axis=1 of a
+    (B, C, H, W) map normalizes the channels at every sample and position.
+    """
+    axis = axis % a.values.ndim
+    d = a.shape[axis]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
-            "layer_norm: last axis %d but gamma %s, beta %s" % (d, gamma.shape, beta.shape)
+            "layer_norm: axis %d has length %d but gamma %s, beta %s" % (axis, d, gamma.shape, beta.shape)
         )
-    mu = a.values.mean(axis=-1, keepdims=True)
-    xc = a.values - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = _out(xhat * gamma.values + beta.values, _requires(a, gamma, beta))
+    along = (d,) + (1,) * (a.values.ndim - 1 - axis)  # gamma/beta broadcast along `axis`
+    gv, bv = gamma.values.reshape(along), beta.values.reshape(along)
+    # Large maps make every fresh temporary cost page faults, so the steps
+    # below update their own temporaries in place where the formula allows.
+    xhat = a.values - a.values.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axis, keepdims=True) + eps)
+    xhat *= inv
+    y = xhat * gv
+    y += bv
+    out = _out(y, _requires(a, gamma, beta))
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.values
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
+        others = tuple(i for i in range(g.ndim) if i != axis)
+        tmp = g * xhat
+        dgamma = tmp.sum(axis=others)
+        dbeta = g.sum(axis=others)
+        dx = g * gv
+        np.multiply(dx, xhat, out=tmp)
+        proj = tmp.mean(axis=axis, keepdims=True)
+        dx -= dx.mean(axis=axis, keepdims=True)
+        np.multiply(xhat, proj, out=tmp)
+        dx -= tmp
+        dx *= inv
         return dx, dgamma, dbeta
 
     return _record((a, gamma, beta), out, bwd, "layer_norm")
@@ -399,21 +418,26 @@ def _pool_bins(length: int, out_len: int):
 
 
 def adaptive_avg_pool1d(a: Tensor, out_len: int) -> Tensor:
-    """Average each channel of a (C, T) matrix into out_len bins."""
+    """Average each channel of a (C, T) matrix into out_len bins.
+
+    Bins may overlap (T not a multiple of out_len) or repeat a sample
+    (T < out_len); each one is summed by one reduceat segment.
+    """
     if a.values.ndim != 2:
         raise ShapeError("adaptive_avg_pool1d expects (C, T), got %s" % (a.shape,))
     C, T = a.shape
     starts, ends = _pool_bins(T, out_len)
-    y = np.empty((C, out_len), dtype=a.values.dtype)
-    for i in range(out_len):
-        y[:, i] = a.values[:, starts[i] : ends[i]].mean(axis=1)
+    counts = (ends - starts).astype(a.values.dtype)
+    # segment i*2 is [start_i, end_i); a zero column keeps end = T a valid index
+    padded = np.concatenate([a.values, np.zeros((C, 1), dtype=a.values.dtype)], axis=1)
+    bounds = np.stack([starts, ends], axis=1).reshape(-1)
+    y = np.add.reduceat(padded, bounds, axis=1)[:, ::2] / counts
     out = _out(y, a.requires_grad)
 
     def bwd(g):
-        gx = np.zeros_like(a.values)
-        for i in range(out_len):
-            gx[:, starts[i] : ends[i]] += g[:, i : i + 1] / (ends[i] - starts[i])
-        return (gx,)
+        t = np.arange(T)[:, None]
+        member = ((t >= starts) & (t < ends)).astype(g.dtype)  # (T, out_len)
+        return ((g / counts) @ member.T,)
 
     return _record((a,), out, bwd, "adaptive_avg_pool1d")
 

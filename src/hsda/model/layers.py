@@ -72,14 +72,15 @@ class Mlp(Module):
 
 
 class LayerNorm(Module):
-    """Normalizes the last axis of any rank; affine per feature."""
+    """Normalizes one axis (the last by default) of any rank; affine per feature."""
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, axis: int = -1):
         self.gamma = Tensor(np.ones(width), requires_grad=True)
         self.beta = Tensor(np.zeros(width), requires_grad=True)
+        self.axis = axis
 
     def __call__(self, x: Tensor) -> Tensor:
-        return dc.layer_norm(x, self.gamma, self.beta)
+        return dc.layer_norm(x, self.gamma, self.beta, axis=self.axis)
 
 
 class Conv2d(Module):
@@ -109,11 +110,14 @@ class Conv1d(Module):
 
 
 class ChannelNorm2d(Module):
-    """LayerNorm over the channel axis of a (B, C, H, W) map, per sample and position."""
+    """LayerNorm over the channel axis of a (B, C, H, W) map, per sample and position.
+
+    Axis 1 is normalized where it lies, with no copy to channels-last.
+    """
 
     def __init__(self, channels: int):
-        self.ln = LayerNorm(channels)
+        self.ln = LayerNorm(channels, axis=1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return dc.permute(self.ln(dc.permute(x, (0, 2, 3, 1))), (0, 3, 1, 2))
+        return self.ln(x)
 

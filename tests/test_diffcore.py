@@ -215,6 +215,25 @@ class TestForward:
         out = adaptive_avg_pool1d(x, 3).values
         np.testing.assert_allclose(out, [[1.0, 3.0, 5.0]])
 
+    @pytest.mark.parametrize("T, out_len", [(23, 5), (3, 7)])
+    def test_adaptive_avg_pool_matches_per_bin_loop(self, T, out_len):
+        # overlapping bins (T not a multiple of out_len), and bins sharing samples (T < out_len)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(9, T)).astype(np.float32)
+        g = rng.normal(size=(9, out_len)).astype(np.float32)
+        bins = [(i * T // out_len, -(-(i + 1) * T // out_len)) for i in range(out_len)]
+        want_y = np.stack([x[:, s:e].mean(axis=1) for s, e in bins], axis=1)
+        want_gx = np.zeros_like(x)
+        for i, (s, e) in enumerate(bins):
+            want_gx[:, s:e] += g[:, i : i + 1] / (e - s)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = adaptive_avg_pool1d(xt, out_len)
+            backward(sum_(mul(y, Tensor(g))), tape)
+        assert y.values.dtype == np.float32
+        np.testing.assert_allclose(y.values, want_y, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(xt.grad, want_gx, rtol=1e-6, atol=1e-6)
+
     def test_adaptive_max_pool_known_values(self):
         x = Tensor(np.array([[1.0, 5.0, 2.0, 4.0, 3.0, 0.0]]))
         out = adaptive_max_pool1d(x, 2).values

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hsda import diffcore as dc
 from hsda.diffcore import Tensor, make_rng
 from hsda.errors import ConfigError, ProtocolError
+from hsda.loss import cross_entropy
 from hsda.model import (
     DiscrepancyNet,
     GatingMix,
@@ -25,6 +26,7 @@ from hsda.model import (
     saw,
     toy_config,
 )
+from hsda.model.layers import ChannelNorm2d
 
 
 def rand_tensor(rng, shape, requires_grad=False):
@@ -456,6 +458,96 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         for arr in loaded.values():
             assert arr.dtype == np.float32
+
+
+def run_with_grads(fn, inputs, grad_out, params):
+    """fn(*inputs) with sum(out * grad_out) backpropagated: [out, grad of every input and param]."""
+    for t in list(inputs) + list(params):
+        t.zero_grad()
+    with dc.Tape() as tape:
+        out = fn(*inputs)
+        dc.backward(dc.sum_(dc.mul(out, Tensor(grad_out))), tape)
+    return [out.values] + [t.grad for t in list(inputs) + list(params)]
+
+
+class TestMergedKernels:
+    """The channel-axis norm and the one-convolution DAW equal the paths they replace."""
+
+    def test_channel_norm_matches_permuted_last_axis_norm(self):
+        rng = np.random.default_rng(2)
+        with dc.using_dtype(np.float64):
+            norm = ChannelNorm2d(4)
+            norm.ln.gamma.values[:] = rng.uniform(0.5, 1.5, size=4)
+            norm.ln.beta.values[:] = rng.normal(size=4)
+            xv = rng.normal(size=(2, 4, 3, 5)) * 2.0 + 1.0
+            gy = rng.normal(size=xv.shape)
+            gamma, beta = norm.ln.gamma, norm.ln.beta
+
+            def permuted(x):
+                return dc.permute(dc.layer_norm(dc.permute(x, (0, 2, 3, 1)), gamma, beta), (0, 3, 1, 2))
+
+            got = run_with_grads(norm, [Tensor(xv, requires_grad=True)], gy, [gamma, beta])
+            want = run_with_grads(permuted, [Tensor(xv, requires_grad=True)], gy, [gamma, beta])
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_daw_matches_three_separate_convolutions(self):
+        rng = np.random.default_rng(6)
+        with dc.using_dtype(np.float64):
+            net = DiscrepancyNet(3, make_rng(0, "init"))
+            convs = (net.conv5, net.conv3, net.conv1)
+            for conv in convs:
+                conv.w.values[:] = rng.normal(size=conv.w.shape) * 0.5
+                conv.b.values[:] = rng.normal(size=conv.b.shape) * 0.5
+            q = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+            k = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+            gy = rng.normal(size=(2, 5, 6))
+
+            def three_convs(q, k):
+                d_h, n_k = q.shape[-1], k.shape[-2]
+                diff = dc.pairwise_absdiff(q, k)
+                stacked = dc.reshape(dc.transpose(diff), (-1, d_h, n_k))
+                agg = dc.add(dc.add(net.conv5(stacked), net.conv3(stacked)), net.conv1(stacked))
+                flat = dc.reshape(dc.transpose(agg), (-1, d_h))
+                return dc.softmax_rows(dc.reshape(net.reduce(flat), diff.shape[:-1]))
+
+            params = [t for conv in convs for t in (conv.w, conv.b)]
+            got = run_with_grads(net, [q, k], gy, params)
+            want = run_with_grads(three_convs, [q, k], gy, params)
+        assert all(g is not None for g in got[1:])
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+class TestStepStructure:
+    def test_one_conv1d_per_daw_and_no_stem_permute(self, monkeypatch):
+        net = HsdaNet(toy_config(), seed=0)
+        tape = dc.Tape()
+        recorded = {DiscrepancyNet: [], ImageStem: []}
+
+        def record_nodes(cls):
+            call = cls.__call__
+
+            def wrapper(module, *args, **kwargs):
+                start = len(tape)
+                out = call(module, *args, **kwargs)
+                recorded[cls].append([node.name for node in tape._nodes[start:]])
+                return out
+
+            monkeypatch.setattr(cls, "__call__", wrapper)
+
+        record_nodes(DiscrepancyNet)
+        record_nodes(ImageStem)
+        images, signals = zip(toy_inputs(seed=1), toy_inputs(seed=2))
+        with tape:
+            logits, _ = net(list(images), list(signals))
+            dc.backward(cross_entropy(dc.softmax_rows(logits), np.array([0, 1])), tape)
+
+        n_heads = sum(name.endswith(".daw.conv5.w") for name in net.parameter_dict())
+        assert n_heads > 0 and len(recorded[DiscrepancyNet]) == n_heads
+        assert [names.count("conv1d") for names in recorded[DiscrepancyNet]] == [1] * n_heads
+        assert len(recorded[ImageStem]) == 1
+        assert "permute" not in recorded[ImageStem][0]
 
 
 class TestModelGradients:
