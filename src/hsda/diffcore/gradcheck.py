@@ -26,6 +26,17 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def _central_difference(f: Callable[[], Tensor], flat: np.ndarray, i: int, eps: float) -> float:
+    """(f() at flat[i] + eps minus f() at flat[i] - eps) / (2 eps); flat[i] is restored."""
+    orig = flat[i]
+    flat[i] = orig + eps
+    fp = f().item()
+    flat[i] = orig - eps
+    fm = f().item()
+    flat[i] = orig
+    return (fp - fm) / (2.0 * eps)
+
+
 def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-5) -> float:
     """Max relative error of the tape gradient of scalar f at x.
 
@@ -45,16 +56,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-5) -> float:
         )
 
         flat = xt.values.reshape(-1)
-        numeric = np.empty(flat.size, dtype=np.float64)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = f(xt).item()
-            flat[i] = orig - eps
-            fm = f(xt).item()
-            flat[i] = orig
-            numeric[i] = (fp - fm) / (2.0 * eps)
-
+        numeric = np.array([_central_difference(lambda: f(xt), flat, i, eps) for i in range(flat.size)])
         return _rel_err(analytic.reshape(-1), numeric)
 
 
@@ -102,13 +104,7 @@ def check_parameter_gradients(
             a = analytic[name].reshape(-1)
             worst = 0.0
             for i in idx:
-                orig = flat[i]
-                flat[i] = orig + eps
-                fp = loss_fn().item()
-                flat[i] = orig - eps
-                fm = loss_fn().item()
-                flat[i] = orig
-                numeric = (fp - fm) / (2.0 * eps)
+                numeric = _central_difference(loss_fn, flat, i, eps)
                 if max(abs(a[i]), abs(numeric)) < zero_atol:
                     continue
                 worst = max(worst, _rel_err(np.asarray(a[i]), np.asarray(numeric)))

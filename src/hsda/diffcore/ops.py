@@ -22,7 +22,8 @@ operand that does not require one and return None for it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -477,9 +478,13 @@ def _conv_out_len(L: int, k: int, stride: int, padding: int) -> int:
     return (L + 2 * padding - k) // stride + 1
 
 
-# Both convolutions unfold the input into columns laid out (C_in, taps, B * L):
-# the batch and the output positions share the GEMM's column axis, so every
-# group of every sample goes through one stacked matmul.
+# One lowering serves every spatial rank. The padded input (B, C_in, *S) is
+# unfolded into columns laid out (C_in, taps, B, *out), read by the GEMM as
+# (C_in * taps, B * out): batch and output positions share the column axis, so
+# every group of every sample goes through one stacked matmul. Taps run in C
+# order over the kernel extents, and col2im adds them back in that order. The
+# backward closure keeps the columns (for dw) but only the padded *shape*: the
+# padded input itself would stay alive until backward for nothing.
 
 
 def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
@@ -500,30 +505,64 @@ def _group_matmul_grads(w: np.ndarray, cols: np.ndarray, gy: np.ndarray, groups:
     return dw, np.matmul(wg.transpose(0, 2, 1), gg).reshape(cols.shape)
 
 
-def _check_groups(name: str, C_in: int, C_out: int, C_g: int, groups: int, w_shape) -> None:
+def _windows(kernel: Tuple[int, ...], stride: int, out: Tuple[int, ...]):
+    """Yield (tap, index): index picks the (B, C, *out) window a tap reads from a padded (B, C, *S) map."""
+    for tap, offsets in enumerate(itertools.product(*map(range, kernel))):
+        yield tap, (slice(None), slice(None)) + tuple(slice(o, o + stride * n, stride) for o, n in zip(offsets, out))
+
+
+def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: int, groups: int, name: str):
+    """Cross-correlation over the last w.ndim - 2 axes of a batch (B, C_in, *S) or one sample (C_in, *S)."""
+    nd = w.values.ndim - 2
+    batched = x.values.ndim == nd + 2
+    if not batched and x.values.ndim != nd + 1:
+        raise ShapeError("%s input must have %d or %d axes, got %s" % (name, nd + 1, nd + 2, x.shape))
+    xv = x.values if batched else x.values[None]
+    B, C_in = xv.shape[:2]
+    C_out, C_g, kernel = w.shape[0], w.shape[1], w.shape[2:]
+    if any(k % 2 == 0 for k in kernel):
+        raise ConfigError("%s kernel extents must be odd, got %s" % (name, kernel))
     if C_in % groups or C_out % groups:
         raise ConfigError(
             "%s channels (%d in, %d out) not divisible by groups=%d" % (name, C_in, C_out, groups)
         )
     if C_g != C_in // groups:
-        raise ShapeError("%s weight %s inconsistent with C_in=%d groups=%d" % (name, w_shape, C_in, groups))
+        raise ShapeError("%s weight %s inconsistent with C_in=%d groups=%d" % (name, w.shape, C_in, groups))
+    if bias is not None and bias.shape != (C_out,):
+        raise ShapeError("%s bias must be (C_out,), got %s" % (name, bias.shape))
+    out_shape = tuple(_conv_out_len(L, k, stride, padding) for L, k in zip(xv.shape[2:], kernel))
+    if min(out_shape) < 1:
+        raise ShapeError("%s output %s < 1 (input %s, kernel %s)" % (name, out_shape, xv.shape[2:], kernel))
 
+    xp = np.pad(xv, ((0, 0), (0, 0)) + ((padding, padding),) * nd) if padding else xv
+    padded = xp.shape
+    cols = np.empty((C_in, int(np.prod(kernel)), B) + out_shape, dtype=xp.dtype)
+    for tap, window in _windows(kernel, stride, out_shape):
+        cols[:, tap] = xp[window].swapaxes(0, 1)
+    y = _group_matmul(w.values, cols, groups)  # (C_out, B * prod(out_shape))
+    if bias is not None:
+        y += bias.values[:, None]
+    y = np.ascontiguousarray(y.reshape((C_out, B) + out_shape).swapaxes(0, 1))
 
-def _im2col1d(xp: np.ndarray, k: int, stride: int, T_out: int) -> np.ndarray:
-    # xp: (B, C, Tp) -> (C, k, B, T_out)
-    B, C, _ = xp.shape
-    cols = np.empty((C, k, B, T_out), dtype=xp.dtype)
-    for j in range(k):
-        cols[:, j] = xp[:, :, j : j + stride * T_out : stride].transpose(1, 0, 2)
-    return cols
+    inputs = (x, w) if bias is None else (x, w, bias)
+    out = _out(y if batched else y[0], _requires(*inputs))
 
+    def bwd(g):
+        gb = g if batched else g[None]
+        gy = gb.swapaxes(0, 1).reshape(C_out, -1)
+        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups, x.requires_grad)
+        dx = None
+        if dcols is not None:
+            dxp = np.zeros(padded, dtype=dcols.dtype)
+            for tap, window in _windows(kernel, stride, out_shape):
+                dxp[window] += dcols[:, tap].swapaxes(0, 1)
+            dx = dxp[(slice(None), slice(None)) + tuple(slice(padding, P - padding) for P in padded[2:])]
+            dx = dx if batched else dx[0]
+        if bias is None:
+            return dx, dw
+        return dx, dw, gy.sum(axis=1)
 
-def _col2im1d(cols: np.ndarray, Tp: int, stride: int) -> np.ndarray:
-    C, k, B, T_out = cols.shape
-    xp = np.zeros((B, C, Tp), dtype=cols.dtype)
-    for j in range(k):
-        xp[:, :, j : j + stride * T_out : stride] += cols[:, j].transpose(1, 0, 2)
-    return xp
+    return _record(inputs, out, bwd, name)
 
 
 def conv1d(
@@ -541,68 +580,7 @@ def conv1d(
     """
     if w.values.ndim != 3:
         raise ShapeError("conv1d weight must be (C_out, C_in/g, k), got %s" % (w.shape,))
-    batched = x.values.ndim == 3
-    if not batched and x.values.ndim != 2:
-        raise ShapeError("conv1d input must be (C, T) or (B, C, T), got %s" % (x.shape,))
-    xv = x.values if batched else x.values[None]
-    B, C_in, T = xv.shape
-    C_out, C_g, k = w.shape
-    if k % 2 == 0:
-        raise ConfigError("conv1d kernel size must be odd, got %d" % k)
-    _check_groups("conv1d", C_in, C_out, C_g, groups, w.shape)
-    T_out = _conv_out_len(T, k, stride, padding)
-    if T_out < 1:
-        raise ShapeError("conv1d output length %d < 1 (T=%d k=%d)" % (T_out, T, k))
-
-    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
-    Tp = xp.shape[2]
-    cols = _im2col1d(xp, k, stride, T_out)
-    y = _group_matmul(w.values, cols, groups)  # (C_out, B * T_out)
-    if bias is not None:
-        if bias.shape != (C_out,):
-            raise ShapeError("conv1d bias must be (C_out,), got %s" % (bias.shape,))
-        y += bias.values[:, None]
-    y = np.ascontiguousarray(y.reshape(C_out, B, T_out).transpose(1, 0, 2))
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    out = _out(y if batched else y[0], _requires(*inputs))
-
-    def bwd(g):
-        gb = g if batched else g[None]
-        gy = gb.transpose(1, 0, 2).reshape(C_out, B * T_out)
-        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups, x.requires_grad)
-        dx = None
-        if dcols is not None:
-            dxp = _col2im1d(dcols, Tp, stride)
-            dx = dxp[:, :, padding : Tp - padding] if padding else dxp
-            dx = dx if batched else dx[0]
-        if bias is None:
-            return dx, dw
-        return dx, dw, gy.sum(axis=1)
-
-    return _record(inputs, out, bwd, "conv1d")
-
-
-def _im2col2d(xp: np.ndarray, kh: int, kw: int, stride: int, H_out: int, W_out: int) -> np.ndarray:
-    # xp: (B, C, Hp, Wp) -> (C, kh*kw, B*H_out*W_out)
-    B, C = xp.shape[:2]
-    cols = np.empty((C, kh, kw, B, H_out, W_out), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            window = xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
-            cols[:, i, j] = window.transpose(1, 0, 2, 3)
-    return cols.reshape(C, kh * kw, B * H_out * W_out)
-
-
-def _col2im2d(cols, B, Hp, Wp, kh, kw, stride, H_out, W_out):
-    C = cols.shape[0]
-    xp = np.zeros((B, C, Hp, Wp), dtype=cols.dtype)
-    cols = cols.reshape(C, kh, kw, B, H_out, W_out)
-    for i in range(kh):
-        for j in range(kw):
-            window = xp[:, :, i : i + stride * H_out : stride, j : j + stride * W_out : stride]
-            window += cols[:, i, j].transpose(1, 0, 2, 3)
-    return xp
+    return _conv(x, w, bias, stride, padding, groups, "conv1d")
 
 
 def conv2d(
@@ -618,48 +596,6 @@ def conv2d(
     x is a batch (B, C_in, H, W) or one sample (C_in, H, W); w is
     (C_out, C_in/groups, kh, kw).
     """
-    batched = x.values.ndim == 4
-    if not batched and x.values.ndim != 3:
-        raise ShapeError("conv2d input must be (C, H, W) or (B, C, H, W), got %s" % (x.shape,))
     if w.values.ndim != 4:
         raise ShapeError("conv2d weight must be (C_out, C_in/g, kh, kw), got %s" % (w.shape,))
-    xv = x.values if batched else x.values[None]
-    B, C_in, H, W = xv.shape
-    C_out, C_g, kh, kw = w.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigError("conv2d kernel extents must be odd, got %dx%d" % (kh, kw))
-    _check_groups("conv2d", C_in, C_out, C_g, groups, w.shape)
-    H_out = _conv_out_len(H, kh, stride, padding)
-    W_out = _conv_out_len(W, kw, stride, padding)
-    if H_out < 1 or W_out < 1:
-        raise ShapeError("conv2d output %dx%d < 1 (input %dx%d)" % (H_out, W_out, H, W))
-
-    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(xv, pad) if padding else xv
-    Hp, Wp = xp.shape[2:]
-    cols = _im2col2d(xp, kh, kw, stride, H_out, W_out)
-    y = _group_matmul(w.values, cols, groups)  # (C_out, B * H_out * W_out)
-    if bias is not None:
-        if bias.shape != (C_out,):
-            raise ShapeError("conv2d bias must be (C_out,), got %s" % (bias.shape,))
-        y += bias.values[:, None]
-    y = np.ascontiguousarray(y.reshape(C_out, B, H_out, W_out).transpose(1, 0, 2, 3))
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    out = _out(y if batched else y[0], _requires(*inputs))
-
-    def bwd(g):
-        gb = g if batched else g[None]
-        gy = gb.transpose(1, 0, 2, 3).reshape(C_out, -1)
-        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups, x.requires_grad)
-        dx = None
-        if dcols is not None:
-            dxp = _col2im2d(dcols, B, Hp, Wp, kh, kw, stride, H_out, W_out)
-            dx = dxp[:, :, padding : Hp - padding, padding : Wp - padding] if padding else dxp
-            dx = dx if batched else dx[0]
-        if bias is None:
-            return dx, dw
-        return dx, dw, gy.sum(axis=1)
-
-    return _record(inputs, out, bwd, "conv2d")
-
+    return _conv(x, w, bias, stride, padding, groups, "conv2d")

@@ -29,11 +29,15 @@ def _write_u32(fh, value: int) -> None:
     fh.write(struct.pack("<I", value))
 
 
-def _read_u32(fh, what: str) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
+def _read(fh, n: int, what: str) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
         raise ProtocolError("checkpoint truncated while reading %s" % what)
-    return struct.unpack("<I", raw)[0]
+    return raw
+
+
+def _read_u32(fh, what: str) -> int:
+    return struct.unpack("<I", _read(fh, 4, what))[0]
 
 
 def save_checkpoint(path: str, params: Dict[str, Tensor], config: Dict[str, object]) -> None:
@@ -67,14 +71,20 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
         params: Dict[str, np.ndarray] = {}
         for index in range(count):
             name_len = _read_u32(fh, "name length of record %d" % index)
-            name = fh.read(name_len).decode("utf-8")
+            raw_name = _read(fh, name_len, "name of record %d" % index)
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ProtocolError("checkpoint record %d has a name that is not utf-8" % index) from None
+            if name in params:
+                raise ProtocolError("checkpoint record %d repeats parameter name %s" % (index, name))
             rank = _read_u32(fh, "rank of %s" % name)
             shape = tuple(_read_u32(fh, "extent of %s" % name) for _ in range(rank))
             n_values = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * n_values)
-            if len(raw) != 4 * n_values:
-                raise ProtocolError("checkpoint truncated inside values of %s" % name)
+            raw = _read(fh, 4 * n_values, "values of %s" % name)
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if fh.read(1):
+            raise ProtocolError("checkpoint has trailing bytes after its %d records" % count)
     config: Dict[str, str] = {}
     try:
         with open(config_sidecar_path(path)) as fh:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..errors import ConfigError
 
@@ -13,7 +13,7 @@ class ModelConfig:
     """Architecture settings; defaults give the full-size network."""
 
     d: int = 128  # token embedding width at stage 1
-    stages: int = 4
+    stages: ClassVar[int] = 4  # the architecture is defined for exactly four stages
     blocks_per_stage: int = 1
     heads: int = 2
     d_prime: int = 64  # width gained per multi-scale concat
@@ -37,8 +37,6 @@ class ModelConfig:
             v = getattr(self, f.name)
             if isinstance(v, int) and not isinstance(v, bool) and v < 1:
                 raise ConfigError("%s must be positive, got %r" % (f.name, v))
-        if self.stages != 4:
-            raise ConfigError("the architecture is defined for exactly 4 stages, got %d" % self.stages)
         if self.canvas_size % 8 != 0:
             raise ConfigError("canvas size %d is not divisible by 8" % self.canvas_size)
         for l in range(1, self.stages + 1):

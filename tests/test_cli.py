@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 
@@ -239,6 +240,16 @@ class TestTrainEvaluateCommands:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert "error:" in err and key in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_checkpoint_exits_one(self, tmp_path, capsys):
+        checkpoint = tmp_path / "checkpoint.bin"
+        checkpoint.write_bytes(b"HSDA" + struct.pack("<III", 1, 1, 2) + b"\xff\xfe")
+        data = make_synth(tmp_path, n=4, seed=1)
+        argv = ["evaluate", data, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "record 0 has a name that is not utf-8" in err
         assert "Traceback" not in err
 
     def test_ablation_flags_recorded_and_train(self, tmp_path):

@@ -293,13 +293,59 @@ class TestGuards:
         with pytest.raises(ShapeError):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
-    def test_even_kernel_rejected(self):
+    @pytest.mark.parametrize(
+        "op,x_shape,w_shape",
+        [(conv1d, (1, 8), (1, 1, 2)), (conv2d, (1, 8, 8), (1, 1, 3, 2))],
+        ids=["conv1d", "conv2d"],
+    )
+    def test_even_kernel_rejected(self, op, x_shape, w_shape):
         with pytest.raises(ConfigError):
-            conv1d(Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 1, 2))))
+            op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
 
-    def test_groups_must_divide(self):
+    @pytest.mark.parametrize(
+        "op,x_shape,w_shape",
+        [(conv1d, (3, 8), (2, 1, 3)), (conv2d, (3, 8, 8), (2, 1, 3, 3))],
+        ids=["conv1d", "conv2d"],
+    )
+    def test_groups_must_divide(self, op, x_shape, w_shape):
         with pytest.raises(ConfigError):
-            conv1d(Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 1, 3))), groups=2)
+            op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), groups=2)
+
+    @pytest.mark.parametrize(
+        "op,x_shape,w_shape,b_shape",
+        [
+            (conv1d, (8,), (1, 1, 3), None),
+            (conv1d, (1, 1, 1, 8), (1, 1, 3), None),
+            (conv2d, (1, 8), (1, 1, 3, 3), None),
+            (conv2d, (1, 1, 1, 1, 8), (1, 1, 3, 3), None),
+            (conv1d, (1, 8, 8), (1, 1, 3, 3), None),
+            (conv2d, (1, 8, 8), (1, 1, 3), None),
+            (conv1d, (4, 8), (2, 3, 3), None),
+            (conv2d, (4, 8, 8), (2, 3, 3, 3), None),
+            (conv1d, (1, 8), (2, 1, 3), (3,)),
+            (conv2d, (1, 8, 8), (2, 1, 3, 3), (2, 1)),
+            (conv1d, (1, 2), (1, 1, 5), None),
+            (conv2d, (1, 8, 2), (1, 1, 5, 5), None),
+        ],
+        ids=[
+            "conv1d-input-rank-1",
+            "conv1d-input-rank-4",
+            "conv2d-input-rank-2",
+            "conv2d-input-rank-5",
+            "conv1d-weight-rank",
+            "conv2d-weight-rank",
+            "conv1d-weight-channels",
+            "conv2d-weight-channels",
+            "conv1d-bias",
+            "conv2d-bias",
+            "conv1d-output-below-1",
+            "conv2d-output-below-1",
+        ],
+    )
+    def test_conv_shape_rejected(self, op, x_shape, w_shape, b_shape):
+        bias = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(ShapeError):
+            op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), bias)
 
     def test_add_bias_guard(self):
         with pytest.raises(ShapeError):

@@ -1,5 +1,7 @@
 """Attention weight invariants, refinement geometry, and model wiring."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,11 @@ from hsda.model.layers import ChannelNorm2d
 
 def rand_tensor(rng, shape, requires_grad=False):
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
+
+
+def record_bytes(name: bytes) -> bytes:
+    """One checkpoint record: the raw name and a (2,) float32 value."""
+    return struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2) + np.ones(2, "<f4").tobytes()
 
 
 def toy_inputs(seed=0, canvas=16, t_len=32):
@@ -439,6 +446,22 @@ class TestCheckpoint:
         open(path, "wb").write(blob[: len(blob) // 2])
         with pytest.raises(ProtocolError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (struct.pack("<I", 1) + record_bytes(b"\xffw"), "record 0 has a name that is not utf-8"),
+            (struct.pack("<II", 1, 8) + b"w", "truncated while reading name of record 0"),
+            (struct.pack("<I", 1) + record_bytes(b"w") + b"\x00", "trailing bytes after its 1 records"),
+            (struct.pack("<I", 2) + record_bytes(b"w") * 2, "record 1 repeats parameter name w"),
+        ],
+        ids=["non-utf8-name", "truncated-name", "trailing-bytes", "duplicate-name"],
+    )
+    def test_malformed_records_rejected(self, tmp_path, body, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"HSDA" + struct.pack("<I", 1) + body)
+        with pytest.raises(ProtocolError, match=message):
+            load_checkpoint(str(path))
 
     def test_mismatched_names_rejected(self, tmp_path):
         net = HsdaNet(toy_config(), seed=0)
