@@ -1,12 +1,13 @@
 """Dynamics-colored rasterization of a pen trace.
 
 The trajectory is mapped onto a square canvas (aspect ratio preserved, fixed
-pixel margin) and drawn as Bresenham segments between consecutive on-paper
-samples. Color carries the dynamics: R, G, B are the min-max normalized
-pressure rate, acceleration, and angular speed of the nearer sample, mapped
-to [0.1, 1.0] so stroke pixels never fade to background. The trajectory is
-resampled by arc length first, keeping gaps between drawn points at or below
-one pixel.
+pixel margin). Each segment between consecutive on-paper samples is resampled
+into steps of at most one pixel, the way ``np.linspace`` spaces its points;
+each step is a Bresenham line between its rounded end points. All steps are
+painted in trace order and the last write to a pixel wins. Color carries the
+dynamics: R, G, B are the min-max normalized pressure rate, acceleration, and
+angular speed of the nearer sample, mapped to [0.1, 1.0] so stroke pixels
+never fade to background.
 """
 
 from __future__ import annotations
@@ -46,27 +47,6 @@ def _minmax_unit(v: np.ndarray) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(v)
     return (v - lo) / (hi - lo)
-
-
-def _bresenham(r0: int, c0: int, r1: int, c1: int):
-    """Integer line from (r0,c0) to (r1,c1), both endpoints included."""
-    dr = abs(r1 - r0)
-    dc = abs(c1 - c0)
-    sr = 1 if r0 < r1 else -1
-    sc = 1 if c0 < c1 else -1
-    err = dr - dc
-    r, c = r0, c0
-    while True:
-        yield r, c
-        if r == r1 and c == c1:
-            return
-        e2 = 2 * err
-        if e2 > -dc:
-            err -= dc
-            r += sr
-        if e2 < dr:
-            err += dr
-            c += sc
 
 
 def render_image(s: StrokeSequence, size: int = 128) -> RgbCanvas:
@@ -112,21 +92,35 @@ def render_image(s: StrokeSequence, size: int = 128) -> RgbCanvas:
         p_raw = s.p
     on_paper = p_raw > 0
 
-    for i in range(len(x) - 1):
-        if not (on_paper[i] and on_paper[i + 1]):
-            continue
-        seg = np.hypot(row[i + 1] - row[i], col[i + 1] - col[i])
-        n_pts = max(2, int(np.ceil(seg)) + 1)  # sub-pixel spacing along the segment
-        ts = np.linspace(0.0, 1.0, n_pts)
-        rr = row[i] + ts * (row[i + 1] - row[i])
-        cc = col[i] + ts * (col[i + 1] - col[i])
-        for j in range(n_pts - 1):
-            color = colors[:, i] if ts[j] < 0.5 else colors[:, i + 1]
-            for pr, pc in _bresenham(
-                int(round(rr[j])), int(round(cc[j])), int(round(rr[j + 1])), int(round(cc[j + 1]))
-            ):
-                if 0 <= pr < size and 0 <= pc < size:
-                    canvas[:, pr, pc] = color
+    d_row, d_col = np.diff(row), np.diff(col)
+    seg = np.flatnonzero(on_paper[:-1] & on_paper[1:])
+    n_steps = np.maximum(1, np.ceil(np.hypot(d_row[seg], d_col[seg])).astype(np.int64))
+    ends = np.cumsum(n_steps)
+    i = np.repeat(seg, n_steps)  # segment (first sample) of each step
+    j = np.arange(len(i)) - np.repeat(ends - n_steps, n_steps)
+    # np.linspace(0, 1, n + 1): point j is j * (1 / n), and the last is exactly 1
+    spacing = 1.0 / np.repeat(n_steps, n_steps)
+    t0 = j * spacing
+    t1 = (j + 1) * spacing
+    t1[ends - 1] = 1.0
+    r0 = np.rint(row[i] + t0 * d_row[i]).astype(np.int64)
+    c0 = np.rint(col[i] + t0 * d_col[i]).astype(np.int64)
+    r1 = np.rint(row[i] + t1 * d_row[i]).astype(np.int64)
+    c1 = np.rint(col[i] + t1 * d_col[i]).astype(np.int64)
+    # steps are at most one pixel long, but rounding half to even can make a
+    # step of 2 along an axis; Bresenham then lights one middle pixel
+    two_r, two_c = np.abs(r1 - r0) == 2, np.abs(c1 - c0) == 2
+    # writes in trace order: start, middle, end of each step
+    rr = np.stack([r0, r0 + np.sign(r1 - r0) * two_r, r1], axis=1).ravel()
+    cc = np.stack([c0, c0 + np.sign(c1 - c0) * two_c, c1], axis=1).ravel()
+    write = np.ones((len(i), 3), dtype=bool)
+    write[:, 1] = two_r | two_c
+    write = write.ravel() & (rr >= 0) & (rr < size) & (cc >= 0) & (cc < size)
+    color_of = np.repeat(np.where(t0 < 0.5, i, i + 1), 3)[write]
+    pixel = (rr * size + cc)[write]
+    # the first hit in reverse order is the last write, which wins
+    pixel, last = np.unique(pixel[::-1], return_index=True)
+    canvas.reshape(3, -1)[:, pixel] = colors[:, color_of[::-1][last]]
 
     return RgbCanvas(canvas)
 

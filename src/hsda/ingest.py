@@ -97,10 +97,6 @@ class StrokeSequence:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def label_index(self) -> int:
-        return LABEL_TO_INDEX[self.label]
-
 
 def _parse_field(text: str) -> float:
     text = text.strip()

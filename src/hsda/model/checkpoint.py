@@ -9,6 +9,8 @@ that produced it.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Dict, Tuple
 
@@ -30,9 +32,13 @@ def _write_u32(fh, value: int) -> None:
 
 
 def _read(fh, n: int, what: str) -> bytes:
-    raw = fh.read(n)
+    # checked before reading, so a corrupt length never sizes a read buffer
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    raw = fh.read(n) if n <= left else b""
     if len(raw) != n:
-        raise ProtocolError("checkpoint truncated while reading %s" % what)
+        raise ProtocolError(
+            "checkpoint truncated while reading %s (%d bytes needed, %d left)" % (what, n, left)
+        )
     return raw
 
 
@@ -80,9 +86,13 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
                 raise ProtocolError("checkpoint record %d repeats parameter name %s" % (index, name))
             rank = _read_u32(fh, "rank of %s" % name)
             shape = tuple(_read_u32(fh, "extent of %s" % name) for _ in range(rank))
-            n_values = int(np.prod(shape)) if shape else 1
-            raw = _read(fh, 4 * n_values, "values of %s" % name)
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            raw = _read(fh, 4 * math.prod(shape), "values of record %d (%s)" % (index, name))
+            try:
+                params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            except ValueError:  # numpy caps an array's rank
+                raise ProtocolError(
+                    "checkpoint record %d (%s) has unsupported rank %d" % (index, name, rank)
+                ) from None
         if fh.read(1):
             raise ProtocolError("checkpoint has trailing bytes after its %d records" % count)
     config: Dict[str, str] = {}

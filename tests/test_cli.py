@@ -252,6 +252,17 @@ class TestTrainEvaluateCommands:
         assert "record 0 has a name that is not utf-8" in err
         assert "Traceback" not in err
 
+    def test_overflowing_extents_checkpoint_exits_one(self, tmp_path, capsys):
+        checkpoint = tmp_path / "checkpoint.bin"
+        body = struct.pack("<II", 1, 1) + b"w" + struct.pack("<5I", 4, *[65536] * 4)
+        checkpoint.write_bytes(b"HSDA" + struct.pack("<I", 1) + body)
+        data = make_synth(tmp_path, n=4, seed=1)
+        argv = ["evaluate", data, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "values of record 0 (w)" in err
+        assert "Traceback" not in err
+
     def test_ablation_flags_recorded_and_train(self, tmp_path):
         out = self.train(tmp_path, tmp_path / "abl", "--no-multiscale", "--no-contrastive")
         sidecar = open(out / "config.txt").read()

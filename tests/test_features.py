@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsda.errors import ConfigError, DataQualityWarning, ProtocolError
 from hsda.features import (
@@ -16,6 +18,7 @@ from hsda.features import (
     write_raw_csv,
     write_signal_csv,
 )
+from hsda.features.render import COLOR_FLOOR, MARGIN_PX, _minmax_unit
 from hsda.ingest import StrokeSequence, parse_raw
 
 FS = 200.0
@@ -193,6 +196,128 @@ class TestRender:
         back = read_ppm(path)
         np.testing.assert_allclose(back.pixels, canvas.pixels, atol=1.0 / 255.0 + 1e-12)
 
+
+
+def bresenham(r0, c0, r1, c1):
+    """Integer line from (r0,c0) to (r1,c1), both endpoints included."""
+    dr = abs(r1 - r0)
+    dc = abs(c1 - c0)
+    sr = 1 if r0 < r1 else -1
+    sc = 1 if c0 < c1 else -1
+    err = dr - dc
+    r, c = r0, c0
+    while True:
+        yield r, c
+        if r == r1 and c == c1:
+            return
+        e2 = 2 * err
+        if e2 > -dc:
+            err -= dc
+            r += sr
+        if e2 < dr:
+            err += dr
+            c += sc
+
+
+def loop_render(s, size):
+    """Reference renderer: one Bresenham line per resampled step, painted in a Python loop."""
+    raw = compute_channels(s.t, s.x, s.y, s.p)
+    colors = np.stack(
+        [
+            _minmax_unit(raw["pressure_rate"]),
+            _minmax_unit(raw["acceleration"]),
+            _minmax_unit(raw["angular_speed"]),
+        ]
+    )
+    colors = COLOR_FLOOR + (1.0 - COLOR_FLOOR) * colors
+    x, y = s.x, s.y
+    xmin, xmax, ymin, ymax = x.min(), x.max(), y.min(), y.max()
+    extent = max(xmax - xmin, ymax - ymin)
+    canvas = np.zeros((3, size, size))
+    center = (size - 1) / 2.0
+    assert extent > 0.0, "the oracle covers non-degenerate traces only"
+    scale = (size - 1 - 2 * MARGIN_PX) / extent
+    col = (x - (xmin + xmax) / 2.0) * scale + center
+    row = center - (y - (ymin + ymax) / 2.0) * scale
+    p_raw = s.p * s.stats["p"][1] + s.stats["p"][0] if "p" in s.stats else s.p
+    on_paper = p_raw > 0
+    for i in range(len(x) - 1):
+        if not (on_paper[i] and on_paper[i + 1]):
+            continue
+        seg = np.hypot(row[i + 1] - row[i], col[i + 1] - col[i])
+        n_pts = max(2, int(np.ceil(seg)) + 1)
+        ts = np.linspace(0.0, 1.0, n_pts)
+        rr = row[i] + ts * (row[i + 1] - row[i])
+        cc = col[i] + ts * (col[i + 1] - col[i])
+        for j in range(n_pts - 1):
+            color = colors[:, i] if ts[j] < 0.5 else colors[:, i + 1]
+            for pr, pc in bresenham(
+                int(round(rr[j])), int(round(cc[j])), int(round(rr[j + 1])), int(round(cc[j + 1]))
+            ):
+                if 0 <= pr < size and 0 <= pc < size:
+                    canvas[:, pr, pc] = color
+    return canvas
+
+
+@st.composite
+def lattice_walks(draw):
+    """Canvas size and a pen walk whose samples map onto the half-pixel lattice.
+
+    Two pen-up anchors pin the bounding box to (size - 1 - 2 * MARGIN_PX) units,
+    so the canvas scale is exactly 1 and every sample lands on a multiple of
+    half a pixel, where rounding half to even turns 1-px steps into 2-px ones.
+    """
+    size = draw(st.sampled_from([32, 64, 128]))
+    span = size - 1 - 2 * MARGIN_PX
+    n = draw(st.integers(3, 40))
+    step = st.integers(-6, 6).map(lambda k: k / 2.0)  # up to 3 px per axis
+    x = [draw(st.integers(0, 2 * span)) / 2.0]
+    y = [draw(st.integers(0, 2 * span)) / 2.0]
+    for _ in range(n - 1):
+        x.append(min(span, max(0.0, x[-1] + draw(step))))
+        y.append(min(span, max(0.0, y[-1] + draw(step))))
+    p = [draw(st.sampled_from([0.0, 0.5, 0.5, 0.5])) for _ in range(n)]
+    return size, [0.0, span] + x, [0.0, span] + y, [0.0, 0.0] + p
+
+
+class TestRenderMatchesLoop:
+    @pytest.mark.parametrize("size", [32, 64, 128])
+    def test_synth_records_both_classes(self, size):
+        records = synth_generate(2, seed=9)
+        assert {label for _, label in records} == {"HC", "AD"}
+        for s, _ in records:
+            assert np.array_equal(render_image(s, size=size).pixels, loop_render(s, size))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_walks())
+    def test_half_pixel_lattice_walks(self, walk):
+        size, x, y, p = walk
+        s = make_stroke(np.arange(len(x)) * 5.0, x, y, p)
+        assert np.array_equal(render_image(s, size=size).pixels, loop_render(s, size))
+
+    def test_all_pen_up_is_blank(self):
+        t_ms, x, y, _ = circle_arrays(seconds=0.5)
+        s = make_stroke(t_ms, x, y, np.zeros(len(x)))
+        canvas = render_image(s, size=64).pixels
+        assert not canvas.any()
+        assert np.array_equal(canvas, loop_render(s, 64))
+
+    def test_single_on_paper_segment(self):
+        x, y = [0.0, 3.7, 5.0, 6.0, 2.0], [0.0, 1.3, 2.0, 4.0, 1.0]
+        s = make_stroke(np.arange(5) * 5.0, x, y, [0.0, 0.5, 0.5, 0.0, 0.0])
+        canvas = render_image(s, size=64).pixels
+        assert canvas.any()
+        assert np.array_equal(canvas, loop_render(s, 64))
+
+    def test_rounded_two_pixel_steps_light_the_middle(self):
+        # columns 4, 61.5, 63.5, 65.5, 67.5, 123: the resampled points of the
+        # inner segments sit on half pixels and round to steps of 2
+        x = [-59.5, -2.0, 0.0, 2.0, 4.0, 59.5]
+        s = make_stroke(np.arange(6) * 5.0, x, np.zeros(6), np.full(6, 0.5))
+        canvas = render_image(s, size=128).pixels
+        assert np.array_equal(canvas, loop_render(s, 128))
+        cols = np.unique(np.argwhere(canvas.max(axis=0) > 0)[:, 1])
+        assert np.array_equal(cols, np.arange(4, 124))
 
 # ---------------------------------------------------------------------------
 

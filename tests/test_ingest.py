@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hsda.errors import DataQualityWarning, ProtocolError
 from hsda.ingest import (
+    LABEL_TO_INDEX,
     RawRecord,
     impute_missing,
     merge_duplicate_times,
@@ -303,7 +304,7 @@ class TestPipeline:
         seqs = preprocess(parse_raw(write(tmp_path, "\n".join(lines) + "\n")))
         assert len(seqs) == 1
         s = seqs[0]
-        assert s.label_index == 1
+        assert LABEL_TO_INDEX[s.label] == 1
         for name in ("x", "y", "p"):
             v = getattr(s, name)
             assert np.all(np.isfinite(v))

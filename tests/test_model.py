@@ -454,14 +454,60 @@ class TestCheckpoint:
             (struct.pack("<II", 1, 8) + b"w", "truncated while reading name of record 0"),
             (struct.pack("<I", 1) + record_bytes(b"w") + b"\x00", "trailing bytes after its 1 records"),
             (struct.pack("<I", 2) + record_bytes(b"w") * 2, "record 1 repeats parameter name w"),
+            # 65536**4 wraps to 0 in int64
+            (
+                struct.pack("<II", 1, 1) + b"w" + struct.pack("<5I", 4, *[65536] * 4),
+                r"values of record 0 \(w\) \(73786976294838206464 bytes needed, 0 left\)",
+            ),
+            (
+                struct.pack("<II", 1, 1) + b"w" + struct.pack("<II", 1, 2**32 - 1) + b"\x00" * 8,
+                r"values of record 0 \(w\) \(17179869180 bytes needed, 8 left\)",
+            ),
+            (
+                struct.pack("<II", 1, 1) + b"w" + struct.pack("<66I", 65, *[1] * 64, 0),
+                r"record 0 \(w\) has unsupported rank 65",
+            ),
         ],
-        ids=["non-utf8-name", "truncated-name", "trailing-bytes", "duplicate-name"],
+        ids=[
+            "non-utf8-name",
+            "truncated-name",
+            "trailing-bytes",
+            "duplicate-name",
+            "extents-overflow",
+            "extent-beyond-file",
+            "rank-beyond-numpy",
+        ],
     )
     def test_malformed_records_rejected(self, tmp_path, body, message):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"HSDA" + struct.pack("<I", 1) + body)
         with pytest.raises(ProtocolError, match=message):
             load_checkpoint(str(path))
+
+    def test_random_corruptions_load_or_raise_protocol_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        params = {
+            "a": Tensor(np.arange(6.0).reshape(2, 3)),
+            "bias": Tensor(np.ones(4)),
+            "s": Tensor(np.float64(2.5)),
+        }
+        save_checkpoint(str(path), params, {})
+        blob = path.read_bytes()
+        rng = np.random.default_rng(0)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(400):
+            bad = bytearray(blob)
+            for at in rng.integers(0, len(bad), size=rng.integers(1, 4)):
+                bad[at] = rng.integers(0, 256)
+            if rng.random() < 0.25:
+                bad = bad[: rng.integers(0, len(bad))]
+            path.write_bytes(bytes(bad))
+            try:
+                load_checkpoint(str(path))
+                outcomes["loaded"] += 1
+            except ProtocolError:
+                outcomes["rejected"] += 1
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
 
     def test_mismatched_names_rejected(self, tmp_path):
         net = HsdaNet(toy_config(), seed=0)
