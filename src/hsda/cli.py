@@ -114,12 +114,16 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         if r.subject_id not in subjects:
             subjects.append(r.subject_id)
         seq, outliers = clean_record(r, cfg.z_max)
-        if seq is None:
+        try:
+            if seq is None:
+                raise ProtocolError("unsalvageable")
+            signals = kinematic_features(seq)
+        except ProtocolError as exc:
             dropped += 1
-            lines.append("%s task %02d: dropped (unsalvageable)" % (r.subject_id, r.task_id))
+            lines.append("%s task %02d: dropped (%s)" % (r.subject_id, r.task_id, exc))
             continue
         filename = _record_stem(r.subject_id, r.task_id) + ".csv"
-        write_signal_csv(kinematic_features(seq), os.path.join(out, filename))
+        write_signal_csv(signals, os.path.join(out, filename))
         kept += 1
         lines.append(
             "%s task %02d: ok, outliers replaced %d -> %s"
@@ -140,10 +144,17 @@ def cmd_render(args: argparse.Namespace) -> int:
 
     sequences = _load_sequences(args.raw, cfg)
     out = _prepare_out(cfg)
+    written = 0
     for seq in sequences:
-        canvas = render_image(seq, size=cfg.size)
-        write_ppm(canvas, os.path.join(out, _record_stem(seq.subject_id, seq.task_id) + ".ppm"))
-    print("%d images (%dx%d) -> %s" % (len(sequences), cfg.size, cfg.size, out))
+        stem = _record_stem(seq.subject_id, seq.task_id)
+        try:
+            canvas = render_image(seq, size=cfg.size)
+        except ProtocolError as exc:
+            print("%s: dropped (%s)" % (stem, exc), file=sys.stderr)
+            continue
+        write_ppm(canvas, os.path.join(out, stem + ".ppm"))
+        written += 1
+    print("%d images (%dx%d) -> %s" % (written, cfg.size, cfg.size, out))
     return 0
 
 

@@ -18,6 +18,9 @@ moving them last.
 
 The backward rules of matmul and the convolutions skip the gradient of an
 operand that does not require one and return None for it.
+
+The signal average pool is never differentiated, so it is plain numpy in
+hsda.model.embeddings; it shares _pool_bins with adaptive_max_pool1d.
 """
 
 from __future__ import annotations
@@ -110,13 +113,6 @@ def mul(a, b) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     out = _out(-a.values, a.requires_grad)
     return _record((a,), out, lambda g: (-g,), "neg")
-
-
-def abs_(a: Tensor) -> Tensor:
-    """Absolute value; subgradient 0 at exactly 0 (np.sign convention)."""
-    sign = np.sign(a.values)
-    out = _out(np.abs(a.values), a.requires_grad)
-    return _record((a,), out, lambda g: (g * sign,), "abs")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -412,35 +408,11 @@ def cosine_rows(a: Tensor, b: Tensor, floor: float = 1e-8) -> Tensor:
 
 
 def _pool_bins(length: int, out_len: int):
+    """Bin i of out_len over a length-long axis is [starts[i], ends[i])."""
     i = np.arange(out_len)
     starts = (i * length) // out_len
     ends = -(-((i + 1) * length) // out_len)
     return starts, ends
-
-
-def adaptive_avg_pool1d(a: Tensor, out_len: int) -> Tensor:
-    """Average each channel of a (C, T) matrix into out_len bins.
-
-    Bins may overlap (T not a multiple of out_len) or repeat a sample
-    (T < out_len); each one is summed by one reduceat segment.
-    """
-    if a.values.ndim != 2:
-        raise ShapeError("adaptive_avg_pool1d expects (C, T), got %s" % (a.shape,))
-    C, T = a.shape
-    starts, ends = _pool_bins(T, out_len)
-    counts = (ends - starts).astype(a.values.dtype)
-    # segment i*2 is [start_i, end_i); a zero column keeps end = T a valid index
-    padded = np.concatenate([a.values, np.zeros((C, 1), dtype=a.values.dtype)], axis=1)
-    bounds = np.stack([starts, ends], axis=1).reshape(-1)
-    y = np.add.reduceat(padded, bounds, axis=1)[:, ::2] / counts
-    out = _out(y, a.requires_grad)
-
-    def bwd(g):
-        t = np.arange(T)[:, None]
-        member = ((t >= starts) & (t < ends)).astype(g.dtype)  # (T, out_len)
-        return ((g / counts) @ member.T,)
-
-    return _record((a,), out, bwd, "adaptive_avg_pool1d")
 
 
 def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:

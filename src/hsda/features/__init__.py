@@ -8,7 +8,7 @@ from .kinematics import (
     kinematic_features,
     write_signal_csv,
 )
-from .render import RgbCanvas, read_ppm, render_image, write_ppm
+from .render import RgbCanvas, render_image, write_ppm
 from .synth import synth_generate, write_raw_csv
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "RgbCanvas",
     "render_image",
     "write_ppm",
-    "read_ppm",
     "synth_generate",
     "write_raw_csv",
 ]

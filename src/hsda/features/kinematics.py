@@ -4,7 +4,8 @@ Nine channels in a fixed order: the three recorded ones (x, y, p) and six
 derived ones (speed, acceleration, jerk, pressure rate, curvature, angular
 speed). Derivatives use central differences on the actual timestamps, so
 non-uniform sampling is handled; boundary points fall back to one-sided
-differences.
+differences. compute_channels is the one finiteness check: derivatives that
+overflow raise ProtocolError, and the dataset build and commands drop the record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..errors import ProtocolError
-from ..ingest import StrokeSequence, zscore
+from ..ingest import MIN_SAMPLES, StrokeSequence, zscore
 
 CHANNEL_NAMES: Tuple[str, ...] = (
     "x",
@@ -40,7 +41,6 @@ class SignalMatrix:
 
     channels: np.ndarray  # (N_CHANNELS, T)
     channel_names: Tuple[str, ...]
-    sampling_rate: float  # Hz
 
     def __post_init__(self):
         if self.channels.ndim != 2 or self.channels.shape[0] != len(self.channel_names):
@@ -51,22 +51,16 @@ class SignalMatrix:
         if not np.all(np.isfinite(self.channels)):
             raise ProtocolError("non-finite value in signal matrix")
 
-    @property
-    def T(self) -> int:
-        return self.channels.shape[1]
-
-    def row(self, name: str) -> np.ndarray:
-        return self.channels[self.channel_names.index(name)]
-
 
 def compute_channels(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Dict[str, np.ndarray]:
     """Raw (pre-standardization) kinematic channels keyed by name.
 
-    Timestamps are milliseconds; derivatives are per second.
+    Timestamps are milliseconds; derivatives are per second. A channel that
+    is not finite everywhere raises ProtocolError.
     """
     t_ms = np.asarray(t_ms, dtype=np.float64)
-    if t_ms.size < 5:
-        raise ProtocolError("need at least 5 samples for differencing, got %d" % t_ms.size)
+    if t_ms.size < MIN_SAMPLES:
+        raise ProtocolError("need at least %d samples for differencing, got %d" % (MIN_SAMPLES, t_ms.size))
     if np.any(np.diff(t_ms) <= 0):
         raise ProtocolError("timestamps must be strictly increasing")
     t = t_ms / 1000.0
@@ -86,7 +80,7 @@ def compute_channels(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarr
     theta = np.unwrap(np.arctan2(yd, xd))
     angular_speed = np.gradient(theta, t)
 
-    return {
+    channels = {
         "x": np.asarray(x, dtype=np.float64),
         "y": np.asarray(y, dtype=np.float64),
         "p": np.asarray(p, dtype=np.float64),
@@ -97,25 +91,17 @@ def compute_channels(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarr
         "curvature": curvature,
         "angular_speed": angular_speed,
     }
+    for name, v in channels.items():
+        if not np.all(np.isfinite(v)):
+            raise ProtocolError("kinematic channel %s is not finite" % name)
+    return channels
 
 
 def kinematic_features(s: StrokeSequence) -> SignalMatrix:
     """Standardized 9-channel signal matrix for one stroke sequence."""
     raw = compute_channels(s.t, s.x, s.y, s.p)
-    rows = []
-    for name in CHANNEL_NAMES:
-        v = raw[name]
-        if not np.all(np.isfinite(v)):
-            raise ProtocolError(
-                "channel %s went non-finite for subject %s task %d" % (name, s.subject_id, s.task_id)
-            )
-        z, _, _ = zscore(v)
-        rows.append(z)
-    dt = np.diff(s.t / 1000.0)
-    rate = 1.0 / float(np.median(dt))
-    return SignalMatrix(
-        channels=np.vstack(rows), channel_names=CHANNEL_NAMES, sampling_rate=rate
-    )
+    rows = [zscore(raw[name])[0] for name in CHANNEL_NAMES]
+    return SignalMatrix(channels=np.vstack(rows), channel_names=CHANNEL_NAMES)
 
 
 def write_signal_csv(m: SignalMatrix, path) -> None:

@@ -34,7 +34,7 @@ class RgbCanvas:
     def __post_init__(self):
         if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
             raise ValueError("expected (3, H, W) pixels, got %s" % (self.pixels.shape,))
-        if self.pixels.min() < 0 or self.pixels.max() > 1:
+        if not (self.pixels.min() >= 0 and self.pixels.max() <= 1):  # False for NaN too
             raise ValueError("pixel values outside [0, 1]")
 
     @property
@@ -49,7 +49,7 @@ def _minmax_unit(v: np.ndarray) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-def render_image(s: StrokeSequence, size: int = 128) -> RgbCanvas:
+def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
     """Rasterize one stroke sequence onto a size x size canvas."""
     raw = compute_channels(s.t, s.x, s.y, s.p)
     colors = np.stack(
@@ -132,17 +132,3 @@ def write_ppm(canvas: RgbCanvas, path) -> None:
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
         fh.write(data.transpose(1, 2, 0).tobytes())
-
-
-def read_ppm(path) -> RgbCanvas:
-    """Inverse of write_ppm, for round-trip checks."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError("not a binary pixmap: %r" % magic)
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    pixels = data.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / maxval
-    return RgbCanvas(pixels)

@@ -17,7 +17,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import DataQualityWarning, ProtocolError
+from .errors import DataQualityWarning, ProtocolError, read_text
+from .runconfig import RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -130,12 +131,11 @@ def _finish_block(header, rows, header_line_no) -> RawRecord:
     )
 
 
-def parse_raw(path, format_descriptor: str = "csv-v1") -> List[RawRecord]:
+def parse_raw(path, format_descriptor: str = RunConfig.raw_format) -> List[RawRecord]:
     """Parse a csv-v1 file into records, preserving block order."""
     if format_descriptor != "csv-v1":
         raise ProtocolError("unknown raw format %r (supported: csv-v1)" % format_descriptor)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, ProtocolError).splitlines()
 
     records: List[RawRecord] = []
     header = None
@@ -212,7 +212,7 @@ def impute_missing(r: RawRecord) -> RawRecord:
     return r.replace_channels(**updates) if updates else r
 
 
-def remove_outliers(r: RawRecord, z_max: float = 6.0) -> RawRecord:
+def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
     """Replace samples with robust z-score > z_max on any channel.
 
     z = |v - median| / (1.4826 * MAD). A flagged sample is blanked on all
@@ -307,25 +307,31 @@ class Cleaned(NamedTuple):
     outliers: int  # samples whose x, y or p the outlier repair changed
 
 
-def clean_record(r: RawRecord, z_max: float = 6.0) -> Cleaned:
+def clean_record(r: RawRecord, z_max: float) -> Cleaned:
     """merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers -> standardize.
 
-    An unsalvageable record is dropped; other records of the same subject
-    are unaffected.
+    A record that any step refuses is dropped: too few valid samples, outlier
+    flags that leave fewer than two samples to refill the rest from, or an
+    interpolation that overflows. Other records of the same subject are
+    unaffected.
     """
     r = merge_duplicate_times(r)
-    if not salvageable(r):
-        log.info("dropping subject %s task %d (unsalvageable)", r.subject_id, r.task_id)
+    try:
+        if not salvageable(r):
+            raise ProtocolError("too few valid samples")
+        imputed = impute_missing(r)
+        repaired = remove_outliers(imputed, z_max=z_max)
+        sequence = standardize(repaired)
+    except ProtocolError as exc:
+        log.info("dropping subject %s task %d (unsalvageable: %s)", r.subject_id, r.task_id, exc)
         return Cleaned(None, 0)
-    imputed = impute_missing(r)
-    repaired = remove_outliers(imputed, z_max=z_max)
     changed = np.zeros(len(imputed), dtype=bool)
     for name in CHANNELS:
         changed |= imputed.channel(name) != repaired.channel(name)
-    return Cleaned(standardize(repaired), int(changed.sum()))
+    return Cleaned(sequence, int(changed.sum()))
 
 
-def preprocess(records: Iterable[RawRecord], z_max: float = 6.0) -> List[StrokeSequence]:
+def preprocess(records: Iterable[RawRecord], z_max: float = RunConfig.z_max) -> List[StrokeSequence]:
     """clean_record on every record; the kept sequences, in input order."""
     cleaned = (clean_record(r, z_max).sequence for r in records)
     return [seq for seq in cleaned if seq is not None]

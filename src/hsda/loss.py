@@ -39,9 +39,9 @@ class Templates:
             raise ValueError("alpha must be in (0, 1), got %r" % (self.alpha,))
 
 
-def make_templates(d: int, rng: np.random.Generator, alpha: float = TEMPLATE_ALPHA) -> Templates:
+def make_templates(d: int, rng: np.random.Generator) -> Templates:
     """Standard normal initialization for both prototypes."""
-    return Templates(rng.standard_normal(d), rng.standard_normal(d), alpha)
+    return Templates(rng.standard_normal(d), rng.standard_normal(d))
 
 
 def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..diffcore import Tensor
-from ..errors import ProtocolError
+from ..errors import ProtocolError, read_text
 
 MAGIC = b"HSDA"
 VERSION = 1
@@ -97,15 +97,14 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
             raise ProtocolError("checkpoint has trailing bytes after its %d records" % count)
     config: Dict[str, str] = {}
     try:
-        with open(config_sidecar_path(path)) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                config[key] = value
+        text = read_text(config_sidecar_path(path), ProtocolError)
     except FileNotFoundError:
-        pass
+        text = ""
+    for line in text.split("\n"):
+        line = line.strip()
+        if line:
+            key, _, value = line.partition("=")
+            config[key] = value
     return params, config
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 from ..errors import ConfigError
+from ..features import N_CHANNELS
+from ..ingest import LABELS
 
 
 @dataclass
@@ -23,8 +25,8 @@ class ModelConfig:
     signal_map_channels: int = 64  # C1 of the 1D multi-scale map
     signal_map_len: int = 64  # T_1 of the 1D multi-scale map
     canvas_size: int = 128
-    n_channels: int = 9  # N kinematic channels
-    n_classes: int = 2
+    n_channels: ClassVar[int] = N_CHANNELS  # the rows of every signal matrix
+    n_classes: ClassVar[int] = len(LABELS)  # the binary loss and metrics assume HC/AD
     use_multiscale: bool = True
     # Hidden width of the two token-projection perceptrons; None tracks d.
     # Token magnitude at init goes like 0.02^2 * sqrt(hidden * fan_in), so

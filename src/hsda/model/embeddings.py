@@ -3,10 +3,11 @@
 The rendered image passes through a small convolutional stem (three stride-2
 convolutions then one stride-1, each with a channel norm and ReLU) whose
 flattened map a two-layer perceptron compresses into a single image token.
-The kinematic signal matrix is pooled per channel, lifted by two normalized
-fully connected layers, and projected per channel into one token each; a
-pointwise convolution over the channel axis also produces the pooled 1D map
-that the refinement path keeps shrinking.
+The kinematic signal matrix is average-pooled per channel, lifted by two
+normalized fully connected layers, and projected per channel into one token
+each; a pointwise convolution over the channel axis also produces the pooled
+1D map that the refinement path keeps shrinking. The pool has no parameters
+and the raw signals need no gradient, so it is plain numpy, off the tape.
 """
 
 from __future__ import annotations
@@ -17,9 +18,24 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..diffcore import Tensor
+from ..diffcore.ops import _pool_bins
 from ..errors import ConfigError
 from .config import ModelConfig
 from .layers import ChannelNorm2d, Conv1d, Conv2d, LayerNorm, Linear, Mlp, Module
+
+
+def pool_signal(signal, out_len: int) -> np.ndarray:
+    """Average each row of a (C, T) signal into out_len bins, in the default dtype.
+
+    Bins may overlap (T not a multiple of out_len) or repeat a sample
+    (T < out_len); each one is summed by one reduceat segment.
+    """
+    x = np.asarray(signal, dtype=dc.default_dtype())
+    starts, ends = _pool_bins(x.shape[1], out_len)
+    # segment i*2 is [start_i, end_i); a zero column keeps end = T a valid index
+    padded = np.concatenate([x, np.zeros((x.shape[0], 1), dtype=x.dtype)], axis=1)
+    bounds = np.stack([starts, ends], axis=1).reshape(-1)
+    return np.add.reduceat(padded, bounds, axis=1)[:, ::2] / (ends - starts).astype(x.dtype)
 
 
 class ImageStem(Module):
@@ -70,21 +86,19 @@ class SignalEmbed(Module):
         """B signal matrices (n, T_i) of any lengths -> tokens (B, n, d) and 1D maps (B, C1, T_1).
 
         Each signal is pooled to fixed lengths on its own, then the pooled
-        matrices run through the layers as one batch. The pools have no
-        parameters and the raw signals need no gradient, so they stay off
-        the tape.
+        matrices run through the layers as one batch.
         """
         pooled, pooled_map = [], []
         for signal in signals:
-            sig = Tensor(signal)
-            if sig.values.ndim != 2 or sig.shape[0] != self.n_channels:
+            sig = np.asarray(signal, dtype=dc.default_dtype())
+            if sig.ndim != 2 or sig.shape[0] != self.n_channels:
                 raise ConfigError(
                     "signal embed expects %d channels, got %s" % (self.n_channels, sig.shape)
                 )
             if sig.shape[1] < 1:
                 raise ConfigError("signal embed needs at least one time step")
-            pooled.append(dc.adaptive_avg_pool1d(sig, self.pool_len).values)
-            pooled_map.append(dc.adaptive_avg_pool1d(sig, self.map_len).values)
+            pooled.append(pool_signal(sig, self.pool_len))
+            pooled_map.append(pool_signal(sig, self.map_len))
         h = dc.relu(self.norm1(self.fc1(Tensor(np.stack(pooled)))))  # (B, n, hidden)
         h = dc.relu(self.norm2(self.fc2(h)))
         tokens = self.token_mlp(h)  # (B, n, d)

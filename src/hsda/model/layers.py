@@ -7,7 +7,7 @@ the documented rng draw order for initialization.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 

@@ -20,12 +20,12 @@ from ..errors import ConfigError
 from .attention import HybridBlock
 from .config import ModelConfig
 from .embeddings import ImageStem, SignalEmbed
-from .layers import LayerNorm, Linear, Mlp, Module
+from .layers import LayerNorm, Linear, Module
 from .multiscale import Rfm1d, Rfm2d, multiscale_concat
 
 
 class HsdaNet(Module):
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         rng = make_rng(seed, "init")
         self.stem = ImageStem(cfg, rng)

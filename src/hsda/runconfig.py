@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 MODEL_SCALES = ("full", "synth", "toy")
 RAW_FORMATS = ("csv-v1",)
@@ -118,20 +118,19 @@ def _coerce(key: str, value) -> object:
 def parse_config_file(path) -> Dict[str, str]:
     """Read key=value lines; comments and blank lines are skipped."""
     values: Dict[str, str] = {}
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError("%s:%d: expected key = value, got %r" % (path, line_no, stripped))
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ConfigError("%s:%d: unknown key %r" % (path, line_no, key))
-            if key in values:
-                raise ConfigError("%s:%d: duplicate key %r" % (path, line_no, key))
-            values[key] = raw.strip()
+    for line_no, line in enumerate(read_text(path, ConfigError).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError("%s:%d: expected key = value, got %r" % (path, line_no, stripped))
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ConfigError("%s:%d: unknown key %r" % (path, line_no, key))
+        if key in values:
+            raise ConfigError("%s:%d: duplicate key %r" % (path, line_no, key))
+        values[key] = raw.strip()
     return values
 
 

@@ -9,6 +9,7 @@ Everything is seeded and sequential, so a run is bit-reproducible.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -31,6 +32,8 @@ from .loss import (
 from .model import HsdaNet, ModelConfig
 from .runconfig import TrainConfig
 
+log = logging.getLogger(__name__)
+
 
 class Sample(NamedTuple):
     image: np.ndarray  # (3, S, S) rendered stroke
@@ -40,12 +43,19 @@ class Sample(NamedTuple):
 
 
 def build_dataset(records: Sequence[Tuple[StrokeSequence, str]], canvas_size: int) -> List[Sample]:
-    """Turn preprocessed strokes into model-ready (image, signal, label) triples."""
+    """Turn preprocessed strokes into model-ready (image, signal, label) triples.
+
+    A stroke whose kinematics are not finite is dropped.
+    """
     from .ingest import LABEL_TO_INDEX
 
     samples = []
     for stroke, label in records:
-        sig = kinematic_features(stroke)
+        try:
+            sig = kinematic_features(stroke)
+        except ProtocolError as exc:
+            log.info("dropping subject %s task %d (%s)", stroke.subject_id, stroke.task_id, exc)
+            continue
         canvas = render_image(stroke, size=canvas_size)
         samples.append(
             Sample(canvas.pixels, sig.channels, LABEL_TO_INDEX[label], stroke.subject_id)
@@ -57,18 +67,14 @@ def build_dataset(records: Sequence[Tuple[StrokeSequence, str]], canvas_size: in
 # optimizer
 
 
-def cosine_lr(epoch: int, lr0: float = 0.01, t_max: int = 100, lr_min: float = 0.0) -> float:
+def cosine_lr(epoch: int, lr0: float, t_max: int) -> float:
     if not 0 <= epoch <= t_max:
         raise ConfigError("epoch %d outside [0, %d]" % (epoch, t_max))
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / t_max))
+    return 0.5 * lr0 * (1.0 + math.cos(math.pi * epoch / t_max))
 
 
 def sgd_step(
-    params: Dict[str, Tensor],
-    state: Dict[str, np.ndarray],
-    lr: float,
-    momentum: float = 0.9,
-    weight_decay: float = 0.05,
+    params: Dict[str, Tensor], state: Dict[str, np.ndarray], lr: float, momentum: float, weight_decay: float
 ) -> None:
     """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place.
 
@@ -117,7 +123,7 @@ def split_and_fold(
     for c in classes:
         if by_class[c].size < cfg.k_folds:
             raise ProtocolError(
-                "class %r has %d samples, fewer than k=%d"
+                "class %d has %d samples, fewer than k=%d"
                 % (c, by_class[c].size, cfg.k_folds)
             )
 
@@ -136,7 +142,7 @@ def split_and_fold(
         pool_parts[c] = by_class[c][take[c] :]
         if pool_parts[c].size < cfg.k_folds:
             raise ProtocolError(
-                "class %r keeps %d samples after the test split, fewer than k=%d"
+                "class %d keeps %d samples after the test split, fewer than k=%d"
                 % (c, pool_parts[c].size, cfg.k_folds)
             )
     test_idx = np.sort(np.concatenate(test_parts))

@@ -33,6 +33,23 @@ s02,3,AD
 FAST_TRAIN = "max_epochs = 2\npatience = 2\nbatch_size = 4\n"
 
 
+def unusable_blocks():
+    """Two csv-v1 blocks that parse but cannot become samples.
+
+    s03: the outlier flags of x, y and p together cover all 40 samples.
+    s04: timestamps 1e-300 ms apart overflow the derivatives.
+    """
+    rng = np.random.default_rng(5)
+    x, y, p = rng.normal(scale=1e-3, size=(3, 40))
+    x[:18] += 100.0
+    y[18:36] += 100.0
+    p[36:] += 100.0
+    lines = ["s03,2,AD"] + ["%d,%.9g,%.9g,%.9g" % (5 * i, x[i], y[i], p[i] + 0.5) for i in range(40)]
+    lines += ["", "s04,4,HC"]
+    lines += ["%.17g,%.3f,%.3f,0.5" % (i * 1e-300, 0.1 * i, np.sin(i)) for i in range(20)]
+    return "\n".join(lines) + "\n"
+
+
 def write_fast_cfg(tmp_path):
     path = tmp_path / "fast.cfg"
     path.write_text(FAST_TRAIN)
@@ -162,6 +179,25 @@ class TestPreprocessCommand:
             name = "%s_task%02d.csv" % (seq.subject_id, seq.task_id)
             assert (out / name).read_bytes() == expected.read_bytes(), name
 
+    def test_unusable_records_dropped_with_reason(self, tmp_path):
+        raw = tmp_path / "mixed.csv"
+        raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
+        out = tmp_path / "sig"
+        assert cli.main(["preprocess", str(raw), "--out", str(out)]) == 0
+        manifest = open(out / "manifest.txt").read()
+        assert "kept: 1\ndropped: 3\n" in manifest
+        assert "s01 task 01: ok" in manifest
+        assert "s03 task 02: dropped (unsalvageable)" in manifest
+        assert "s04 task 04: dropped (kinematic channel" in manifest
+        assert sorted(f for f in os.listdir(out) if f.endswith(".csv")) == ["s01_task01.csv"]
+
+    def test_non_utf8_raw_exits_one(self, tmp_path, capsys):
+        raw = tmp_path / "latin.csv"
+        raw.write_bytes(TWO_SUBJECT_RAW.encode() + b"s05,1,HC\n0,\xff,0,0.5\n")
+        assert cli.main(["preprocess", str(raw), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "latin.csv" in err
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         raw = tmp_path / "bad.csv"
         raw.write_text("not,a,valid,header,line\n")
@@ -187,6 +223,13 @@ class TestRenderCommand:
         out = tmp_path / "img"
         assert cli.main(["render", path, "--out", str(out)]) == 0
         assert (out / "ad_000_task01.ppm").read_bytes().startswith(b"P6\n128 128\n255\n")
+
+    def test_unusable_records_dropped(self, tmp_path):
+        raw = tmp_path / "mixed.csv"
+        raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
+        out = tmp_path / "img"
+        assert cli.main(["render", str(raw), "--size", "32", "--out", str(out)]) == 0
+        assert sorted(f for f in os.listdir(out) if f.endswith(".ppm")) == ["s01_task01.ppm"]
 
 
 class TestTrainEvaluateCommands:
@@ -252,6 +295,20 @@ class TestTrainEvaluateCommands:
         assert "record 0 has a name that is not utf-8" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_sidecar_exits_one(self, tmp_path, capsys):
+        from hsda.model import save_checkpoint
+
+        sidecar = {"scale": "toy", "multiscale": True, "seed": 3, "k_folds": 4, "test_fraction": 0.2}
+        checkpoint = tmp_path / "checkpoint.bin"
+        save_checkpoint(str(checkpoint), {}, sidecar)
+        with open(str(checkpoint) + ".config", "ab") as fh:
+            fh.write(b"note=\xff\n")
+        data = make_synth(tmp_path, n=4, seed=1)
+        argv = ["evaluate", data, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "checkpoint.bin.config" in err
+
     def test_overflowing_extents_checkpoint_exits_one(self, tmp_path, capsys):
         checkpoint = tmp_path / "checkpoint.bin"
         body = struct.pack("<II", 1, 1) + b"w" + struct.pack("<5I", 4, *[65536] * 4)
@@ -297,6 +354,13 @@ class TestExitCodesAndEnv:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\n# \xff\n")
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "run.cfg" in err
 
     def test_bad_thread_cap_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HSDA_THREADS", "many")

@@ -14,8 +14,6 @@ from hsda.diffcore import (
     ShapeError,
     Tape,
     Tensor,
-    abs_,
-    adaptive_avg_pool1d,
     adaptive_max_pool1d,
     add,
     add_bias,
@@ -45,6 +43,7 @@ from hsda.diffcore import (
     using_dtype,
 )
 from hsda.errors import ConfigError
+from hsda.model.embeddings import pool_signal
 
 
 # ---------------------------------------------------------------------------
@@ -203,36 +202,31 @@ class TestForward:
                 got.values, conv2d_oracle(x, w, b, stride, padding, groups), rtol=1e-12, atol=1e-12
             )
 
+    # The signal average pool runs off the tape (hsda.model.embeddings), but
+    # it shares its bin edges with adaptive_max_pool1d, so both pools are
+    # checked here against the same bin arithmetic.
     def test_adaptive_avg_pool_known_values(self):
-        x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        out = adaptive_avg_pool1d(x, 2).values
+        out = pool_signal(np.array([[1.0, 2.0, 3.0, 4.0]]), 2)
         np.testing.assert_allclose(out, [[1.5, 3.5]])
 
     def test_adaptive_avg_pool_uneven_bins(self):
         # length 7 into 3 bins: [0,3), [2,5) rounds to [2,5)? bins are
         # floor(i*7/3)..ceil((i+1)*7/3) = [0,3), [2,5), [4,7)
-        x = Tensor(np.arange(7.0)[None, :])
-        out = adaptive_avg_pool1d(x, 3).values
+        out = pool_signal(np.arange(7.0)[None, :], 3)
         np.testing.assert_allclose(out, [[1.0, 3.0, 5.0]])
 
     @pytest.mark.parametrize("T, out_len", [(23, 5), (3, 7)])
     def test_adaptive_avg_pool_matches_per_bin_loop(self, T, out_len):
         # overlapping bins (T not a multiple of out_len), and bins sharing samples (T < out_len)
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(9, T)).astype(np.float32)
-        g = rng.normal(size=(9, out_len)).astype(np.float32)
+        x = rng.normal(size=(9, T))
         bins = [(i * T // out_len, -(-(i + 1) * T // out_len)) for i in range(out_len)]
         want_y = np.stack([x[:, s:e].mean(axis=1) for s, e in bins], axis=1)
-        want_gx = np.zeros_like(x)
-        for i, (s, e) in enumerate(bins):
-            want_gx[:, s:e] += g[:, i : i + 1] / (e - s)
-        xt = Tensor(x, requires_grad=True)
-        with Tape() as tape:
-            y = adaptive_avg_pool1d(xt, out_len)
-            backward(sum_(mul(y, Tensor(g))), tape)
-        assert y.values.dtype == np.float32
-        np.testing.assert_allclose(y.values, want_y, rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(xt.grad, want_gx, rtol=1e-6, atol=1e-6)
+        y = pool_signal(x, out_len)  # float64 input, pooled in the float32 default
+        assert y.dtype == np.float32
+        np.testing.assert_allclose(y, want_y, rtol=1e-6, atol=1e-6)
+        with using_dtype(np.float64):
+            np.testing.assert_allclose(pool_signal(x, out_len), want_y, rtol=1e-12, atol=1e-12)
 
     def test_adaptive_max_pool_known_values(self):
         x = Tensor(np.array([[1.0, 5.0, 2.0, 4.0, 3.0, 0.0]]))
@@ -496,7 +490,6 @@ class TestGradients:
     def test_abs_and_clamp_away_from_kinks(self):
         with using_dtype(np.float64):
             x = np.array([[-2.0, -0.5, 0.5, 2.0]])
-            assert grad_check(lambda t: sum_(abs_(t)), Tensor(x)) < 1e-6
             assert grad_check(lambda t: sum_(clamp_min(t, 0.0)), Tensor(x)) < 1e-6
 
     def test_max_ties_send_grad_to_first(self):

@@ -9,9 +9,9 @@ from hsda.errors import ConfigError, DataQualityWarning, ProtocolError
 from hsda.features import (
     CHANNEL_NAMES,
     N_CHANNELS,
+    RgbCanvas,
     compute_channels,
     kinematic_features,
-    read_ppm,
     render_image,
     synth_generate,
     write_ppm,
@@ -82,12 +82,19 @@ class TestKinematics:
         with pytest.raises(ProtocolError, match="increasing"):
             compute_channels([0, 5, 5, 15, 20], np.zeros(5), np.zeros(5), np.ones(5))
 
+    def test_overflowing_derivatives_rejected(self):
+        # timestamps 1e-300 ms apart: the derivatives overflow to inf and nan
+        t_ms = np.arange(20) * 1e-300
+        stroke = make_stroke(t_ms, 0.1 * np.arange(20), np.sin(np.arange(20.0)), np.full(20, 0.5))
+        for build in (kinematic_features, lambda s: render_image(s, size=16)):
+            with pytest.raises(ProtocolError, match="not finite"):
+                build(stroke)
+
     def test_signal_matrix_standardized(self):
         t_ms, x, y, p = circle_arrays()
         m = kinematic_features(make_stroke(t_ms, x, y, p))
         assert m.channels.shape == (N_CHANNELS, len(t_ms))
         assert m.channel_names == CHANNEL_NAMES
-        assert m.sampling_rate == pytest.approx(FS)
         for i, name in enumerate(CHANNEL_NAMES):
             row = m.channels[i]
             if np.ptp(row) == 0:
@@ -108,7 +115,7 @@ class TestKinematics:
         write_signal_csv(m, out)
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(CHANNEL_NAMES)
-        assert len(lines) == 1 + m.T
+        assert len(lines) == 1 + m.channels.shape[1]
         parsed = np.loadtxt(out, delimiter=",", skiprows=1)
         np.testing.assert_allclose(parsed.T, m.channels, atol=1e-6)
 
@@ -167,6 +174,12 @@ class TestRender:
         assert np.array_equal(base.max(axis=0) > 0, moved.max(axis=0) > 0)
         np.testing.assert_allclose(base, moved, atol=1e-12)
 
+    def test_canvas_rejects_nan(self):
+        pixels = np.zeros((3, 4, 4))
+        pixels[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            RgbCanvas(pixels)
+
     def test_degenerate_point_single_pixel(self):
         n = 6
         s = make_stroke(np.arange(n) * 5.0, np.ones(n), np.ones(n), np.full(n, 0.5))
@@ -193,8 +206,9 @@ class TestRender:
         write_ppm(canvas, path)
         data = path.read_bytes()
         assert data.startswith(b"P6\n48 48\n255\n")
-        back = read_ppm(path)
-        np.testing.assert_allclose(back.pixels, canvas.pixels, atol=1.0 / 255.0 + 1e-12)
+        back = np.frombuffer(data[len(b"P6\n48 48\n255\n") :], dtype=np.uint8)
+        back = back.reshape(48, 48, 3).transpose(2, 0, 1) / 255.0
+        np.testing.assert_allclose(back, canvas.pixels, atol=1.0 / 255.0 + 1e-12)
 
 
 

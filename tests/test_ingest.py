@@ -140,18 +140,18 @@ class TestOutliers:
         x = np.sin(t / 8.0)
         x[20] = 1e6
         r = make_record(n, t=t, x=x)
-        out = remove_outliers(r)
+        out = remove_outliers(r, z_max=6.0)
         expect = 0.5 * (x[19] + x[21])
         assert abs(out.x[20] - expect) < 1e-9
         np.testing.assert_array_equal(np.delete(out.x, 20), np.delete(x, 20))
 
     def test_clean_trace_unchanged(self):
         r = make_record(30)
-        assert remove_outliers(r) is r
+        assert remove_outliers(r, z_max=6.0) is r
 
     def test_constant_channel_no_removals(self):
         r = make_record(30, p=np.full(30, 0.5))
-        out = remove_outliers(r)
+        out = remove_outliers(r, z_max=6.0)
         np.testing.assert_array_equal(out.p, r.p)
 
     def test_heavy_contamination_warns(self):
@@ -161,7 +161,7 @@ class TestOutliers:
         x[6:] = np.linspace(0, 1, n - 6)
         r = make_record(n, x=x)
         with pytest.warns(DataQualityWarning):
-            remove_outliers(r)
+            remove_outliers(r, z_max=6.0)
 
     def test_flagged_sample_blanked_on_all_channels(self):
         # the spike is on x only, but the whole sample is re-interpolated
@@ -172,7 +172,7 @@ class TestOutliers:
         x[10] = 500.0
         y_orig = y[10]
         r = make_record(n, t=t, x=x, y=y)
-        out = remove_outliers(r)
+        out = remove_outliers(r, z_max=6.0)
         assert out.x[10] != 500.0
         assert abs(out.y[10] - y_orig) < 1e-9  # y is linear, interp restores it
 
@@ -245,6 +245,18 @@ class TestDropIncomplete:
         bad = make_record(10, x=np.full(10, np.nan))
         assert preprocess([bad, make_record(10)]) != []
         assert len(preprocess([bad])) == 0
+
+    def test_record_blanked_by_outlier_repair_dropped(self):
+        # x, y and p each flag a different stretch; together they cover all 40 samples
+        rng = np.random.default_rng(3)
+        x, y, p = rng.normal(scale=1e-3, size=(3, 40))
+        x[:18] += 100.0
+        y[18:36] += 100.0
+        p[36:] += 100.0
+        blanked = make_record(40, task_id=2, x=x, y=y, p=p + 0.5)
+        with pytest.warns(DataQualityWarning):
+            kept = preprocess([make_record(20, task_id=1), blanked])
+        assert [s.task_id for s in kept] == [1]
 
     def test_identity_when_complete(self):
         recs = [make_record(10, seed=i) for i in range(3)]

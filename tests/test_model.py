@@ -319,6 +319,12 @@ class TestNetwork:
         flat = toy_config()
         assert [flat.stage_width(l) for l in (1, 2, 3, 4)] == [16, 24, 32, 40]
 
+    @pytest.mark.parametrize("field", ["n_channels", "n_classes"])
+    def test_fixed_counts_are_not_settings(self, field):
+        # the 9 kinematic channels and the HC/AD classes are declared elsewhere
+        with pytest.raises(TypeError):
+            ModelConfig(**{field: 3})
+
     def test_default_config_forward_runs(self):
         net = HsdaNet(ModelConfig(), seed=0)
         img, sig = toy_inputs(canvas=128, t_len=100)

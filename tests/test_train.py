@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hsda.diffcore import Tensor, make_rng
 from hsda.errors import ConfigError, ProtocolError
 from hsda.features import synth_generate
+from hsda.ingest import StrokeSequence, parse_raw, preprocess
 from hsda.loss import make_templates
 from hsda.model import HsdaNet, synth_config, toy_config
 from hsda.train import (
@@ -42,20 +43,21 @@ def tiny_samples(n, seed=0, canvas=16, t_len=40, separable=True):
 
 
 class TestCosineLr:
+    # TrainConfig() defaults: lr0 0.01 over max_epochs 100
     def test_worked_examples(self):
-        assert cosine_lr(0) == pytest.approx(0.01)
-        assert cosine_lr(50) == pytest.approx(0.005)
-        assert cosine_lr(100) == pytest.approx(0.0, abs=1e-18)
+        assert cosine_lr(0, 0.01, 100) == pytest.approx(0.01)
+        assert cosine_lr(50, 0.01, 100) == pytest.approx(0.005)
+        assert cosine_lr(100, 0.01, 100) == pytest.approx(0.0, abs=1e-18)
 
     def test_monotone_non_increasing(self):
-        seq = [cosine_lr(e) for e in range(101)]
+        seq = [cosine_lr(e, 0.01, 100) for e in range(101)]
         assert all(a >= b for a, b in zip(seq, seq[1:]))
 
     def test_epoch_bounds_guard(self):
         with pytest.raises(ConfigError):
-            cosine_lr(101)
+            cosine_lr(101, 0.01, 100)
         with pytest.raises(ConfigError):
-            cosine_lr(-1)
+            cosine_lr(-1, 0.01, 100)
 
 
 class TestSgdStep:
@@ -89,7 +91,7 @@ class TestSgdStep:
         t = Tensor(np.array([1.0]), requires_grad=True)
         t.grad = np.array([np.nan], dtype=t.values.dtype)
         with pytest.raises(FloatingPointError, match="stem.w"):
-            sgd_step({"stem.w": t}, {}, lr=0.1)
+            sgd_step({"stem.w": t}, {}, lr=0.1, momentum=0.9, weight_decay=0.05)
 
     def test_missing_gradient_still_decays(self):
         t = Tensor(np.array([2.0]), requires_grad=True)
@@ -167,12 +169,12 @@ class TestSplitAndFold:
 
     def test_small_class_rejected(self):
         labels = np.array([0] * 3 + [1] * 20)
-        with pytest.raises(ProtocolError, match="fewer than k"):
+        with pytest.raises(ProtocolError, match="^class 0 has 3 samples, fewer than k=4$"):
             split_and_fold(labels, TrainConfig(seed=0))
 
     def test_class_too_small_after_test_split(self):
         labels = np.array([0] * 4 + [1] * 20)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="^class 0 keeps 3 samples after the test split"):
             split_and_fold(labels, TrainConfig(seed=0))
 
     @given(st.integers(0, 1000))
@@ -383,6 +385,41 @@ class TestBuildDataset:
             assert s.image.shape == (3, 16, 16)
             assert s.signal.shape[0] == 9
             assert np.all(np.isfinite(s.signal))
+
+    def test_non_finite_kinematics_dropped(self):
+        good, _ = synth_generate(1, seed=0)
+        stroke = good[0]
+        # the same trace with its timestamps 1e-300 ms apart overflows the derivatives
+        squeezed = StrokeSequence(
+            stroke.subject_id, 2, stroke.label, np.arange(len(stroke)) * 1e-300,
+            stroke.x, stroke.y, stroke.p, stroke.stats,
+        )
+        samples = build_dataset([good, (squeezed, stroke.label)], canvas_size=16)
+        assert len(samples) == 1
+        np.testing.assert_array_equal(samples[0].signal, build_dataset([good], 16)[0].signal)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_parseable_block_becomes_a_sample_or_is_dropped(self, tmp_path_factory, data):
+        field = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.floats(-2.0, 2.0).map(repr),
+            st.sampled_from(["", "x"]),
+        )
+        time = st.one_of(
+            st.integers(0, 60).map(lambda k: repr(5.0 * k)),
+            st.integers(0, 60).map(lambda k: repr(1e-300 * k)),
+            field,
+        )
+        rows = data.draw(st.lists(st.tuples(time, field, field, field), max_size=40))
+        label = data.draw(st.sampled_from(["HC", "AD"]))
+        path = tmp_path_factory.mktemp("block") / "raw.csv"
+        path.write_text("b,1,%s\n" % label + "".join("%s,%s,%s,%s\n" % row for row in rows))
+        (record,) = parse_raw(str(path))
+        samples = build_dataset([(s, s.label) for s in preprocess([record])], canvas_size=16)
+        assert len(samples) <= 1
+        for sample in samples:
+            assert np.all(np.isfinite(sample.signal)) and np.all(np.isfinite(sample.image))
 
 
 class TestTrainConfigGuards:
