@@ -3,7 +3,8 @@
 Subcommands: preprocess | render | synth | train | evaluate | gradcheck.
 Settings merge three layers, later winning: dataclass defaults, --config
 file, explicit flags; evaluate then takes the SIDECAR_KEYS settings from the
-checkpoint sidecar. Every value is checked at the merge. Every output
+checkpoint sidecar, and refuses data whose built samples do not match the
+sidecar's data_sha256. Every value is checked at the merge. Every output
 directory receives a config.txt with the fully merged settings, so any
 artifact can be traced back to the run that made it. Identical inputs,
 flags, and seed give byte-identical outputs.
@@ -113,10 +114,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     for r in records:
         if r.subject_id not in subjects:
             subjects.append(r.subject_id)
-        seq, outliers = clean_record(r, cfg.z_max)
+        seq, outliers, reason = clean_record(r, cfg.z_max)
         try:
             if seq is None:
-                raise ProtocolError("unsalvageable")
+                raise ProtocolError(reason)
             signals = kinematic_features(seq)
         except ProtocolError as exc:
             dropped += 1
@@ -173,11 +174,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .model import save_checkpoint
-    from .train import build_dataset, run_protocol, write_history_csv, write_metrics
+    from .train import build_dataset, dataset_sha256, run_protocol, write_history_csv, write_metrics
 
     model_cfg = _model_config(cfg)
-    sequences = _load_sequences(args.data, cfg)
-    dataset = build_dataset([(s, s.label) for s in sequences], canvas_size=model_cfg.canvas_size)
+    dataset = build_dataset(_load_sequences(args.data, cfg), canvas_size=model_cfg.canvas_size)
     result = run_protocol(dataset, model_cfg, cfg)
 
     out = _prepare_out(cfg)
@@ -191,6 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_metrics(os.path.join(out, "metrics.txt"), result.test_metrics)
     sidecar = {key: getattr(cfg, key) for key in SIDECAR_KEYS}
     sidecar["best_fold"] = result.best_fold
+    sidecar["data_sha256"] = dataset_sha256(dataset)
     save_checkpoint(os.path.join(out, "checkpoint.bin"), result.model.parameter_dict(), sidecar)
     print(result.test_metrics.table())
     print("checkpoint, history, metrics -> %s" % out)
@@ -200,7 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _runconfig_from(args)  # flags and --config fail here, before the checkpoint is read
     from .model import HsdaNet, load_checkpoint, restore_parameters
-    from .train import build_dataset, evaluate, split_and_fold, write_metrics
+    from .train import build_dataset, dataset_sha256, evaluate, split_and_fold, write_metrics
 
     params, meta = load_checkpoint(args.checkpoint)
     for key in SIDECAR_KEYS:
@@ -210,9 +211,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         cfg = _runconfig_from(args, {key: meta[key] for key in SIDECAR_KEYS})
     except ConfigError as exc:
         raise ConfigError("checkpoint sidecar of %s: %s" % (args.checkpoint, exc)) from None
+    if "data_sha256" not in meta:
+        raise ProtocolError("checkpoint sidecar is missing 'data_sha256'")
     model_cfg = _model_config(cfg)
-    sequences = _load_sequences(args.data, cfg)
-    dataset = build_dataset([(s, s.label) for s in sequences], canvas_size=model_cfg.canvas_size)
+    dataset = build_dataset(_load_sequences(args.data, cfg), canvas_size=model_cfg.canvas_size)
+    # a different file, or the same one preprocessed differently, would be
+    # scored silently on a different split
+    if dataset_sha256(dataset) != meta["data_sha256"]:
+        raise ProtocolError(
+            "%s is not the data %s was trained on (data_sha256 differs)" % (args.data, args.checkpoint)
+        )
     test_idx, _ = split_and_fold([s.label for s in dataset], cfg)
 
     model = HsdaNet(model_cfg, seed=cfg.seed)

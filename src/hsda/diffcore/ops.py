@@ -11,10 +11,10 @@ The model runs a whole batch of samples through one call, so the matrix ops
 take a leading batch axis: matmul, add_bias, scale_rows, pairwise_absdiff,
 softmax_rows, transpose and layer_norm act on the trailing axes of (B, ...)
 inputs, flatten keeps the batch axis, and the convolutions and
-adaptive_max_pool1d take (B, C, ...) maps. Each records one tape node for the
-whole batch. layer_norm normalizes the last axis unless its ``axis`` argument
-names another; axis=1 normalizes the channels of a (B, C, H, W) map without
-moving them last.
+adaptive_max_pool1d take only (B, C, ...) maps: one sample is a batch of one.
+Each records one tape node for the whole batch. layer_norm normalizes the
+last axis unless its ``axis`` argument names another; axis=1 normalizes the
+channels of a (B, C, H, W) map without moving them last.
 
 The backward rules of matmul and the convolutions skip the gradient of an
 operand that does not require one and return None for it.
@@ -416,12 +416,12 @@ def _pool_bins(length: int, out_len: int):
 
 
 def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
-    """Max over each bin of the last axis of (C, T) or (B, C, T).
+    """Max over each bin of the last axis of a batch (B, C, T).
 
     The gradient goes to the first maximal entry per bin.
     """
-    if a.values.ndim not in (2, 3):
-        raise ShapeError("adaptive_max_pool1d expects (C, T) or (B, C, T), got %s" % (a.shape,))
+    if a.values.ndim != 3:
+        raise ShapeError("adaptive_max_pool1d expects (B, C, T), got %s" % (a.shape,))
     T = a.shape[-1]
     starts, ends = _pool_bins(T, out_len)
     y = np.empty(a.shape[:-1] + (out_len,), dtype=a.values.dtype)
@@ -484,13 +484,11 @@ def _windows(kernel: Tuple[int, ...], stride: int, out: Tuple[int, ...]):
 
 
 def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: int, groups: int, name: str):
-    """Cross-correlation over the last w.ndim - 2 axes of a batch (B, C_in, *S) or one sample (C_in, *S)."""
+    """Cross-correlation over the last w.ndim - 2 axes of a batch (B, C_in, *S)."""
     nd = w.values.ndim - 2
-    batched = x.values.ndim == nd + 2
-    if not batched and x.values.ndim != nd + 1:
-        raise ShapeError("%s input must have %d or %d axes, got %s" % (name, nd + 1, nd + 2, x.shape))
-    xv = x.values if batched else x.values[None]
-    B, C_in = xv.shape[:2]
+    if x.values.ndim != nd + 2:
+        raise ShapeError("%s input must be a batch with %d axes, got %s" % (name, nd + 2, x.shape))
+    B, C_in = x.shape[:2]
     C_out, C_g, kernel = w.shape[0], w.shape[1], w.shape[2:]
     if any(k % 2 == 0 for k in kernel):
         raise ConfigError("%s kernel extents must be odd, got %s" % (name, kernel))
@@ -502,11 +500,11 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
         raise ShapeError("%s weight %s inconsistent with C_in=%d groups=%d" % (name, w.shape, C_in, groups))
     if bias is not None and bias.shape != (C_out,):
         raise ShapeError("%s bias must be (C_out,), got %s" % (name, bias.shape))
-    out_shape = tuple(_conv_out_len(L, k, stride, padding) for L, k in zip(xv.shape[2:], kernel))
+    out_shape = tuple(_conv_out_len(L, k, stride, padding) for L, k in zip(x.shape[2:], kernel))
     if min(out_shape) < 1:
-        raise ShapeError("%s output %s < 1 (input %s, kernel %s)" % (name, out_shape, xv.shape[2:], kernel))
+        raise ShapeError("%s output %s < 1 (input %s, kernel %s)" % (name, out_shape, x.shape[2:], kernel))
 
-    xp = np.pad(xv, ((0, 0), (0, 0)) + ((padding, padding),) * nd) if padding else xv
+    xp = np.pad(x.values, ((0, 0), (0, 0)) + ((padding, padding),) * nd) if padding else x.values
     padded = xp.shape
     cols = np.empty((C_in, int(np.prod(kernel)), B) + out_shape, dtype=xp.dtype)
     for tap, window in _windows(kernel, stride, out_shape):
@@ -517,11 +515,10 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
     y = np.ascontiguousarray(y.reshape((C_out, B) + out_shape).swapaxes(0, 1))
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    out = _out(y if batched else y[0], _requires(*inputs))
+    out = _out(y, _requires(*inputs))
 
     def bwd(g):
-        gb = g if batched else g[None]
-        gy = gb.swapaxes(0, 1).reshape(C_out, -1)
+        gy = g.swapaxes(0, 1).reshape(C_out, -1)
         dw, dcols = _group_matmul_grads(w.values, cols, gy, groups, x.requires_grad)
         dx = None
         if dcols is not None:
@@ -529,7 +526,6 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
             for tap, window in _windows(kernel, stride, out_shape):
                 dxp[window] += dcols[:, tap].swapaxes(0, 1)
             dx = dxp[(slice(None), slice(None)) + tuple(slice(padding, P - padding) for P in padded[2:])]
-            dx = dx if batched else dx[0]
         if bias is None:
             return dx, dw
         return dx, dw, gy.sum(axis=1)
@@ -547,8 +543,8 @@ def conv1d(
 ) -> Tensor:
     """1D cross-correlation over the last axis.
 
-    x is a batch (B, C_in, T) or one sample (C_in, T); w is
-    (C_out, C_in/groups, k). Depthwise = groups == C_in with C_out == C_in.
+    x is a batch (B, C_in, T); w is (C_out, C_in/groups, k). Depthwise =
+    groups == C_in with C_out == C_in.
     """
     if w.values.ndim != 3:
         raise ShapeError("conv1d weight must be (C_out, C_in/g, k), got %s" % (w.shape,))
@@ -565,8 +561,7 @@ def conv2d(
 ) -> Tensor:
     """2D cross-correlation.
 
-    x is a batch (B, C_in, H, W) or one sample (C_in, H, W); w is
-    (C_out, C_in/groups, kh, kw).
+    x is a batch (B, C_in, H, W); w is (C_out, C_in/groups, kh, kw).
     """
     if w.values.ndim != 4:
         raise ShapeError("conv2d weight must be (C_out, C_in/g, kh, kw), got %s" % (w.shape,))

@@ -65,20 +65,23 @@ def compute_channels(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarr
         raise ProtocolError("timestamps must be strictly increasing")
     t = t_ms / 1000.0
 
-    xd = np.gradient(x, t)
-    yd = np.gradient(y, t)
-    speed = np.hypot(xd, yd)
-    acceleration = np.gradient(speed, t)
-    jerk = np.gradient(acceleration, t)
-    pressure_rate = np.gradient(p, t)
+    # near-equal timestamps overflow the derivatives; the finiteness check
+    # below refuses the result, so numpy's warnings would only be noise
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xd = np.gradient(x, t)
+        yd = np.gradient(y, t)
+        speed = np.hypot(xd, yd)
+        acceleration = np.gradient(speed, t)
+        jerk = np.gradient(acceleration, t)
+        pressure_rate = np.gradient(p, t)
 
-    xdd = np.gradient(xd, t)
-    ydd = np.gradient(yd, t)
-    denom = np.maximum((xd * xd + yd * yd) ** 1.5, CURVATURE_FLOOR)
-    curvature = (xd * ydd - yd * xdd) / denom
+        xdd = np.gradient(xd, t)
+        ydd = np.gradient(yd, t)
+        denom = np.maximum((xd * xd + yd * yd) ** 1.5, CURVATURE_FLOOR)
+        curvature = (xd * ydd - yd * xdd) / denom
 
-    theta = np.unwrap(np.arctan2(yd, xd))
-    angular_speed = np.gradient(theta, t)
+        theta = np.unwrap(np.arctan2(yd, xd))
+        angular_speed = np.gradient(theta, t)
 
     channels = {
         "x": np.asarray(x, dtype=np.float64),

@@ -11,7 +11,7 @@ regardless of generation order.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -66,11 +66,11 @@ def _add_tremor(t, x, y, p, rng: np.random.Generator):
     return x, y, np.maximum(p, 0.05)
 
 
-def synth_generate(n_per_class: int, seed: int) -> List[Tuple[StrokeSequence, str]]:
-    """Balanced labeled traces: n_per_class healthy then n_per_class impaired."""
+def synth_generate(n_per_class: int, seed: int) -> List[StrokeSequence]:
+    """Balanced traces, each carrying its label: n_per_class healthy then n_per_class impaired."""
     if n_per_class < 1:
         raise ConfigError("n_per_class must be >= 1, got %d" % n_per_class)
-    out: List[Tuple[StrokeSequence, str]] = []
+    out: List[StrokeSequence] = []
     for i in range(2 * n_per_class):
         label = "HC" if i < n_per_class else "AD"
         rng = make_rng(seed, STREAM_SYNTH, substream=i)
@@ -86,15 +86,15 @@ def synth_generate(n_per_class: int, seed: int) -> List[Tuple[StrokeSequence, st
             y=y,
             p=p,
         )
-        out.append((seq, label))
+        out.append(seq)
     return out
 
 
-def write_raw_csv(records: List[Tuple[StrokeSequence, str]], path) -> None:
+def write_raw_csv(records: List[StrokeSequence], path) -> None:
     """Serialize traces in the block CSV layout the parser reads."""
     blocks = []
-    for seq, label in records:
-        lines = ["%s,%d,%s" % (seq.subject_id, seq.task_id, label)]
+    for seq in records:
+        lines = ["%s,%d,%s" % (seq.subject_id, seq.task_id, seq.label)]
         for i in range(len(seq)):
             lines.append(
                 "%.6f,%.9g,%.9g,%.9g" % (seq.t[i], seq.x[i], seq.y[i], seq.p[i])

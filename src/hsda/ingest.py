@@ -10,6 +10,7 @@ imputed.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import warnings
 from dataclasses import dataclass, field
@@ -59,19 +60,6 @@ class RawRecord:
         if name not in CHANNELS:
             raise KeyError(name)
         return getattr(self, name)
-
-    def replace_channels(self, **arrays: np.ndarray) -> "RawRecord":
-        kw = dict(
-            subject_id=self.subject_id,
-            task_id=self.task_id,
-            label=self.label,
-            t=self.t,
-            x=self.x,
-            y=self.y,
-            p=self.p,
-        )
-        kw.update(arrays)
-        return RawRecord(**kw)
 
 
 @dataclass
@@ -192,7 +180,7 @@ def merge_duplicate_times(r: RawRecord) -> RawRecord:
         total = np.add.reduceat(np.where(finite, v, 0.0), first)
         count = np.add.reduceat(finite.astype(np.int64), first)
         merged[name] = np.where(count > 0, total / np.maximum(count, 1), np.nan)
-    return r.replace_channels(t=t, **merged)
+    return dataclasses.replace(r, t=t, **merged)
 
 
 def impute_missing(r: RawRecord) -> RawRecord:
@@ -209,7 +197,7 @@ def impute_missing(r: RawRecord) -> RawRecord:
                 % (r.subject_id, r.task_id, name)
             )
         updates[name] = _interpolate_channel(r.t, v, missing)
-    return r.replace_channels(**updates) if updates else r
+    return dataclasses.replace(r, **updates) if updates else r
 
 
 def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
@@ -246,7 +234,7 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
             stacklevel=2,
         )
     blanked = {name: np.where(flagged, np.nan, r.channel(name)) for name in CHANNELS}
-    return impute_missing(r.replace_channels(**blanked))
+    return impute_missing(dataclasses.replace(r, **blanked))
 
 
 def zscore(v: np.ndarray) -> Tuple[np.ndarray, float, float]:
@@ -256,8 +244,10 @@ def zscore(v: np.ndarray) -> Tuple[np.ndarray, float, float]:
     magnitude) counts as constant: dividing by such a std would just amplify
     roundoff into a garbage channel.
     """
-    mu = float(v.mean()) if len(v) else 0.0
-    sd = float(v.std()) if len(v) else 1.0
+    # a spread that overflows is not finite, which the test below treats as constant
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(v.mean()) if len(v) else 0.0
+        sd = float(v.std()) if len(v) else 1.0
     if not np.isfinite(sd) or sd <= 1e-9 * max(1.0, abs(mu)):
         return np.zeros_like(v), mu, 1.0
     z = (v - mu) / sd
@@ -305,6 +295,7 @@ class Cleaned(NamedTuple):
 
     sequence: Optional[StrokeSequence]  # None when the record was dropped
     outliers: int  # samples whose x, y or p the outlier repair changed
+    reason: str  # why the record was dropped; empty when it was kept
 
 
 def clean_record(r: RawRecord, z_max: float) -> Cleaned:
@@ -312,8 +303,9 @@ def clean_record(r: RawRecord, z_max: float) -> Cleaned:
 
     A record that any step refuses is dropped: too few valid samples, outlier
     flags that leave fewer than two samples to refill the rest from, or an
-    interpolation that overflows. Other records of the same subject are
-    unaffected.
+    interpolation that overflows. The drop is logged as a warning with the
+    refusing step's reason, which Cleaned.reason also carries. Other records
+    of the same subject are unaffected.
     """
     r = merge_duplicate_times(r)
     try:
@@ -323,12 +315,12 @@ def clean_record(r: RawRecord, z_max: float) -> Cleaned:
         repaired = remove_outliers(imputed, z_max=z_max)
         sequence = standardize(repaired)
     except ProtocolError as exc:
-        log.info("dropping subject %s task %d (unsalvageable: %s)", r.subject_id, r.task_id, exc)
-        return Cleaned(None, 0)
+        log.warning("dropping subject %s task %d (%s)", r.subject_id, r.task_id, exc)
+        return Cleaned(None, 0, str(exc))
     changed = np.zeros(len(imputed), dtype=bool)
     for name in CHANNELS:
         changed |= imputed.channel(name) != repaired.channel(name)
-    return Cleaned(sequence, int(changed.sum()))
+    return Cleaned(sequence, int(changed.sum()), "")
 
 
 def preprocess(records: Iterable[RawRecord], z_max: float = RunConfig.z_max) -> List[StrokeSequence]:

@@ -9,6 +9,7 @@ Everything is seeded and sequential, so a run is bit-reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import diffcore as dc
 from .diffcore import Tensor, make_rng
 from .errors import ConfigError, ProtocolError
 from .features import kinematic_features, render_image
-from .ingest import StrokeSequence
+from .ingest import LABEL_TO_INDEX, StrokeSequence
 from .loss import (
     Templates,
     contrastive,
@@ -29,7 +30,7 @@ from .loss import (
     total_loss,
     update_templates,
 )
-from .model import HsdaNet, ModelConfig
+from .model import HsdaNet, ModelConfig, restore_parameters
 from .runconfig import TrainConfig
 
 log = logging.getLogger(__name__)
@@ -39,28 +40,34 @@ class Sample(NamedTuple):
     image: np.ndarray  # (3, S, S) rendered stroke
     signal: np.ndarray  # (9, T) standardized kinematic channels
     label: int
-    subject_id: str
 
 
-def build_dataset(records: Sequence[Tuple[StrokeSequence, str]], canvas_size: int) -> List[Sample]:
+def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[Sample]:
     """Turn preprocessed strokes into model-ready (image, signal, label) triples.
 
-    A stroke whose kinematics are not finite is dropped.
+    The label is the stroke's own; a stroke whose kinematics are not finite
+    is dropped with a warning naming it.
     """
-    from .ingest import LABEL_TO_INDEX
-
     samples = []
-    for stroke, label in records:
+    for stroke in strokes:
         try:
             sig = kinematic_features(stroke)
         except ProtocolError as exc:
-            log.info("dropping subject %s task %d (%s)", stroke.subject_id, stroke.task_id, exc)
+            log.warning("dropping subject %s task %d (%s)", stroke.subject_id, stroke.task_id, exc)
             continue
         canvas = render_image(stroke, size=canvas_size)
-        samples.append(
-            Sample(canvas.pixels, sig.channels, LABEL_TO_INDEX[label], stroke.subject_id)
-        )
+        samples.append(Sample(canvas.pixels, sig.channels, LABEL_TO_INDEX[stroke.label]))
     return samples
+
+
+def dataset_sha256(samples: Sequence[Sample]) -> str:
+    """sha256 over each sample's label, image bytes and signal bytes, in order."""
+    digest = hashlib.sha256()
+    for s in samples:
+        digest.update(b"%d" % s.label)
+        digest.update(s.image.tobytes())
+        digest.update(s.signal.tobytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +288,9 @@ def train_loop(
     state: Dict[str, np.ndarray] = {}
     shuffle_rng = make_rng(cfg.seed, "shuffle", substream=1 + fold)
     history: List[Tuple[int, float, float, float]] = []
+    # epoch 0 always beats -1 and fills best_state
     best_acc, best_epoch, since_best = -1.0, -1, 0
-    best_state = {name: t.values.copy() for name, t in params.items()}
+    best_state: Dict[str, np.ndarray] = {}
     val_labels = np.array([s.label for s in val_set])
 
     for epoch in range(cfg.max_epochs):
@@ -357,8 +365,7 @@ def run_protocol(
 
     best_fold = max(range(len(fold_results)), key=lambda i: fold_results[i].best_val_acc)
     final = HsdaNet(model_cfg, seed=cfg.seed)
-    for name, t in final.parameter_dict().items():
-        t.values = fold_results[best_fold].best_state[name].copy()
+    restore_parameters(final, fold_results[best_fold].best_state)
     metrics = evaluate(final, test_set, cfg.batch_size)
     return ProtocolResult(fold_results, best_fold, metrics, test_idx, final)
 

@@ -245,6 +245,6 @@ def test_criterion_8_real_dataset_optional():
     records = [r for r in parse_raw(os.environ["HSDA_DARWIN_RAW"]) if r.task_id == 8]
     sequences = preprocess(records)
     model_cfg = ModelConfig()
-    dataset = build_dataset([(s, s.label) for s in sequences], canvas_size=model_cfg.canvas_size)
+    dataset = build_dataset(sequences, canvas_size=model_cfg.canvas_size)
     result = run_protocol(dataset, model_cfg, TrainConfig(seed=42))
     assert result.test_metrics.accuracy > 50.0

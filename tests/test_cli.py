@@ -179,6 +179,7 @@ class TestPreprocessCommand:
             name = "%s_task%02d.csv" % (seq.subject_id, seq.task_id)
             assert (out / name).read_bytes() == expected.read_bytes(), name
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_records_dropped_with_reason(self, tmp_path):
         raw = tmp_path / "mixed.csv"
         raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
@@ -187,9 +188,22 @@ class TestPreprocessCommand:
         manifest = open(out / "manifest.txt").read()
         assert "kept: 1\ndropped: 3\n" in manifest
         assert "s01 task 01: ok" in manifest
-        assert "s03 task 02: dropped (unsalvageable)" in manifest
+        assert "s03 task 02: dropped (subject s03 task 2 channel x: fewer than 2 valid samples" in manifest
         assert "s04 task 04: dropped (kinematic channel" in manifest
         assert sorted(f for f in os.listdir(out) if f.endswith(".csv")) == ["s01_task01.csv"]
+
+    def test_manifest_names_each_drop_reason(self, tmp_path):
+        raw = tmp_path / "mixed.csv"
+        raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
+        out = tmp_path / "sig"
+        assert cli.main(["preprocess", str(raw), "--out", str(out)]) == 0
+        lines = open(out / "manifest.txt").read().splitlines()
+        reasons = dict(line.split(": dropped ", 1) for line in lines if ": dropped " in line)
+        assert reasons == {
+            "s02 task 03": "(too few valid samples)",
+            "s03 task 02": "(subject s03 task 2 channel x: fewer than 2 valid samples to interpolate from)",
+            "s04 task 04": "(kinematic channel speed is not finite)",
+        }
 
     def test_non_utf8_raw_exits_one(self, tmp_path, capsys):
         raw = tmp_path / "latin.csv"
@@ -224,12 +238,28 @@ class TestRenderCommand:
         assert cli.main(["render", path, "--out", str(out)]) == 0
         assert (out / "ad_000_task01.ppm").read_bytes().startswith(b"P6\n128 128\n255\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_records_dropped(self, tmp_path):
         raw = tmp_path / "mixed.csv"
         raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
         out = tmp_path / "img"
         assert cli.main(["render", str(raw), "--size", "32", "--out", str(out)]) == 0
         assert sorted(f for f in os.listdir(out) if f.endswith(".ppm")) == ["s01_task01.ppm"]
+
+    def test_dropped_records_named_on_stderr(self, tmp_path):
+        # a fresh process, so no test harness handler stands in for logging's stderr fallback
+        raw = tmp_path / "mixed.csv"
+        raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsda.__file__)))
+        argv = ["render", str(raw), "--size", "32", "--out", str(tmp_path / "img")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsda.cli"] + argv, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dropping subject s02 task 3 (too few valid samples)" in proc.stderr
+        assert "dropping subject s03 task 2 (subject s03 task 2 channel x" in proc.stderr
+        assert "s04_task04: dropped (kinematic channel speed is not finite)" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestTrainEvaluateCommands:
@@ -257,6 +287,32 @@ class TestTrainEvaluateCommands:
         )
         assert code == 0
         assert (eval_out / "metrics.txt").read_bytes() == (out / "metrics.txt").read_bytes()
+
+    def test_evaluate_refuses_data_it_was_not_trained_on(self, tmp_path, capsys):
+        out = self.train(tmp_path, tmp_path / "run")
+        assert "data_sha256=" in (out / "checkpoint.bin.config").read_text()
+        data = str(tmp_path / "data" / "synthetic.csv")
+        other = make_synth(tmp_path / "other", n=6, seed=8)
+        checkpoint = str(out / "checkpoint.bin")
+        for argv in ([other], [data, "--z-max", "2"]):
+            eval_out = tmp_path / "eval"
+            capsys.readouterr()
+            assert cli.main(["evaluate", *argv, "--checkpoint", checkpoint, "--out", str(eval_out)]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and "data_sha256 differs" in err
+            assert not (eval_out / "metrics.txt").exists()
+
+    def test_sidecar_without_data_digest_exits_one(self, tmp_path, capsys):
+        from hsda.model import save_checkpoint
+
+        sidecar = {"scale": "toy", "multiscale": True, "seed": 3, "k_folds": 4, "test_fraction": 0.2}
+        checkpoint = tmp_path / "checkpoint.bin"
+        save_checkpoint(str(checkpoint), {}, sidecar)
+        data = make_synth(tmp_path, n=4, seed=1)
+        argv = ["evaluate", data, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 1
+        assert "checkpoint sidecar is missing 'data_sha256'" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.txt").exists()
 
     def test_seed_changes_history(self, tmp_path):
         a = self.train(tmp_path, tmp_path / "a")

@@ -137,12 +137,12 @@ class TestForward:
     def test_conv1d_against_oracle(self, C_in, C_out, k, T, stride, padding, groups):
         rng = make_rng(11, "check")
         with using_dtype(np.float64):
-            x = rng.normal(size=(C_in, T))
+            x = rng.normal(size=(1, C_in, T))
             w = rng.normal(size=(C_out, C_in // groups, k))
             b = rng.normal(size=C_out)
             got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups)
             np.testing.assert_allclose(
-                got.values, conv1d_oracle(x, w, b, stride, padding, groups), rtol=1e-12, atol=1e-12
+                got.values[0], conv1d_oracle(x[0], w, b, stride, padding, groups), rtol=1e-12, atol=1e-12
             )
 
     def test_conv1d_batched_matches_per_sample(self):
@@ -153,8 +153,9 @@ class TestForward:
             b = rng.normal(size=4)
             batched = conv1d(Tensor(x), Tensor(w), Tensor(b), padding=1).values
             for i in range(3):
-                single = conv1d(Tensor(x[i]), Tensor(w), Tensor(b), padding=1).values
-                np.testing.assert_allclose(batched[i], single, rtol=1e-12)
+                np.testing.assert_allclose(
+                    batched[i], conv1d_oracle(x[i], w, b, 1, 1, 1), rtol=1e-12, atol=1e-12
+                )
 
     def test_matmul_batched_matches_per_sample(self):
         rng = make_rng(8, "check")
@@ -194,12 +195,12 @@ class TestForward:
     def test_conv2d_against_oracle(self, C_in, C_out, k, H, W, stride, padding, groups):
         rng = make_rng(13, "check")
         with using_dtype(np.float64):
-            x = rng.normal(size=(C_in, H, W))
+            x = rng.normal(size=(1, C_in, H, W))
             w = rng.normal(size=(C_out, C_in // groups, k, k))
             b = rng.normal(size=C_out)
             got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups)
             np.testing.assert_allclose(
-                got.values, conv2d_oracle(x, w, b, stride, padding, groups), rtol=1e-12, atol=1e-12
+                got.values[0], conv2d_oracle(x[0], w, b, stride, padding, groups), rtol=1e-12, atol=1e-12
             )
 
     # The signal average pool runs off the tape (hsda.model.embeddings), but
@@ -229,18 +230,18 @@ class TestForward:
             np.testing.assert_allclose(pool_signal(x, out_len), want_y, rtol=1e-12, atol=1e-12)
 
     def test_adaptive_max_pool_known_values(self):
-        x = Tensor(np.array([[1.0, 5.0, 2.0, 4.0, 3.0, 0.0]]))
+        x = Tensor(np.array([[[1.0, 5.0, 2.0, 4.0, 3.0, 0.0]]]))
         out = adaptive_max_pool1d(x, 2).values
-        np.testing.assert_allclose(out, [[5.0, 4.0]])
+        np.testing.assert_allclose(out, [[[5.0, 4.0]]])
 
     def test_adaptive_max_pool_halving_floor(self):
-        x = Tensor(np.arange(10.0).reshape(2, 5))
+        x = Tensor(np.arange(10.0).reshape(1, 2, 5))
         out = adaptive_max_pool1d(x, 2).values
         # bins [0,3) and [2,5): maxima 2,4 and 7,9
-        np.testing.assert_allclose(out, [[2.0, 4.0], [7.0, 9.0]])
+        np.testing.assert_allclose(out, [[[2.0, 4.0], [7.0, 9.0]]])
         # a batch pools each sample on its own
-        batched = adaptive_max_pool1d(Tensor(np.stack([x.values, -x.values])), 2).values
-        np.testing.assert_array_equal(batched[0], out)
+        batched = adaptive_max_pool1d(Tensor(np.concatenate([x.values, -x.values])), 2).values
+        np.testing.assert_array_equal(batched[0], out[0])
         np.testing.assert_allclose(batched[1], [[-0.0, -2.0], [-5.0, -7.0]])
 
     def test_softmax_rows_known_values(self):
@@ -289,7 +290,7 @@ class TestGuards:
 
     @pytest.mark.parametrize(
         "op,x_shape,w_shape",
-        [(conv1d, (1, 8), (1, 1, 2)), (conv2d, (1, 8, 8), (1, 1, 3, 2))],
+        [(conv1d, (1, 1, 8), (1, 1, 2)), (conv2d, (1, 1, 8, 8), (1, 1, 3, 2))],
         ids=["conv1d", "conv2d"],
     )
     def test_even_kernel_rejected(self, op, x_shape, w_shape):
@@ -298,7 +299,7 @@ class TestGuards:
 
     @pytest.mark.parametrize(
         "op,x_shape,w_shape",
-        [(conv1d, (3, 8), (2, 1, 3)), (conv2d, (3, 8, 8), (2, 1, 3, 3))],
+        [(conv1d, (1, 3, 8), (2, 1, 3)), (conv2d, (1, 3, 8, 8), (2, 1, 3, 3))],
         ids=["conv1d", "conv2d"],
     )
     def test_groups_must_divide(self, op, x_shape, w_shape):
@@ -306,26 +307,30 @@ class TestGuards:
             op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), groups=2)
 
     @pytest.mark.parametrize(
-        "op,x_shape,w_shape,b_shape",
+        "op,x_shape,w_shape,b_shape,check",
         [
-            (conv1d, (8,), (1, 1, 3), None),
-            (conv1d, (1, 1, 1, 8), (1, 1, 3), None),
-            (conv2d, (1, 8), (1, 1, 3, 3), None),
-            (conv2d, (1, 1, 1, 1, 8), (1, 1, 3, 3), None),
-            (conv1d, (1, 8, 8), (1, 1, 3, 3), None),
-            (conv2d, (1, 8, 8), (1, 1, 3), None),
-            (conv1d, (4, 8), (2, 3, 3), None),
-            (conv2d, (4, 8, 8), (2, 3, 3, 3), None),
-            (conv1d, (1, 8), (2, 1, 3), (3,)),
-            (conv2d, (1, 8, 8), (2, 1, 3, 3), (2, 1)),
-            (conv1d, (1, 2), (1, 1, 5), None),
-            (conv2d, (1, 8, 2), (1, 1, 5, 5), None),
+            (conv1d, (8,), (1, 1, 3), None, "input must be a batch"),
+            (conv1d, (1, 1, 1, 8), (1, 1, 3), None, "input must be a batch"),
+            (conv2d, (1, 8), (1, 1, 3, 3), None, "input must be a batch"),
+            (conv2d, (1, 1, 1, 1, 8), (1, 1, 3, 3), None, "input must be a batch"),
+            (conv1d, (1, 8), (1, 1, 3), None, "input must be a batch"),
+            (conv2d, (1, 8, 8), (1, 1, 3, 3), None, "input must be a batch"),
+            (conv1d, (1, 1, 8, 8), (1, 1, 3, 3), None, "weight must be"),
+            (conv2d, (1, 1, 8, 8), (1, 1, 3), None, "weight must be"),
+            (conv1d, (1, 4, 8), (2, 3, 3), None, "inconsistent with C_in"),
+            (conv2d, (1, 4, 8, 8), (2, 3, 3, 3), None, "inconsistent with C_in"),
+            (conv1d, (1, 1, 8), (2, 1, 3), (3,), "bias must be"),
+            (conv2d, (1, 1, 8, 8), (2, 1, 3, 3), (2, 1), "bias must be"),
+            (conv1d, (1, 1, 2), (1, 1, 5), None, "output .* < 1"),
+            (conv2d, (1, 1, 8, 2), (1, 1, 5, 5), None, "output .* < 1"),
         ],
         ids=[
             "conv1d-input-rank-1",
             "conv1d-input-rank-4",
             "conv2d-input-rank-2",
             "conv2d-input-rank-5",
+            "conv1d-single-sample",
+            "conv2d-single-sample",
             "conv1d-weight-rank",
             "conv2d-weight-rank",
             "conv1d-weight-channels",
@@ -336,10 +341,14 @@ class TestGuards:
             "conv2d-output-below-1",
         ],
     )
-    def test_conv_shape_rejected(self, op, x_shape, w_shape, b_shape):
+    def test_conv_shape_rejected(self, op, x_shape, w_shape, b_shape, check):
         bias = None if b_shape is None else Tensor(np.zeros(b_shape))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=check):
             op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), bias)
+
+    def test_pool_single_sample_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(B, C, T\)"):
+            adaptive_max_pool1d(Tensor(np.zeros((2, 7))), 3)
 
     def test_add_bias_guard(self):
         with pytest.raises(ShapeError):
@@ -484,7 +493,7 @@ class TestGradients:
                 pooled = mean(reshape(h, (3, 9)), axis=1, keepdims=True)
                 return sum_(matmul(transpose(pooled), wl))
 
-            err = grad_check(f, Tensor(rng.normal(size=(2, 6, 6))))
+            err = grad_check(f, Tensor(rng.normal(size=(1, 2, 6, 6))))
             assert err < 1e-4
 
     def test_abs_and_clamp_away_from_kinks(self):

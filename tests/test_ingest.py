@@ -302,7 +302,7 @@ class TestDuplicateTimes:
         assert np.all(np.diff(seqs[0].t) > 0)
         signal = kinematic_features(seqs[0])
         assert np.all(np.isfinite(signal.channels))
-        (sample,) = build_dataset([(seqs[0], seqs[0].label)], canvas_size=16)
+        (sample,) = build_dataset([seqs[0]], canvas_size=16)
         assert sample.signal.shape == (9, 29) and sample.label == 0
 
 

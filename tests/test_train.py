@@ -38,7 +38,7 @@ def tiny_samples(n, seed=0, canvas=16, t_len=40, separable=True):
         if separable and label == 1:
             sig = sig + 3.0
             img = img + 3.0
-        out.append(Sample(img, sig, label, "s%03d" % i))
+        out.append(Sample(img, sig, label))
     return out
 
 
@@ -274,8 +274,8 @@ class TestTrainLoop:
         train_set = tiny_samples(4, seed=13, separable=False)
         base = tiny_samples(1, seed=14, separable=False)[0]
         val_set = [
-            Sample(base.image, base.signal, lab, "v%d" % i)
-            for i, lab in enumerate((0, 1))
+            Sample(base.image, base.signal, lab)
+            for lab in (0, 1)
         ]
         result = train_loop(model, templates, train_set, val_set, cfg)
         assert result.best_epoch == 0
@@ -386,16 +386,18 @@ class TestBuildDataset:
             assert s.signal.shape[0] == 9
             assert np.all(np.isfinite(s.signal))
 
-    def test_non_finite_kinematics_dropped(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_kinematics_dropped(self, caplog):
         good, _ = synth_generate(1, seed=0)
-        stroke = good[0]
         # the same trace with its timestamps 1e-300 ms apart overflows the derivatives
         squeezed = StrokeSequence(
-            stroke.subject_id, 2, stroke.label, np.arange(len(stroke)) * 1e-300,
-            stroke.x, stroke.y, stroke.p, stroke.stats,
+            good.subject_id, 2, good.label, np.arange(len(good)) * 1e-300,
+            good.x, good.y, good.p, good.stats,
         )
-        samples = build_dataset([good, (squeezed, stroke.label)], canvas_size=16)
+        samples = build_dataset([good, squeezed], canvas_size=16)
         assert len(samples) == 1
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "dropping subject hc_000 task 2 (kinematic channel" in caplog.text
         np.testing.assert_array_equal(samples[0].signal, build_dataset([good], 16)[0].signal)
 
     @given(st.data())
@@ -416,7 +418,7 @@ class TestBuildDataset:
         path = tmp_path_factory.mktemp("block") / "raw.csv"
         path.write_text("b,1,%s\n" % label + "".join("%s,%s,%s,%s\n" % row for row in rows))
         (record,) = parse_raw(str(path))
-        samples = build_dataset([(s, s.label) for s in preprocess([record])], canvas_size=16)
+        samples = build_dataset(preprocess([record]), canvas_size=16)
         assert len(samples) <= 1
         for sample in samples:
             assert np.all(np.isfinite(sample.signal)) and np.all(np.isfinite(sample.image))
