@@ -114,10 +114,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     for r in records:
         if r.subject_id not in subjects:
             subjects.append(r.subject_id)
-        seq, outliers, reason = clean_record(r, cfg.z_max)
         try:
-            if seq is None:
-                raise ProtocolError(reason)
+            seq, outliers = clean_record(r, cfg.z_max)
             signals = kinematic_features(seq)
         except ProtocolError as exc:
             dropped += 1

@@ -293,37 +293,39 @@ def salvageable(r: RawRecord) -> bool:
 class Cleaned(NamedTuple):
     """What preprocessing made of one raw record."""
 
-    sequence: Optional[StrokeSequence]  # None when the record was dropped
+    sequence: StrokeSequence
     outliers: int  # samples whose x, y or p the outlier repair changed
-    reason: str  # why the record was dropped; empty when it was kept
 
 
 def clean_record(r: RawRecord, z_max: float) -> Cleaned:
     """merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers -> standardize.
 
-    A record that any step refuses is dropped: too few valid samples, outlier
-    flags that leave fewer than two samples to refill the rest from, or an
-    interpolation that overflows. The drop is logged as a warning with the
-    refusing step's reason, which Cleaned.reason also carries. Other records
-    of the same subject are unaffected.
+    A record that any step refuses raises ProtocolError naming why: too few
+    valid samples, outlier flags that leave fewer than two samples to refill
+    the rest from, or an interpolation that overflows.
     """
     r = merge_duplicate_times(r)
-    try:
-        if not salvageable(r):
-            raise ProtocolError("too few valid samples")
-        imputed = impute_missing(r)
-        repaired = remove_outliers(imputed, z_max=z_max)
-        sequence = standardize(repaired)
-    except ProtocolError as exc:
-        log.warning("dropping subject %s task %d (%s)", r.subject_id, r.task_id, exc)
-        return Cleaned(None, 0, str(exc))
+    if not salvageable(r):
+        raise ProtocolError("too few valid samples")
+    imputed = impute_missing(r)
+    repaired = remove_outliers(imputed, z_max=z_max)
+    sequence = standardize(repaired)
     changed = np.zeros(len(imputed), dtype=bool)
     for name in CHANNELS:
         changed |= imputed.channel(name) != repaired.channel(name)
-    return Cleaned(sequence, int(changed.sum()), "")
+    return Cleaned(sequence, int(changed.sum()))
 
 
 def preprocess(records: Iterable[RawRecord], z_max: float = RunConfig.z_max) -> List[StrokeSequence]:
-    """clean_record on every record; the kept sequences, in input order."""
-    cleaned = (clean_record(r, z_max).sequence for r in records)
-    return [seq for seq in cleaned if seq is not None]
+    """clean_record on every record; the kept sequences, in input order.
+
+    A record that clean_record refuses is dropped with a warning that gives
+    the reason. Other records of the same subject are unaffected.
+    """
+    kept = []
+    for r in records:
+        try:
+            kept.append(clean_record(r, z_max).sequence)
+        except ProtocolError as exc:
+            log.warning("dropping subject %s task %d (%s)", r.subject_id, r.task_id, exc)
+    return kept

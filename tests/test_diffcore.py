@@ -14,10 +14,12 @@ from hsda.diffcore import (
     ShapeError,
     Tape,
     Tensor,
+    active_tape,
     adaptive_max_pool1d,
     add,
     add_bias,
     backward,
+    check_parameter_gradients,
     clamp_min,
     concat,
     conv1d,
@@ -495,6 +497,28 @@ class TestGradients:
 
             err = grad_check(f, Tensor(rng.normal(size=(1, 2, 6, 6))))
             assert err < 1e-4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad",
+        [np.full(4, np.nan), np.array([1.0, np.nan, 1.0, 1.0]), np.array([1.0, 1.0, np.inf, 1.0])],
+        ids=["all-nan", "one-nan", "one-inf"],
+    )
+    def test_non_finite_backward_fails_check(self, bad):
+        # identity forward whose backward scales the incoming gradient by `bad`
+        def broken(a):
+            out = Tensor(a.values.copy(), requires_grad=a.requires_grad, dtype=a.values.dtype)
+            tape = active_tape()
+            if tape is not None:
+                tape.record((a,), out, lambda g: (g * bad,), "broken")
+            return out
+
+        x0 = np.array([0.3, -0.2, 0.5, 0.1])
+        assert not grad_check(lambda t: sum_(broken(t)), Tensor(x0)) < 1e-4
+        with using_dtype(np.float64):
+            p = Tensor(x0, requires_grad=True)
+            errs = check_parameter_gradients(lambda: sum_(broken(p)), {"p": p})
+        assert not errs["p"] < 1e-4
 
     def test_abs_and_clamp_away_from_kinks(self):
         with using_dtype(np.float64):
