@@ -23,12 +23,7 @@ import os
 import sys
 
 from .errors import ConfigError, ProtocolError
-from .runconfig import (
-    RAW_FORMATS,
-    RunConfig,
-    make_runconfig,
-    write_runconfig,
-)
+from .runconfig import RunConfig, make_runconfig, write_runconfig
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -50,7 +45,7 @@ def _pin_threads() -> None:
 def _runconfig_from(args: argparse.Namespace, sidecar=None) -> RunConfig:
     """Defaults, then --config, then flags, then the checkpoint sidecar."""
     overrides = {}
-    for key in ("seed", "out", "raw_format", "z_max", "size", "n", "scale"):
+    for key in ("seed", "out", "z_max", "size", "n", "scale"):
         if getattr(args, key, None) is not None:
             overrides[key] = getattr(args, key)
     if getattr(args, "no_multiscale", False):
@@ -94,7 +89,7 @@ def _load_sequences(data_path: str, cfg: RunConfig):
         paths = [data_path]
     records = []
     for path in paths:
-        records.extend(parse_raw(path, cfg.raw_format))
+        records.extend(parse_raw(path))
     return preprocess(records, z_max=cfg.z_max)
 
 
@@ -107,7 +102,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     from .features import kinematic_features, write_signal_csv
     from .ingest import clean_record, parse_raw
 
-    records = parse_raw(args.raw, cfg.raw_format)
+    records = parse_raw(args.raw)
     out = _prepare_out(cfg)
     lines, subjects = [], []
     kept = dropped = 0
@@ -308,14 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="raw pen stream -> kinematic signal CSVs + manifest")
     p.add_argument("raw", help="raw recordings file")
-    p.add_argument("--raw-format", choices=RAW_FORMATS, dest="raw_format")
     p.add_argument("--z-max", type=float, dest="z_max", help="outlier threshold")
     common(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("render", help="raw pen stream -> dynamics-colored P6 images")
     p.add_argument("raw", help="raw recordings file")
-    p.add_argument("--raw-format", choices=RAW_FORMATS, dest="raw_format")
     p.add_argument("--z-max", type=float, dest="z_max")
     p.add_argument("--size", type=int, help="image side in pixels")
     common(p)
@@ -328,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="k-fold training on a raw dataset")
     p.add_argument("data", help="raw recordings file or directory of them")
-    p.add_argument("--raw-format", choices=RAW_FORMATS, dest="raw_format")
     p.add_argument("--z-max", type=float, dest="z_max")
     p.add_argument("--scale", choices=("full", "synth", "toy"), help="model preset")
     p.add_argument("--no-multiscale", action="store_true", help="disable stage fusion")
@@ -339,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on the held-out test split")
     p.add_argument("data", help="the raw dataset the checkpoint was trained on")
     p.add_argument("--checkpoint", required=True, help="weights written by train")
-    p.add_argument("--raw-format", choices=RAW_FORMATS, dest="raw_format")
     p.add_argument("--z-max", type=float, dest="z_max")
     common(p)
     p.set_defaults(func=cmd_evaluate)

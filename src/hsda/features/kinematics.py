@@ -4,8 +4,10 @@ Nine channels in a fixed order: the three recorded ones (x, y, p) and six
 derived ones (speed, acceleration, jerk, pressure rate, curvature, angular
 speed). Derivatives use central differences on the actual timestamps, so
 non-uniform sampling is handled; boundary points fall back to one-sided
-differences. compute_channels is the one finiteness check: derivatives that
-overflow raise ProtocolError, and the dataset build and commands drop the record.
+differences. The trace arrives in its recorded units, and kinematic_features
+is the one place the channels are standardized. compute_channels is the one
+finiteness check: derivatives that overflow raise ProtocolError, and the
+dataset build and commands drop the record.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..errors import ProtocolError
-from ..ingest import MIN_SAMPLES, StrokeSequence, zscore
+from ..ingest import MIN_SAMPLES, StrokeSequence
 
 CHANNEL_NAMES: Tuple[str, ...] = (
     "x",
@@ -37,23 +39,21 @@ CURVATURE_FLOOR = 1e-8
 
 @dataclass
 class SignalMatrix:
-    """Standardized kinematic channels, one row per channel."""
+    """Standardized kinematic channels, one row per CHANNEL_NAMES entry."""
 
     channels: np.ndarray  # (N_CHANNELS, T)
-    channel_names: Tuple[str, ...]
 
     def __post_init__(self):
-        if self.channels.ndim != 2 or self.channels.shape[0] != len(self.channel_names):
+        if self.channels.ndim != 2 or self.channels.shape[0] != N_CHANNELS:
             raise ProtocolError(
-                "channel matrix %s does not match %d names"
-                % (self.channels.shape, len(self.channel_names))
+                "channel matrix %s does not match %d names" % (self.channels.shape, N_CHANNELS)
             )
         if not np.all(np.isfinite(self.channels)):
             raise ProtocolError("non-finite value in signal matrix")
 
 
 def compute_channels(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> Dict[str, np.ndarray]:
-    """Raw (pre-standardization) kinematic channels keyed by name.
+    """Kinematic channels keyed by name, in the units of the trace.
 
     Timestamps are milliseconds; derivatives are per second. A channel that
     is not finite everywhere raises ProtocolError.
@@ -100,14 +100,34 @@ def compute_channels(t_ms: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarr
     return channels
 
 
+def zscore(v: np.ndarray) -> np.ndarray:
+    """Population z-score; constant input maps to zeros.
+
+    A channel whose spread is float-rounding noise (std below 1e-9 of its
+    magnitude) counts as constant: dividing by such a std would just amplify
+    roundoff into a garbage channel.
+    """
+    # a spread that overflows is not finite, which the test below treats as constant
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(v.mean())
+        sd = float(v.std())
+    if not np.isfinite(sd) or sd <= 1e-9 * max(1.0, abs(mu)):
+        return np.zeros_like(v)
+    z = (v - mu) / sd
+    return z - z.mean()
+
+
 def kinematic_features(s: StrokeSequence) -> SignalMatrix:
-    """Standardized 9-channel signal matrix for one stroke sequence."""
+    """Standardized 9-channel signal matrix for one stroke sequence.
+
+    Every channel is z-scored over the record, so the model sees the same
+    scale whatever units the trace was recorded in.
+    """
     raw = compute_channels(s.t, s.x, s.y, s.p)
-    rows = [zscore(raw[name])[0] for name in CHANNEL_NAMES]
-    return SignalMatrix(channels=np.vstack(rows), channel_names=CHANNEL_NAMES)
+    return SignalMatrix(np.vstack([zscore(raw[name]) for name in CHANNEL_NAMES]))
 
 
 def write_signal_csv(m: SignalMatrix, path) -> None:
     """One column per channel, header row of channel names, one row per sample."""
-    header = ",".join(m.channel_names)
+    header = ",".join(CHANNEL_NAMES)
     np.savetxt(path, m.channels.T, delimiter=",", header=header, comments="", fmt="%.9g")

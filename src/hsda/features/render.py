@@ -1,13 +1,15 @@
 """Dynamics-colored rasterization of a pen trace.
 
-The trajectory is mapped onto a square canvas (aspect ratio preserved, fixed
-pixel margin). Each segment between consecutive on-paper samples is resampled
-into steps of at most one pixel, the way ``np.linspace`` spaces its points;
-each step is a Bresenham line between its rounded end points. All steps are
-painted in trace order and the last write to a pixel wins. Color carries the
-dynamics: R, G, B are the min-max normalized pressure rate, acceleration, and
-angular speed of the nearer sample, mapped to [0.1, 1.0] so stroke pixels
-never fade to background.
+The trajectory, in its recorded units, is mapped onto a square canvas with
+one scale for both axes, set by the longer side of the bounding box, and a
+fixed pixel margin, so the letter keeps its shape. A sample is on paper when
+its pressure is above 0. Each segment between consecutive on-paper samples
+is resampled into steps of at most one pixel, the way ``np.linspace`` spaces
+its points; each step is a Bresenham line between its rounded end points.
+All steps are painted in trace order and the last write to a pixel wins.
+Color carries the dynamics: R, G, B are the min-max normalized pressure
+rate, acceleration, and angular speed of the nearer sample, mapped to
+[0.1, 1.0] so stroke pixels never fade to background.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataQualityWarning
+from ..errors import DataQualityWarning, ProtocolError
 from ..ingest import StrokeSequence
 from .kinematics import compute_channels
 
@@ -37,10 +39,6 @@ class RgbCanvas:
         if not (self.pixels.min() >= 0 and self.pixels.max() <= 1):  # False for NaN too
             raise ValueError("pixel values outside [0, 1]")
 
-    @property
-    def size(self) -> int:
-        return self.pixels.shape[1]
-
 
 def _minmax_unit(v: np.ndarray) -> np.ndarray:
     lo, hi = v.min(), v.max()
@@ -50,7 +48,10 @@ def _minmax_unit(v: np.ndarray) -> np.ndarray:
 
 
 def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
-    """Rasterize one stroke sequence onto a size x size canvas."""
+    """Rasterize one stroke sequence onto a size x size canvas.
+
+    Kinematics or canvas coordinates that are not finite raise ProtocolError.
+    """
     raw = compute_channels(s.t, s.x, s.y, s.p)
     colors = np.stack(
         [
@@ -65,9 +66,15 @@ def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
     y = np.asarray(s.y, dtype=np.float64)
     xmin, xmax = x.min(), x.max()
     ymin, ymax = y.min(), y.max()
-    extent = max(xmax - xmin, ymax - ymin)
     canvas = np.zeros((3, size, size), dtype=np.float64)
     center = (size - 1) / 2.0
+    # a subnormal extent overflows the scale, and coordinates near the float
+    # limit overflow the extent (scale 0) or the midpoint: all are refused below
+    with np.errstate(all="ignore"):
+        extent = max(xmax - xmin, ymax - ymin)
+        scale = (size - 1 - 2 * MARGIN_PX) / extent
+        col = (x - (xmin + xmax) / 2.0) * scale + center
+        row = center - (y - (ymin + ymax) / 2.0) * scale  # image rows grow downward
 
     if extent == 0.0:
         warnings.warn(
@@ -79,18 +86,10 @@ def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
         ci = int(round(center))
         canvas[:, ci, ci] = colors[:, 0]
         return RgbCanvas(canvas)
+    if not (0.0 < scale < np.inf and np.all(np.isfinite(col)) and np.all(np.isfinite(row))):
+        raise ProtocolError("pen coordinates overflow the canvas mapping")
 
-    scale = (size - 1 - 2 * MARGIN_PX) / extent
-    col = (x - (xmin + xmax) / 2.0) * scale + center
-    row = center - (y - (ymin + ymax) / 2.0) * scale  # image rows grow downward
-
-    # on-paper test uses raw pressure when standardization stats are known
-    if "p" in s.stats:
-        mu, sd = s.stats["p"]
-        p_raw = s.p * sd + mu
-    else:
-        p_raw = s.p
-    on_paper = p_raw > 0
+    on_paper = s.p > 0
 
     d_row, d_col = np.diff(row), np.diff(col)
     seg = np.flatnonzero(on_paper[:-1] & on_paper[1:])

@@ -1,11 +1,12 @@
-"""Raw pen-stream parsing, imputation, outlier repair, and standardization.
+"""Raw pen-stream parsing, imputation and outlier repair.
 
 The raw format (csv-v1) is block-structured text: each block opens with a
 ``subject_id,task_id,label`` line followed by ``t_ms,x,y,p`` sample lines;
 blocks are separated by blank lines. Field values that fail to parse become
 missing samples rather than dropped rows; rows without a usable timestamp are
 dropped, since timestamps define the interpolation axis and are never
-imputed.
+imputed. The cleaned trace keeps the units it was recorded in; the features
+standardize the model's inputs.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import dataclasses
 import logging
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class RawRecord:
 
 @dataclass
 class StrokeSequence:
-    """Dense, standardized pen trace plus the statistics to invert it."""
+    """Dense pen trace in its recorded units: every x, y and p is finite."""
 
     subject_id: str
     task_id: int
@@ -73,7 +74,6 @@ class StrokeSequence:
     x: np.ndarray
     y: np.ndarray
     p: np.ndarray
-    stats: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in CHANNELS:
@@ -119,10 +119,8 @@ def _finish_block(header, rows, header_line_no) -> RawRecord:
     )
 
 
-def parse_raw(path, format_descriptor: str = RunConfig.raw_format) -> List[RawRecord]:
+def parse_raw(path) -> List[RawRecord]:
     """Parse a csv-v1 file into records, preserving block order."""
-    if format_descriptor != "csv-v1":
-        raise ProtocolError("unknown raw format %r (supported: csv-v1)" % format_descriptor)
     lines = read_text(path, ProtocolError).splitlines()
 
     records: List[RawRecord] = []
@@ -206,7 +204,8 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
     z = |v - median| / (1.4826 * MAD). A flagged sample is blanked on all
     channels and refilled by the impute_missing interpolation, so sequence
     length is preserved for downstream differencing. Constant channels
-    (MAD = 0) flag nothing.
+    (MAD = 0) flag nothing. Flags that leave fewer than 2 samples to refill
+    from raise ProtocolError.
     """
     n = len(r)
     if n == 0:
@@ -223,9 +222,6 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
     count = int(flagged.sum())
     if count == 0:
         return r
-    log.info(
-        "subject %s task %d: replacing %d/%d outlier samples", r.subject_id, r.task_id, count, n
-    )
     if count > 0.2 * n:
         warnings.warn(
             "subject %s task %d: %d of %d samples flagged as outliers"
@@ -233,49 +229,15 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
             DataQualityWarning,
             stacklevel=2,
         )
+    if n - count < 2:
+        raise ProtocolError(
+            "outlier repair flags %d of %d samples, fewer than 2 left to refill from" % (count, n)
+        )
+    log.info(
+        "subject %s task %d: replacing %d/%d outlier samples", r.subject_id, r.task_id, count, n
+    )
     blanked = {name: np.where(flagged, np.nan, r.channel(name)) for name in CHANNELS}
     return impute_missing(dataclasses.replace(r, **blanked))
-
-
-def zscore(v: np.ndarray) -> Tuple[np.ndarray, float, float]:
-    """Population z-score; constant input clamps std to 1 and maps to zeros.
-
-    A channel whose spread is float-rounding noise (std below 1e-9 of its
-    magnitude) counts as constant: dividing by such a std would just amplify
-    roundoff into a garbage channel.
-    """
-    # a spread that overflows is not finite, which the test below treats as constant
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = float(v.mean()) if len(v) else 0.0
-        sd = float(v.std()) if len(v) else 1.0
-    if not np.isfinite(sd) or sd <= 1e-9 * max(1.0, abs(mu)):
-        return np.zeros_like(v), mu, 1.0
-    z = (v - mu) / sd
-    return z - z.mean(), mu, sd
-
-
-def standardize(r: RawRecord) -> StrokeSequence:
-    """Z-score x, y, p per record, keeping (mean, std) for invertibility."""
-    for name in CHANNELS:
-        if not np.all(np.isfinite(r.channel(name))):
-            raise ProtocolError(
-                "subject %s task %d: %s still has missing values; impute first"
-                % (r.subject_id, r.task_id, name)
-            )
-    arrays = {}
-    stats: Dict[str, Tuple[float, float]] = {}
-    for name in CHANNELS:
-        z, mu, sd = zscore(r.channel(name))
-        arrays[name] = z
-        stats[name] = (mu, sd)
-    return StrokeSequence(
-        subject_id=r.subject_id,
-        task_id=r.task_id,
-        label=r.label,
-        t=r.t.copy(),
-        stats=stats,
-        **arrays,
-    )
 
 
 MIN_SAMPLES = 5  # downstream differencing needs this many points
@@ -298,7 +260,7 @@ class Cleaned(NamedTuple):
 
 
 def clean_record(r: RawRecord, z_max: float) -> Cleaned:
-    """merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers -> standardize.
+    """merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers.
 
     A record that any step refuses raises ProtocolError naming why: too few
     valid samples, outlier flags that leave fewer than two samples to refill
@@ -309,7 +271,9 @@ def clean_record(r: RawRecord, z_max: float) -> Cleaned:
         raise ProtocolError("too few valid samples")
     imputed = impute_missing(r)
     repaired = remove_outliers(imputed, z_max=z_max)
-    sequence = standardize(repaired)
+    sequence = StrokeSequence(
+        repaired.subject_id, repaired.task_id, repaired.label, repaired.t, repaired.x, repaired.y, repaired.p
+    )
     changed = np.zeros(len(imputed), dtype=bool)
     for name in CHANNELS:
         changed |= imputed.channel(name) != repaired.channel(name)

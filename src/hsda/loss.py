@@ -26,7 +26,6 @@ class Templates:
 
     t_pos: np.ndarray
     t_neg: np.ndarray
-    alpha: float = TEMPLATE_ALPHA
 
     def __post_init__(self):
         self.t_pos = np.asarray(self.t_pos, dtype=np.float64).reshape(-1)
@@ -35,8 +34,6 @@ class Templates:
             raise ValueError(
                 "template widths differ: %s vs %s" % (self.t_pos.shape, self.t_neg.shape)
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1), got %r" % (self.alpha,))
 
 
 def make_templates(d: int, rng: np.random.Generator) -> Templates:
@@ -82,7 +79,7 @@ def update_templates(tmpl: Templates, f_values: np.ndarray, labels: np.ndarray) 
     t_pos, t_neg = tmpl.t_pos, tmpl.t_neg
     pos = labels == 1
     if pos.any():
-        t_pos = tmpl.alpha * t_pos + (1.0 - tmpl.alpha) * f_values[pos].mean(axis=0)
+        t_pos = TEMPLATE_ALPHA * t_pos + (1.0 - TEMPLATE_ALPHA) * f_values[pos].mean(axis=0)
     if (~pos).any():
-        t_neg = tmpl.alpha * t_neg + (1.0 - tmpl.alpha) * f_values[~pos].mean(axis=0)
-    return Templates(t_pos, t_neg, tmpl.alpha)
+        t_neg = TEMPLATE_ALPHA * t_neg + (1.0 - TEMPLATE_ALPHA) * f_values[~pos].mean(axis=0)
+    return Templates(t_pos, t_neg)

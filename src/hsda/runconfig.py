@@ -25,7 +25,6 @@ from typing import Dict, Mapping, Optional
 from .errors import ConfigError, read_text
 
 MODEL_SCALES = ("full", "synth", "toy")
-RAW_FORMATS = ("csv-v1",)
 
 
 @dataclass
@@ -65,7 +64,6 @@ class RunConfig(TrainConfig):
     """Every knob the command line exposes, with its documented default."""
 
     out: str = "out"
-    raw_format: str = "csv-v1"  # raw pen-stream dialect accepted by the parser
     z_max: float = 6.0  # robust z-score threshold for outlier replacement
     size: int = 128  # rendered image side in pixels
     n: int = 20  # synthetic records per class
@@ -78,8 +76,6 @@ class RunConfig(TrainConfig):
             raise ConfigError(
                 "scale must be one of %s, got %r" % ("/".join(MODEL_SCALES), self.scale)
             )
-        if self.raw_format not in RAW_FORMATS:
-            raise ConfigError("unsupported raw format %r" % self.raw_format)
         for name in ("z_max", "size", "n"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))

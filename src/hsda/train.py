@@ -38,24 +38,24 @@ log = logging.getLogger(__name__)
 
 class Sample(NamedTuple):
     image: np.ndarray  # (3, S, S) rendered stroke
-    signal: np.ndarray  # (9, T) standardized kinematic channels
+    signal: np.ndarray  # (9, T) kinematic channels, each z-scored over the record
     label: int
 
 
 def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[Sample]:
     """Turn preprocessed strokes into model-ready (image, signal, label) triples.
 
-    The label is the stroke's own; a stroke whose kinematics are not finite
-    is dropped with a warning naming it.
+    The label is the stroke's own; a stroke whose kinematics or canvas
+    coordinates are not finite is dropped with a warning naming it.
     """
     samples = []
     for stroke in strokes:
         try:
             sig = kinematic_features(stroke)
+            canvas = render_image(stroke, size=canvas_size)
         except ProtocolError as exc:
             log.warning("dropping subject %s task %d (%s)", stroke.subject_id, stroke.task_id, exc)
             continue
-        canvas = render_image(stroke, size=canvas_size)
         samples.append(Sample(canvas.pixels, sig.channels, LABEL_TO_INDEX[stroke.label]))
     return samples
 
@@ -271,7 +271,6 @@ class FoldResult:
     best_val_acc: float
     best_state: Dict[str, np.ndarray]
     history: List[Tuple[int, float, float, float]]  # (epoch, lr, train_loss, val_acc)
-    templates: Templates
 
 
 def train_loop(
@@ -330,7 +329,7 @@ def train_loop(
             if since_best >= cfg.patience:
                 break
 
-    return FoldResult(fold, best_epoch, best_acc, best_state, history, templates)
+    return FoldResult(fold, best_epoch, best_acc, best_state, history)
 
 
 @dataclass
@@ -338,7 +337,6 @@ class ProtocolResult:
     fold_results: List[FoldResult]
     best_fold: int
     test_metrics: Metrics
-    test_indices: np.ndarray
     model: HsdaNet
 
 
@@ -367,7 +365,7 @@ def run_protocol(
     final = HsdaNet(model_cfg, seed=cfg.seed)
     restore_parameters(final, fold_results[best_fold].best_state)
     metrics = evaluate(final, test_set, cfg.batch_size)
-    return ProtocolResult(fold_results, best_fold, metrics, test_idx, final)
+    return ProtocolResult(fold_results, best_fold, metrics, final)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ from hsda.features import (
     write_signal_csv,
 )
 from hsda.features.render import COLOR_FLOOR, MARGIN_PX, _minmax_unit
-from hsda.ingest import StrokeSequence, parse_raw
+from hsda.ingest import StrokeSequence, clean_record, parse_raw, preprocess
 
 FS = 200.0
 
 
-def make_stroke(t_ms, x, y, p, label="HC", stats=None):
+def make_stroke(t_ms, x, y, p, label="HC"):
     return StrokeSequence(
         subject_id="s",
         task_id=1,
@@ -33,7 +33,6 @@ def make_stroke(t_ms, x, y, p, label="HC", stats=None):
         x=np.asarray(x, dtype=np.float64),
         y=np.asarray(y, dtype=np.float64),
         p=np.asarray(p, dtype=np.float64),
-        stats=stats or {},
     )
 
 
@@ -95,7 +94,6 @@ class TestKinematics:
         t_ms, x, y, p = circle_arrays()
         m = kinematic_features(make_stroke(t_ms, x, y, p))
         assert m.channels.shape == (N_CHANNELS, len(t_ms))
-        assert m.channel_names == CHANNEL_NAMES
         for i, name in enumerate(CHANNEL_NAMES):
             row = m.channels[i]
             if np.ptp(row) == 0:
@@ -189,6 +187,20 @@ class TestRender:
         lit = np.argwhere(canvas.max(axis=0) > 0)
         assert len(lit) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coordinates_overflowing_the_canvas_rejected(self):
+        from hsda.train import build_dataset
+
+        # finite kinematics (samples 1000 s apart), but a bounding box 4e-322
+        # wide overflows the scale, one 2e308 wide overflows the extent, and
+        # one from 1e308 to 1.7e308 overflows the midpoint
+        for x in ([0.0, 1e-322, 2e-322, 3e-322, 4e-322], [-1e308, -5e307, 0.0, 5e307, 1e308],
+                  [1e308, 1.2e308, 1.4e308, 1.6e308, 1.7e308]):
+            s = make_stroke(np.arange(5) * 1e6, x, np.zeros(5), np.full(5, 0.5))
+            with pytest.raises(ProtocolError, match="overflow the canvas"):
+                render_image(s, size=16)
+            assert build_dataset([s], canvas_size=16) == []
+
     def test_pen_up_segments_not_drawn(self):
         n = 11
         x = np.linspace(0, 1, n)
@@ -254,8 +266,7 @@ def loop_render(s, size):
     scale = (size - 1 - 2 * MARGIN_PX) / extent
     col = (x - (xmin + xmax) / 2.0) * scale + center
     row = center - (y - (ymin + ymax) / 2.0) * scale
-    p_raw = s.p * s.stats["p"][1] + s.stats["p"][0] if "p" in s.stats else s.p
-    on_paper = p_raw > 0
+    on_paper = s.p > 0
     for i in range(len(x) - 1):
         if not (on_paper[i] and on_paper[i + 1]):
             continue
@@ -333,6 +344,54 @@ class TestRenderMatchesLoop:
         assert np.array_equal(canvas, loop_render(s, 128))
         cols = np.unique(np.argwhere(canvas.max(axis=0) > 0)[:, 1])
         assert np.array_equal(cols, np.arange(4, 124))
+
+
+def read_back(strokes, tmp_path):
+    """The strokes as every command sees them: written as csv-v1, parsed, preprocessed."""
+    path = tmp_path / "strokes.csv"
+    write_raw_csv(strokes, path)
+    return preprocess(parse_raw(path))
+
+
+class TestRenderFromCsv:
+    def test_pen_up_samples_not_drawn(self, tmp_path):
+        # two strokes on the baseline; between them the pen lifts and arcs above it
+        n = 20
+        x = np.r_[np.linspace(0.0, 0.4, n), np.linspace(0.4, 0.6, n), np.linspace(0.6, 1.0, n)]
+        y = np.r_[np.zeros(n), 0.5 * np.sin(np.linspace(0.0, np.pi, n)), np.zeros(n)]
+        p = np.r_[np.full(n, 0.6), np.zeros(n), np.full(n, 0.6)]
+        (s,) = read_back([make_stroke(np.arange(3 * n) * 5.0, x, y, p)], tmp_path)
+        lit = np.argwhere(render_image(s, size=64).pixels.max(axis=0) > 0)
+        assert len(np.unique(lit[:, 0])) == 1  # the baseline only
+
+    def test_tall_letter_stays_tall(self, tmp_path):
+        # an "L": a stem 1.5 tall, then a foot 0.3 wide
+        x = np.r_[np.zeros(30), np.linspace(0.0, 0.3, 10)[1:]]
+        y = np.r_[np.linspace(1.5, 0.0, 30), np.zeros(9)]
+        (s,) = read_back([make_stroke(np.arange(39) * 5.0, x, y, np.full(39, 0.5))], tmp_path)
+        lit = np.argwhere(render_image(s, size=64).pixels.max(axis=0) > 0)
+        height, width = np.ptp(lit, axis=0) + 1
+        assert (height, width) == (56, 12)
+
+    def test_unrepaired_records_match_the_in_memory_path(self, tmp_path):
+        records = synth_generate(60, seed=42)
+        path = tmp_path / "synth.csv"
+        write_raw_csv(records, path)
+        compared = 0
+        for memory, raw in zip(records, parse_raw(path)):
+            read, outliers = clean_record(raw, z_max=6.0)
+            if outliers:
+                continue
+            compared += 1
+            lit_memory = render_image(memory, size=128).pixels.max(axis=0) > 0
+            lit_read = render_image(read, size=128).pixels.max(axis=0) > 0
+            assert np.array_equal(lit_read, lit_memory), memory.subject_id
+            # the csv keeps 9 significant digits
+            np.testing.assert_allclose(
+                kinematic_features(read).channels, kinematic_features(memory).channels, rtol=0, atol=1e-2
+            )
+        assert compared == 115
+
 
 # ---------------------------------------------------------------------------
 

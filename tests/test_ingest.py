@@ -1,4 +1,4 @@
-"""Raw parsing, imputation, outlier repair, standardization."""
+"""Raw parsing, imputation, outlier repair, and the z-score the features apply."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsda.errors import DataQualityWarning, ProtocolError
+from hsda.features import kinematic_features
+from hsda.features.kinematics import zscore
 from hsda.ingest import (
     LABEL_TO_INDEX,
     RawRecord,
+    StrokeSequence,
     impute_missing,
     merge_duplicate_times,
     parse_raw,
     preprocess,
     remove_outliers,
-    standardize,
 )
 
 
@@ -92,10 +94,6 @@ class TestParse:
         recs = parse_raw(write(tmp_path, "s,1,HC\n0,1,1,1\n,9,9,9\n2,2,2,2\n"))
         assert len(recs[0]) == 2
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ProtocolError, match="csv-v1"):
-            parse_raw(write(tmp_path, "s,1,HC\n0,1,2,3\n"), format_descriptor="tsv")
-
     def test_determinism(self, tmp_path):
         text = "s,1,HC\n0,1.5,2.5,3.5\n1,2.5,3.5,4.5\n"
         a = parse_raw(write(tmp_path, text, "a.csv"))[0]
@@ -163,6 +161,18 @@ class TestOutliers:
         with pytest.warns(DataQualityWarning):
             remove_outliers(r, z_max=6.0)
 
+    def test_flags_leaving_fewer_than_two_samples_raise(self):
+        # x, y and p each flag a different stretch; together they cover all 40 samples
+        rng = np.random.default_rng(3)
+        x, y, p = rng.normal(scale=1e-3, size=(3, 40))
+        x[:18] += 100.0
+        y[18:36] += 100.0
+        p[36:] += 100.0
+        r = make_record(40, x=x, y=y, p=p)
+        with pytest.warns(DataQualityWarning):
+            with pytest.raises(ProtocolError, match="^outlier repair flags 40 of 40 samples, fewer than 2 left"):
+                remove_outliers(r, z_max=6.0)
+
     def test_flagged_sample_blanked_on_all_channels(self):
         # the spike is on x only, but the whole sample is re-interpolated
         n = 30
@@ -179,59 +189,28 @@ class TestOutliers:
 
 class TestStandardize:
     def test_known_zscores(self):
-        r = make_record(3, x=np.array([1.0, 2.0, 3.0]))
-        out = standardize(r)
-        np.testing.assert_allclose(out.x, [-1.2247, 0.0, 1.2247], atol=1e-4)
-        mu, sd = out.stats["x"]
-        assert mu == pytest.approx(2.0)
-        assert sd == pytest.approx(np.sqrt(2.0 / 3.0))
+        np.testing.assert_allclose(zscore(np.array([1.0, 2.0, 3.0])), [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_channel_maps_to_zeros(self):
-        r = make_record(5, p=np.full(5, 0.7))
-        out = standardize(r)
-        np.testing.assert_array_equal(out.p, np.zeros(5))
-        assert out.stats["p"] == (pytest.approx(0.7), 1.0)
+        np.testing.assert_array_equal(zscore(np.full(5, 0.7)), np.zeros(5))
 
     def test_idempotent(self):
-        r = make_record(50, seed=3)
-        once = standardize(r)
-        twice = standardize(
-            RawRecord(
-                subject_id=once.subject_id,
-                task_id=once.task_id,
-                label=once.label,
-                t=once.t,
-                x=once.x,
-                y=once.y,
-                p=once.p,
-            )
-        )
-        for name in ("x", "y", "p"):
-            np.testing.assert_allclose(getattr(twice, name), getattr(once, name), atol=1e-6)
+        once = zscore(make_record(50, seed=3).x)
+        np.testing.assert_allclose(zscore(once), once, atol=1e-6)
 
     def test_rejects_missing_values(self):
         r = make_record(5, x=np.array([1.0, np.nan, 3.0, 4.0, 5.0]))
-        with pytest.raises(ProtocolError, match="impute"):
-            standardize(r)
+        with pytest.raises(ProtocolError, match="non-finite x channel in subject s1 task 1"):
+            StrokeSequence(r.subject_id, r.task_id, r.label, r.t, r.x, r.y, r.p)
 
     @given(st.integers(0, 2**32 - 1), st.integers(6, 200))
     @settings(max_examples=30, deadline=None)
     def test_moments_property(self, seed, n):
         rng = np.random.default_rng(seed)
-        r = make_record(
-            n,
-            t=np.arange(n, dtype=np.float64),
-            x=rng.normal(5, 3, size=n),
-            y=rng.uniform(-10, 10, size=n),
-            p=rng.uniform(0, 1, size=n),
-        )
-        out = standardize(r)
-        for name in ("x", "y", "p"):
-            v = getattr(out, name)
-            if getattr(r, name).std() == 0:
-                continue
-            assert abs(v.mean()) < 1e-6
-            assert abs(v.std() - 1.0) < 1e-6
+        for v in (rng.normal(5, 3, size=n), rng.uniform(-10, 10, size=n), rng.uniform(0, 1, size=n)):
+            z = zscore(v)
+            assert abs(z.mean()) < 1e-6
+            assert abs(z.std() - 1.0) < 1e-6
 
 
 class TestDropIncomplete:
@@ -313,11 +292,16 @@ class TestPipeline:
         for i in range(40):
             x = "" if i == 11 else "%.3f" % rng.normal()
             lines.append("%d,%s,%.3f,%.3f" % (i * 5, x, rng.normal(), rng.uniform(0, 1)))
-        seqs = preprocess(parse_raw(write(tmp_path, "\n".join(lines) + "\n")))
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        (raw,) = parse_raw(path)
+        seqs = preprocess([raw])
         assert len(seqs) == 1
         s = seqs[0]
         assert LABEL_TO_INDEX[s.label] == 1
-        for name in ("x", "y", "p"):
-            v = getattr(s, name)
-            assert np.all(np.isfinite(v))
-            assert abs(v.mean()) < 1e-6
+        # the trace keeps its recorded units; the model inputs are standardized
+        assert np.isfinite(s.x[11])
+        np.testing.assert_array_equal(np.delete(s.x, 11), np.delete(raw.x, 11))
+        np.testing.assert_array_equal(s.y, raw.y)
+        np.testing.assert_array_equal(s.p, raw.p)
+        for row in kinematic_features(s).channels:
+            assert abs(row.mean()) < 1e-6

@@ -174,10 +174,6 @@ class TestTemplateUpdates:
         assert np.abs(out.t_pos - direct_pos).max() < 1e-12
         assert np.abs(out.t_neg - direct_neg).max() < 1e-12
 
-    def test_alpha_bounds_guard(self):
-        with pytest.raises(ValueError):
-            Templates(t_pos=np.zeros(2), t_neg=np.zeros(2), alpha=1.0)
-
     def test_width_mismatch_guard(self):
         with pytest.raises(ValueError):
             Templates(t_pos=np.zeros(2), t_neg=np.zeros(3))
