@@ -23,7 +23,7 @@ import os
 import sys
 
 from .errors import ConfigError, ProtocolError
-from .runconfig import RunConfig, make_runconfig, write_runconfig
+from .runconfig import MODEL_SCALES, RunConfig, make_runconfig, write_runconfig
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -45,7 +45,7 @@ def _pin_threads() -> None:
 def _runconfig_from(args: argparse.Namespace, sidecar=None) -> RunConfig:
     """Defaults, then --config, then flags, then the checkpoint sidecar."""
     overrides = {}
-    for key in ("seed", "out", "z_max", "size", "n", "scale"):
+    for key in ("seed", "out", "z_max", "n", "scale"):
         if getattr(args, key, None) is not None:
             overrides[key] = getattr(args, key)
     if getattr(args, "no_multiscale", False):
@@ -66,11 +66,11 @@ def _record_stem(subject_id: str, task_id: int) -> str:
     return "%s_task%02d" % (subject_id, task_id)
 
 
-def _model_config(cfg: RunConfig):
+def _model_config(cfg: RunConfig, **overrides):
     from .model import ModelConfig, synth_config, toy_config
 
     preset = {"toy": toy_config, "synth": synth_config, "full": ModelConfig}[cfg.scale]
-    return preset(use_multiscale=cfg.multiscale)
+    return preset(use_multiscale=cfg.multiscale, **overrides)
 
 
 def _load_sequences(data_path: str, cfg: RunConfig):
@@ -136,19 +136,20 @@ def cmd_render(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .features import render_image, write_ppm
 
+    size = _model_config(cfg).canvas_size
     sequences = _load_sequences(args.raw, cfg)
     out = _prepare_out(cfg)
     written = 0
     for seq in sequences:
         stem = _record_stem(seq.subject_id, seq.task_id)
         try:
-            canvas = render_image(seq, size=cfg.size)
+            canvas = render_image(seq, size=size)
         except ProtocolError as exc:
             print("%s: dropped (%s)" % (stem, exc), file=sys.stderr)
             continue
         write_ppm(canvas, os.path.join(out, stem + ".ppm"))
         written += 1
-    print("%d images (%dx%d) -> %s" % (written, cfg.size, cfg.size, out))
+    print("%d images (%dx%d) -> %s" % (written, size, size, out))
     return 0
 
 
@@ -231,7 +232,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import diffcore as dc
-    from .model import HsdaNet, synth_config, toy_config
+    from .model import HsdaNet
 
     failures = checks = 0
     worst = 0.0
@@ -241,7 +242,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         ok = err < GRADCHECK_TOLERANCE
         failures += not ok
         checks += 1
-        worst = max(worst, err)
+        worst = float(np.max([worst, err]))  # np.max keeps a NaN error; builtin max may drop it
         print("  %-24s %.3e  %s" % (name, err, "ok" if ok else "FAIL"))
 
     print("primitive gradients (eps 1e-5, 64-bit):")
@@ -253,10 +254,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         print("%d of %d primitive checks failed; composed model not checked" % (failures, checks))
         return 1
 
-    model_cfg = {"toy": toy_config, "synth": synth_config}[args.scale](blocks_per_stage=2)
+    model_cfg = _model_config(cfg, blocks_per_stage=2)
     # batch 2 covers gradients summed across the samples of a batch
     for batch in (1, 2):
-        print("composed %s model, batch %d (2 coordinates per parameter):" % (args.scale, batch))
+        print("composed %s model, batch %d (2 coordinates per parameter):" % (cfg.scale, batch))
         with dc.using_dtype(np.float64):
             model = HsdaNet(model_cfg, seed=cfg.seed)
             gen = np.random.default_rng(cfg.seed)
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="raw pen stream -> dynamics-colored P6 images")
     p.add_argument("raw", help="raw recordings file")
     p.add_argument("--z-max", type=float, dest="z_max")
-    p.add_argument("--size", type=int, help="image side in pixels")
+    p.add_argument("--scale", choices=MODEL_SCALES, help="model preset whose canvas to draw")
     common(p)
     p.set_defaults(func=cmd_render)
 
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="k-fold training on a raw dataset")
     p.add_argument("data", help="raw recordings file or directory of them")
     p.add_argument("--z-max", type=float, dest="z_max")
-    p.add_argument("--scale", choices=("full", "synth", "toy"), help="model preset")
+    p.add_argument("--scale", choices=MODEL_SCALES, help="model preset")
     p.add_argument("--no-multiscale", action="store_true", help="disable stage fusion")
     p.add_argument("--no-contrastive", action="store_true", help="disable the template loss term")
     common(p)
@@ -336,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every primitive and the composed model")
-    p.add_argument("--scale", choices=("toy", "synth"), default="toy", help="composed model preset")
+    small = [scale for scale in MODEL_SCALES if scale != "full"]  # full is too large to check
+    p.add_argument("--scale", choices=small, default="toy", help="composed model preset")
     common(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -175,7 +175,9 @@ def merge_duplicate_times(r: RawRecord) -> RawRecord:
     for name in CHANNELS:
         v = r.channel(name)
         finite = np.isfinite(v)
-        total = np.add.reduceat(np.where(finite, v, 0.0), first)
+        # a sum near the float limit overflows to inf, which impute_missing refills
+        with np.errstate(over="ignore"):
+            total = np.add.reduceat(np.where(finite, v, 0.0), first)
         count = np.add.reduceat(finite.astype(np.int64), first)
         merged[name] = np.where(count > 0, total / np.maximum(count, 1), np.nan)
     return dataclasses.replace(r, t=t, **merged)
@@ -213,11 +215,14 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
     flagged = np.zeros(n, dtype=bool)
     for name in CHANNELS:
         v = r.channel(name)
-        med = np.median(v)
-        mad = np.median(np.abs(v - med))
-        if mad == 0:
-            continue
-        z = np.abs(v - med) / (1.4826 * mad)
+        # values near the float limit overflow the statistics to inf; a NaN z
+        # flags nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            med = np.median(v)
+            mad = np.median(np.abs(v - med))
+            if mad == 0:
+                continue
+            z = np.abs(v - med) / (1.4826 * mad)
         flagged |= z > z_max
     count = int(flagged.sum())
     if count == 0:

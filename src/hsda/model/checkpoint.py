@@ -1,10 +1,10 @@
-"""Binary weight snapshots with a plain-text config sidecar.
+"""Binary weight snapshots with a plain-text settings sidecar.
 
 Layout: magic "HSDA", u32 format version, u32 parameter count, then one
 record per parameter: u32 name length, utf-8 name, u32 rank, u32 extents,
-float32 little-endian values in C order. The config rides next to the
-weights as key=value lines so a snapshot can be reopened without the code
-that produced it.
+float32 little-endian values in C order. The settings ride next to the
+weights in `<path>.config`, a settings file in the runconfig format, so a
+snapshot can be reopened without the code that produced it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..diffcore import Tensor
-from ..errors import ProtocolError, read_text
+from ..errors import ProtocolError
+from ..runconfig import parse_config_file, write_config_file
 
 MAGIC = b"HSDA"
 VERSION = 1
@@ -60,9 +61,7 @@ def save_checkpoint(path: str, params: Dict[str, Tensor], config: Dict[str, obje
             for extent in values.shape:
                 _write_u32(fh, extent)
             fh.write(values.tobytes())
-    with open(config_sidecar_path(path), "w") as fh:
-        for key in sorted(config):
-            fh.write("%s=%s\n" % (key, config[key]))
+    write_config_file(config_sidecar_path(path), config, "settings the weights were trained with")
 
 
 def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
@@ -95,16 +94,10 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
                 ) from None
         if fh.read(1):
             raise ProtocolError("checkpoint has trailing bytes after its %d records" % count)
-    config: Dict[str, str] = {}
     try:
-        text = read_text(config_sidecar_path(path), ProtocolError)
+        config = parse_config_file(config_sidecar_path(path), known=None)
     except FileNotFoundError:
-        text = ""
-    for line in text.split("\n"):
-        line = line.strip()
-        if line:
-            key, _, value = line.partition("=")
-            config[key] = value
+        config = {}
     return params, config
 
 

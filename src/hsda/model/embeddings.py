@@ -53,7 +53,7 @@ class ImageStem(Module):
         self.norm4 = ChannelNorm2d(c_full)
         self.canvas_size = cfg.canvas_size
         map_hw = cfg.stem_map_size
-        self.token_mlp = Mlp(c_full * map_hw * map_hw, cfg.token_mlp_hidden, cfg.d, rng)
+        self.token_mlp = Mlp(c_full * map_hw * map_hw, cfg.token_hidden, cfg.d, rng)
 
     def __call__(self, images: Tensor) -> Tuple[Tensor, Tensor]:
         """(B, 3, S, S) images -> tokens (B, d) and stem maps (B, C, S/8, S/8)."""
@@ -78,7 +78,7 @@ class SignalEmbed(Module):
         self.norm1 = LayerNorm(cfg.signal_hidden)
         self.fc2 = Linear(cfg.signal_hidden, cfg.signal_hidden, rng)
         self.norm2 = LayerNorm(cfg.signal_hidden)
-        self.token_mlp = Mlp(cfg.signal_hidden, cfg.token_mlp_hidden, cfg.d, rng)
+        self.token_mlp = Mlp(cfg.signal_hidden, cfg.token_hidden, cfg.d, rng)
         self.map_len = cfg.signal_map_len
         self.map_conv = Conv1d(cfg.n_channels, cfg.signal_map_channels, 1, rng)
 

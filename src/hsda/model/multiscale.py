@@ -14,7 +14,6 @@ from typing import Tuple
 
 from .. import diffcore as dc
 from ..diffcore import Tensor
-from ..errors import ConfigError
 from .layers import Conv1d, Conv2d, Mlp, Module
 
 
@@ -25,8 +24,6 @@ def _halved(n: int) -> int:
 
 class Rfm2d(Module):
     def __init__(self, channels: int, d_prime: int, in_hw: int, rng):
-        if in_hw < 1:
-            raise ConfigError("2d map side %d below 1; too many stages for the canvas" % in_hw)
         self.pool = Conv2d(channels, channels, 3, rng, stride=2, padding=1)
         self.pw1 = Conv2d(channels, channels, 1, rng)
         self.dw = Conv2d(channels, channels, 3, rng, padding=1, groups=channels)
@@ -44,8 +41,6 @@ class Rfm2d(Module):
 
 class Rfm1d(Module):
     def __init__(self, channels: int, n_signal_tokens: int, d_prime: int, in_len: int, rng):
-        if in_len < 1:
-            raise ConfigError("1d map length %d below 1; too many stages for the sequence" % in_len)
         self.out_len = max(1, in_len // 2)
         self.pw1 = Conv1d(channels, channels, 1, rng)
         self.dw = Conv1d(channels, channels, 3, rng, padding=1, groups=channels)

@@ -1,16 +1,17 @@
-"""Run settings merged from a key=value file and command-line overrides.
+"""Run settings merged from a key = value file and command-line overrides.
 
 TrainConfig declares, defaults and checks the training settings; RunConfig
-extends it with the pipeline settings (ingest, rendering, synthesis, model
-preset). Each setting is declared once, and every value is checked when the
-settings are merged, so a bad value fails before any command does work.
+extends it with the pipeline settings (ingest, synthesis, model preset).
+Each setting is declared once, and every value is checked when the settings
+are merged, so a bad value fails before any command does work. The model
+preset named by `scale` fixes the architecture and the rendered canvas.
 
-The file format is one `key = value` per line, `#` comments, blank lines
-ignored. Every key has a default below; unknown or duplicate keys are
-rejected rather than silently dropped, since a typo in an experiment config
-is exactly the mistake that must not pass unnoticed. The merged result is
-serialized next to every output artifact so a run can be reproduced from
-its own droppings.
+This module owns the settings text format, for `--config` files, the
+`config.txt` written next to every output artifact and the checkpoint
+sidecar alike: one `key = value` per line, `#` comments, blank lines
+ignored. A line without `=` or a repeated key is rejected, and so is a key
+with no default below in a config file, since a typo in an experiment
+config is exactly the mistake that must not pass unnoticed.
 
 This module must stay importable without numpy: the CLI reads HSDA_THREADS
 and pins the BLAS thread pools before anything numeric loads.
@@ -65,7 +66,6 @@ class RunConfig(TrainConfig):
 
     out: str = "out"
     z_max: float = 6.0  # robust z-score threshold for outlier replacement
-    size: int = 128  # rendered image side in pixels
     n: int = 20  # synthetic records per class
     scale: str = "full"  # model preset: full | synth | toy
     multiscale: bool = True  # stage-wise feature fusion on/off
@@ -76,7 +76,7 @@ class RunConfig(TrainConfig):
             raise ConfigError(
                 "scale must be one of %s, got %r" % ("/".join(MODEL_SCALES), self.scale)
             )
-        for name in ("z_max", "size", "n"):
+        for name in ("z_max", "n"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
 
@@ -111,8 +111,11 @@ def _coerce(key: str, value) -> object:
     return text
 
 
-def parse_config_file(path) -> Dict[str, str]:
-    """Read key=value lines; comments and blank lines are skipped."""
+def parse_config_file(path, known: Optional[Mapping] = _FIELDS) -> Dict[str, str]:
+    """Read key = value lines; comments and blank lines are skipped.
+
+    Keys outside `known` are rejected; `known=None` accepts any key.
+    """
     values: Dict[str, str] = {}
     for line_no, line in enumerate(read_text(path, ConfigError).split("\n"), start=1):
         stripped = line.strip()
@@ -122,7 +125,7 @@ def parse_config_file(path) -> Dict[str, str]:
             raise ConfigError("%s:%d: expected key = value, got %r" % (path, line_no, stripped))
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if known is not None and key not in known:
             raise ConfigError("%s:%d: unknown key %r" % (path, line_no, key))
         if key in values:
             raise ConfigError("%s:%d: duplicate key %r" % (path, line_no, key))
@@ -145,14 +148,16 @@ def make_runconfig(path=None, overrides: Optional[Mapping[str, object]] = None) 
     return RunConfig(**merged)
 
 
-def write_runconfig(cfg: RunConfig, path) -> None:
-    """Serialize every field, one per line, in declaration order."""
+def write_config_file(path, settings: Mapping[str, object], comment: str) -> None:
+    """A `# comment` line, then one key = value line per setting, in order."""
     with open(path, "w") as fh:
-        fh.write("# settings used to produce the artifacts in this directory\n")
-        for f in dataclasses.fields(cfg):
-            value = getattr(cfg, f.name)
+        fh.write("# %s\n" % comment)
+        for key, value in settings.items():
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            fh.write("%s = %s\n" % (f.name, value))
+            fh.write("%s = %s\n" % (key, value))
+
+
+def write_runconfig(cfg: RunConfig, path) -> None:
+    """Serialize every field, one per line, in declaration order."""
+    write_config_file(path, dataclasses.asdict(cfg), "settings used to produce the artifacts in this directory")

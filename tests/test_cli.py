@@ -66,20 +66,21 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.seed == 42
-        assert cfg.size == 128
+        assert cfg.z_max == 6.0
         assert cfg.scale == "full"
         assert cfg.multiscale is True
 
     def test_file_then_flags_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\n\nseed = 1\nsize=64\n")
+        path.write_text("# comment\n\nseed = 1\nn=64\n")
         cfg = make_runconfig(str(path), {"seed": 2})
         assert cfg.seed == 2
-        assert cfg.size == 64
+        assert cfg.n == 64
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        for line in ("sede = 1\n", "raw_format = csv-v1\n"):
+        # the scale preset sets the canvas, so a size key is refused
+        for line in ("sede = 1\n", "raw_format = csv-v1\n", "size = 128\n"):
             path.write_text(line)
             with pytest.raises(ConfigError, match="unknown key"):
                 make_runconfig(str(path))
@@ -224,13 +225,22 @@ class TestPreprocessCommand:
 
 
 class TestRenderCommand:
-    def test_size_flag_and_stable_names(self, tmp_path):
+    def test_scale_sets_canvas_and_stable_names(self, tmp_path):
+        from hsda.features import render_image, write_ppm
+        from hsda.ingest import parse_raw, preprocess
+        from hsda.model import synth_config
+
         path = make_synth(tmp_path, n=2, seed=3)
         out = tmp_path / "img"
-        assert cli.main(["render", path, "--size", "64", "--out", str(out)]) == 0
-        ppm = out / "hc_000_task01.ppm"
-        assert ppm.read_bytes().startswith(b"P6\n64 64\n255\n")
-        assert (out / "config.txt").exists()
+        assert cli.main(["render", path, "--scale", "synth", "--out", str(out)]) == 0
+        assert (out / "hc_000_task01.ppm").read_bytes().startswith(b"P6\n32 32\n255\n")
+        for seq in preprocess(parse_raw(path)):
+            expected = tmp_path / "expected.ppm"
+            write_ppm(render_image(seq, size=synth_config().canvas_size), str(expected))
+            name = "%s_task%02d.ppm" % (seq.subject_id, seq.task_id)
+            assert (out / name).read_bytes() == expected.read_bytes(), name
+        settings = parse_config_file(str(out / "config.txt"))
+        assert settings["scale"] == "synth" and "size" not in settings
 
     def test_default_size(self, tmp_path):
         path = make_synth(tmp_path, n=2, seed=3)
@@ -243,7 +253,7 @@ class TestRenderCommand:
         raw = tmp_path / "mixed.csv"
         raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
         out = tmp_path / "img"
-        assert cli.main(["render", str(raw), "--size", "32", "--out", str(out)]) == 0
+        assert cli.main(["render", str(raw), "--scale", "synth", "--out", str(out)]) == 0
         assert sorted(f for f in os.listdir(out) if f.endswith(".ppm")) == ["s01_task01.ppm"]
 
     def test_dropped_records_named_on_stderr(self, tmp_path):
@@ -251,7 +261,7 @@ class TestRenderCommand:
         raw = tmp_path / "mixed.csv"
         raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsda.__file__)))
-        argv = ["render", str(raw), "--size", "32", "--out", str(tmp_path / "img")]
+        argv = ["render", str(raw), "--scale", "synth", "--out", str(tmp_path / "img")]
         proc = subprocess.run(
             [sys.executable, "-m", "hsda.cli"] + argv, env=env, capture_output=True, text=True, timeout=300
         )
@@ -290,7 +300,7 @@ class TestTrainEvaluateCommands:
 
     def test_evaluate_refuses_data_it_was_not_trained_on(self, tmp_path, capsys):
         out = self.train(tmp_path, tmp_path / "run")
-        assert "data_sha256=" in (out / "checkpoint.bin.config").read_text()
+        assert "data_sha256 = " in (out / "checkpoint.bin.config").read_text()
         data = str(tmp_path / "data" / "synthetic.csv")
         other = make_synth(tmp_path / "other", n=6, seed=8)
         checkpoint = str(out / "checkpoint.bin")
@@ -326,20 +336,46 @@ class TestTrainEvaluateCommands:
         )
         assert (a / "history.csv").read_bytes() != (tmp_path / "b" / "history.csv").read_bytes()
 
-    @pytest.mark.parametrize("key,value", [("seed", "abc"), ("multiscale", "maybe")])
-    def test_malformed_sidecar_exits_one(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize(
+        "key,value,tail",
+        [
+            pytest.param("seed", "abc", "", id="seed-abc"),
+            pytest.param("multiscale", "maybe", "", id="multiscale-maybe"),
+            pytest.param("seed", 3, "seed = 4\n", id="repeated-key"),
+            pytest.param("seed", 3, "seed 3\n", id="line-without-equals"),
+        ],
+    )
+    def test_malformed_sidecar_exits_one(self, tmp_path, capsys, key, value, tail):
         from hsda.model import save_checkpoint
 
         sidecar = {"scale": "toy", "multiscale": True, "seed": 3, "k_folds": 4, "test_fraction": 0.2}
         sidecar[key] = value
         checkpoint = tmp_path / "checkpoint.bin"
         save_checkpoint(str(checkpoint), {}, sidecar)
+        with open(str(checkpoint) + ".config", "a") as fh:
+            fh.write(tail)
         data = make_synth(tmp_path, n=4, seed=1)
         argv = ["evaluate", data, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert "error:" in err and key in err
         assert "Traceback" not in err
+
+    def test_evaluate_reads_a_sidecar_without_spaces(self, tmp_path):
+        # earlier versions wrote the sidecar as sorted key=value lines with Python's True/False
+        from hsda.model import load_checkpoint
+
+        out = self.train(tmp_path, tmp_path / "run")
+        _, meta = load_checkpoint(str(out / "checkpoint.bin"))
+        spelled = {"true": "True", "false": "False"}
+        lines = ["%s=%s\n" % (key, spelled.get(value, value)) for key, value in sorted(meta.items())]
+        (out / "checkpoint.bin.config").write_text("".join(lines))
+        assert "multiscale=True\n" in lines
+        eval_out = tmp_path / "eval"
+        data = str(tmp_path / "data" / "synthetic.csv")
+        argv = ["evaluate", data, "--checkpoint", str(out / "checkpoint.bin"), "--out", str(eval_out)]
+        assert cli.main(argv) == 0
+        assert (eval_out / "metrics.txt").read_bytes() == (out / "metrics.txt").read_bytes()
 
     def test_non_utf8_checkpoint_exits_one(self, tmp_path, capsys):
         checkpoint = tmp_path / "checkpoint.bin"
@@ -396,6 +432,16 @@ class TestGradcheckCommand:
         monkeypatch.setattr(ops, "sigmoid", crooked)
         assert cli.main(["gradcheck", "--scale", "toy"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_composed_error_reaches_the_closing_line(self, capsys, monkeypatch):
+        from hsda import diffcore
+
+        # stands in for the composed check: one parameter's error is NaN
+        monkeypatch.setattr(diffcore, "check_parameter_gradients", lambda *a, **kw: {"stem.w": float("nan")})
+        assert cli.main(["gradcheck", "--scale", "toy"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.endswith("nan  FAIL") for line in lines) == 2
+        assert lines[-1].startswith("max rel err nan over ")
 
 
 class TestExitCodesAndEnv:

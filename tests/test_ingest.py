@@ -285,6 +285,39 @@ class TestDuplicateTimes:
         assert sample.signal.shape == (9, 29) and sample.label == 0
 
 
+class TestNearTheFloatLimit:
+    SPIKE = [0.0, 0.001, 0.002, 1e308, 0.004, 0.005, 0.006]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rows,kept_x",
+        [
+            # the mean of two finite duplicates overflows; the neighbours refill it
+            (
+                ["0,5.807057466192068e+307,0,0.5", "0,1.216987388243109e+308,0,0.5"]
+                + ["%d,%.1f,%.1f,0.5" % (5 * i, 0.1 * i, 0.2 * i) for i in range(1, 9)],
+                [0.1, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+            ),
+            (["0,5.807057466192068e+307,0,0", "0,1.216987388243109e+308,0,0"], None),
+            # the median of the two middle values overflows
+            (
+                ["%d,%r,%d,0.5" % (5 * i, v, i) for i, v in enumerate([1.7e308] * 3 + [1.6e308, -1e308, 0.0])],
+                [1.7e308] * 3 + [1.6e308, -1e308, 0.0],
+            ),
+            # the spike's robust z-score overflows, and the spike is still repaired
+            (["%d,%r,%d,0.5" % (5 * i, v, i) for i, v in enumerate(SPIKE)], [0.001 * i for i in range(7)]),
+        ],
+        ids=["duplicate-sum", "duplicates-only", "median", "spike"],
+    )
+    def test_block_becomes_a_sample_or_a_drop(self, tmp_path, rows, kept_x):
+        (record,) = parse_raw(write(tmp_path, "b,1,HC\n" + "\n".join(rows) + "\n"))
+        kept = preprocess([record])
+        if kept_x is None:
+            assert kept == []
+        else:
+            np.testing.assert_array_equal(kept[0].x, kept_x)
+
+
 class TestPipeline:
     def test_end_to_end_dense_standardized(self, tmp_path):
         lines = ["s7,3,AD"]

@@ -319,9 +319,10 @@ class TestNetwork:
         flat = toy_config()
         assert [flat.stage_width(l) for l in (1, 2, 3, 4)] == [16, 24, 32, 40]
 
-    @pytest.mark.parametrize("field", ["n_channels", "n_classes"])
+    @pytest.mark.parametrize("field", ["n_channels", "n_classes", "heads"])
     def test_fixed_counts_are_not_settings(self, field):
-        # the 9 kinematic channels and the HC/AD classes are declared elsewhere
+        # the 9 kinematic channels and the HC/AD classes are declared elsewhere;
+        # every preset runs 2 attention heads
         with pytest.raises(TypeError):
             ModelConfig(**{field: 3})
 
