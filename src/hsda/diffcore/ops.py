@@ -79,8 +79,8 @@ def add(a, b) -> Tensor:
     _check_elementwise(a, b, "add")
     out = _out(a.values + b.values, _requires(a, b))
 
-    def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+    def bwd(g, sa=a.shape, sb=b.shape):  # shapes only: the rule keeps neither input alive
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return _record((a, b), out, bwd, "add")
 
@@ -197,7 +197,7 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = _out(a.values.reshape(shape), a.requires_grad)
-    return _record((a,), out, lambda g: (g.reshape(a.shape),), "reshape")
+    return _record((a,), out, lambda g, shape=a.shape: (g.reshape(shape),), "reshape")
 
 
 def flatten(a: Tensor) -> Tensor:
@@ -434,10 +434,10 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
     out = _out(y, a.requires_grad)
 
     def bwd(g):
-        gx = np.zeros_like(a.values).reshape(-1, T)
+        gx = np.zeros((g.size // out_len, T), dtype=g.dtype)
         rows = np.broadcast_to(np.arange(gx.shape[0])[:, None], (gx.shape[0], out_len))
         np.add.at(gx, (rows, arg.reshape(-1, out_len)), g.reshape(-1, out_len))
-        return (gx.reshape(a.shape),)
+        return (gx.reshape(g.shape[:-1] + (T,)),)
 
     return _record((a,), out, bwd, "adaptive_max_pool1d")
 
@@ -516,17 +516,18 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
 
     inputs = (x, w) if bias is None else (x, w, bias)
     out = _out(y, _requires(*inputs))
+    wv, need_dx, has_bias = w.values, x.requires_grad, bias is not None  # not x: its values may go
 
     def bwd(g):
         gy = g.swapaxes(0, 1).reshape(C_out, -1)
-        dw, dcols = _group_matmul_grads(w.values, cols, gy, groups, x.requires_grad)
+        dw, dcols = _group_matmul_grads(wv, cols, gy, groups, need_dx)
         dx = None
         if dcols is not None:
             dxp = np.zeros(padded, dtype=dcols.dtype)
             for tap, window in _windows(kernel, stride, out_shape):
                 dxp[window] += dcols[:, tap].swapaxes(0, 1)
             dx = dxp[(slice(None), slice(None)) + tuple(slice(padding, P - padding) for P in padded[2:])]
-        if bias is None:
+        if not has_bias:
             return dx, dw
         return dx, dw, gy.sum(axis=1)
 

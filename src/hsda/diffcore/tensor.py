@@ -2,8 +2,8 @@
 
 Tensors wrap a numpy array plus an optional gradient buffer. Operations in
 :mod:`hsda.diffcore.ops` record themselves on the active tape; calling
-:func:`backward` on a scalar output walks the tape in reverse and accumulates
-gradients into every tensor that requires them.
+:func:`backward` on a scalar output walks the tape in reverse, releasing it
+as it goes, and accumulates gradients into every leaf that requires them.
 
 Training runs in float32 by default; gradient checking switches to float64
 via :func:`default_dtype` / :class:`using_dtype`.
@@ -59,18 +59,20 @@ class using_dtype:
 class Tensor:
     """Shape-tagged dense array that can participate in differentiation.
 
-    ``grad`` is populated by :func:`backward` for every tensor with
-    ``requires_grad`` set, leaves and intermediates alike. It holds the array
-    a backward rule returned, without a copy, so one array may be the
-    ``grad`` of several tensors: replace a ``grad``, never mutate it in place.
+    :func:`backward` populates ``grad`` on leaves only: tensors with
+    ``requires_grad`` that no recorded op produced (parameters, inputs). An
+    op's output points at its tape node instead, which holds its gradient
+    only while backward passes it on. ``grad`` holds the array a backward
+    rule returned, without a copy: replace a ``grad``, never mutate it.
     """
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "requires_grad", "grad", "_node")
 
     def __init__(self, values, requires_grad: bool = False, dtype=None):
         self.values = np.asarray(values, dtype=dtype if dtype is not None else default_dtype())
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        self._node: Optional[_Node] = None
 
     @property
     def shape(self):
@@ -93,14 +95,12 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.values.shape:
-            raise ShapeError(
-                "gradient shape %s does not match tensor shape %s" % (g.shape, self.values.shape)
-            )
+        if g.shape != self.shape:
+            raise ShapeError("gradient shape %s does not match tensor shape %s" % (g.shape, self.shape))
         # Never in place: a backward rule may hand one array to several inputs.
         if self.grad is not None:
             g = self.grad + g
-        self.grad = np.asarray(g, dtype=self.values.dtype)
+        self.grad = np.asarray(g, dtype=self.dtype)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -108,13 +108,22 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward_fn", "name")
+    """One recorded op: its output's shape, dtype and gradient, and where that gradient goes.
 
-    def __init__(self, inputs, output, backward_fn, name):
-        self.inputs = inputs
-        self.output = output
+    Per op input, ``inputs`` holds its producing node, a leaf Tensor, or None
+    for a constant: the tape keeps only the values a backward rule captured.
+    """
+
+    __slots__ = ("inputs", "shape", "dtype", "backward_fn", "name", "grad")
+
+    def __init__(self, inputs, output: Tensor, backward_fn, name):
+        self.inputs = tuple(t._node or (t if t.requires_grad else None) for t in inputs)
+        self.shape, self.dtype = output.shape, output.dtype
         self.backward_fn = backward_fn
         self.name = name
+        self.grad: Optional[np.ndarray] = None
+
+    accumulate_grad = Tensor.accumulate_grad
 
 
 class Tape:
@@ -145,13 +154,11 @@ class Tape:
         backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
         name: str,
     ) -> None:
-        self._nodes.append(_Node(tuple(inputs), output, backward_fn, name))
+        output._node = _Node(inputs, output, backward_fn, name)
+        self._nodes.append(output._node)
 
     def __len__(self):
         return len(self._nodes)
-
-    def clear(self) -> None:
-        self._nodes.clear()
 
 
 def active_tape() -> Optional[Tape]:
@@ -160,23 +167,23 @@ def active_tape() -> Optional[Tape]:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad of every recorded tensor.
+    """Accumulate d(loss)/d(leaf) into .grad of every leaf the loss depends on.
 
     The loss must be scalar. Gradients sum at fan-out points. A backward rule
     may return None for an input that does not require a gradient, and skip
-    computing it; such inputs get no ``grad``. The tape is cleared
-    afterwards, so a second backward needs a fresh forward pass.
+    computing it; such inputs get no ``grad``. Each node is popped and drops
+    its closure, inputs and output gradient once used, so the graph is freed
+    as it is walked; a second backward needs a fresh forward pass.
     """
     if loss.values.size != 1:
         raise ValueError("backward() needs a scalar loss, got shape %s" % (loss.shape,))
-    loss.grad = np.ones_like(loss.values)
-    for node in reversed(tape._nodes):
-        out_grad = node.output.grad
-        if out_grad is None:
-            continue
-        grads = node.backward_fn(out_grad)
-        for inp, g in zip(node.inputs, grads):
-            if g is None or not inp.requires_grad:
-                continue
-            inp.accumulate_grad(g)
-    tape.clear()
+    (loss._node or loss).grad = np.ones_like(loss.values)
+    nodes = tape._nodes
+    while nodes:
+        node = nodes.pop()
+        g, fn, inputs = node.grad, node.backward_fn, node.inputs
+        node.grad = node.backward_fn = node.inputs = None
+        if g is not None:
+            for inp, gi in zip(inputs, fn(g)):
+                if gi is not None and inp is not None:
+                    inp.accumulate_grad(gi)

@@ -44,13 +44,14 @@ def _minmax_unit(v: np.ndarray) -> np.ndarray:
     lo, hi = v.min(), v.max()
     if hi == lo:
         return np.zeros_like(v)
-    return (v - lo) / (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):  # a range near the float limit: refused below
+        return (v - lo) / (hi - lo)
 
 
 def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
     """Rasterize one stroke sequence onto a size x size canvas.
 
-    Kinematics or canvas coordinates that are not finite raise ProtocolError.
+    Kinematics, colors or canvas coordinates that are not finite raise ProtocolError.
     """
     raw = compute_channels(s.t, s.x, s.y, s.p)
     colors = np.stack(
@@ -60,6 +61,8 @@ def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
             _minmax_unit(raw["angular_speed"]),
         ]
     )
+    if not np.all(np.isfinite(colors)):
+        raise ProtocolError("kinematic channel range overflows the color scale")
     colors = COLOR_FLOOR + (1.0 - COLOR_FLOOR) * colors  # (3, T)
 
     x = np.asarray(s.x, dtype=np.float64)

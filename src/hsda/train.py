@@ -80,30 +80,37 @@ def cosine_lr(epoch: int, lr0: float, t_max: int) -> float:
     return 0.5 * lr0 * (1.0 + math.cos(math.pi * epoch / t_max))
 
 
+_BLOCK = 1 << 15  # elements per pass: a block of w, g, v and the scratch stays in cache
+
+
 def sgd_step(
     params: Dict[str, Tensor], state: Dict[str, np.ndarray], lr: float, momentum: float, weight_decay: float
 ) -> None:
     """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place.
 
-    state[name] is the momentum buffer v of a parameter and
-    state[name + "#scratch"] the buffer its update is computed in; both are
-    made on the first step. A missing gradient counts as zero.
+    state[name] is the momentum buffer v of a parameter, made on the first
+    step. The six operations run in order block by block, through one
+    scratch buffer shared by all parameters. A missing gradient counts as
+    zero; a non-finite one raises before its parameter changes.
     """
+    scratch = None
     for name, t in params.items():
-        w, g = t.values, t.grad if t.grad is not None else 0.0
-        if not np.all(np.isfinite(g)):
+        g = None if t.grad is None else t.grad.reshape(-1)
+        if g is not None and not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient in %s" % name)
-        v = state.get(name)
-        if v is None:
-            v = state[name] = np.zeros_like(w)
-            state[name + "#scratch"] = np.empty_like(w)
-        scratch = state[name + "#scratch"]
-        np.multiply(w, weight_decay, out=scratch)
-        scratch += g
-        v *= momentum
-        v += scratch
-        np.multiply(v, lr, out=scratch)
-        w -= scratch
+        if name not in state:
+            state[name] = np.zeros_like(t.values)
+        if scratch is None or scratch.dtype != t.dtype:
+            scratch = np.empty(_BLOCK, dtype=t.dtype)
+        w, v = t.values.reshape(-1), state[name].reshape(-1)  # views: both are C-contiguous
+        for lo in range(0, w.size, _BLOCK):
+            wb, vb, s = w[lo : lo + _BLOCK], v[lo : lo + _BLOCK], scratch[: min(_BLOCK, w.size - lo)]
+            np.multiply(wb, weight_decay, out=s)
+            s += 0.0 if g is None else g[lo : lo + _BLOCK]
+            vb *= momentum
+            vb += s
+            np.multiply(vb, lr, out=s)
+            wb -= s
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,16 @@ s02,3,AD
 10,0.2,0.2,0.5
 """
 
+# parses and survives cleaning, but its kinematic channels reach ~1e307
+HUGE_KINEMATICS_RAW = """b,1,HC
+5.0,1.7209468052432864,2.73632478879006e+306,1.7663251912448072
+10.0,-0.9456473628377351,nan,nan
+15.0,-0.8353136472004867,1.647384273614417,nan
+20.0,-2.7583151453487083e+307,0.49288909900051836,-4.185414248360619e+305
+25.0,0.20353927046150133,1.0921792778097412,8.204900731387431e+305
+35.0,1.169467856889077,1.752644835086882,-0.521113075241252
+"""
+
 FAST_TRAIN = "max_epochs = 2\npatience = 2\nbatch_size = 4\n"
 
 
@@ -270,6 +280,16 @@ class TestRenderCommand:
         assert "dropping subject s03 task 2 (outlier repair flags 40 of 40 samples" in proc.stderr
         assert "s04_task04: dropped (kinematic channel speed is not finite)" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_color_range_overflow_is_a_dropped_record(self, tmp_path, capsys):
+        # kinematic channels near the float limit overflow the min-max color range
+        raw = tmp_path / "huge.csv"
+        raw.write_text(TWO_SUBJECT_RAW + "\n" + HUGE_KINEMATICS_RAW)
+        out = tmp_path / "img"
+        assert cli.main(["render", str(raw), "--scale", "toy", "--out", str(out)]) == 0
+        assert "b_task01: dropped (kinematic channel range overflows the color scale)" in capsys.readouterr().err
+        assert sorted(f for f in os.listdir(out) if f.endswith(".ppm")) == ["s01_task01.ppm"]
 
 
 class TestTrainEvaluateCommands:

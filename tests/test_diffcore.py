@@ -5,6 +5,9 @@ triple-loop matmul and sliding-window convolutions, direct bin arithmetic for
 the adaptive pools. Gradients are verified against central differences.
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from hsda.diffcore import (
     pairwise_absdiff,
     permute,
     primitive_checks,
+    relu,
     reshape,
     scale_rows,
     sigmoid,
@@ -45,6 +49,8 @@ from hsda.diffcore import (
     using_dtype,
 )
 from hsda.errors import ConfigError
+from hsda.loss import cross_entropy
+from hsda.model import HsdaNet, synth_config
 from hsda.model.embeddings import pool_signal
 
 
@@ -450,6 +456,61 @@ class TestTape:
             backward(y, tape)
             assert c.grad is None
             np.testing.assert_allclose(x.grad, c.values)
+
+
+class TestTapeMemory:
+    def test_relu_output_feeding_a_conv_is_freed_before_backward(self):
+        # neither the tape nor conv2d's backward rule needs the relu output's values
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+
+        def forward():
+            h = relu(conv2d(x, w1, padding=1))
+            return sum_(conv2d(h, w2)), weakref.ref(h.values)
+
+        with Tape() as tape:
+            y, h_values = forward()
+        assert h_values() is None
+        backward(y, tape)
+        assert x.grad is not None and w1.grad is not None and w2.grad is not None
+
+    def test_backward_leaves_grads_on_leaves_only_and_empties_the_tape(self):
+        with using_dtype(np.float64):
+            x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+            c = Tensor(np.array([0.5, 0.25, 2.0]))
+            with Tape() as tape:
+                h = mul(x, x)
+                y = sum_(add(mul(h, c), x))
+            assert len(tape) == 4
+            backward(y, tape)
+            assert h.grad is None and y.grad is None and c.grad is None
+            np.testing.assert_array_equal(x.grad, 2.0 * x.values * c.values + 1.0)
+            assert len(tape) == 0
+
+    def test_backward_peak_stays_near_the_forward_end(self):
+        # backward frees each node's activations and output gradient as it walks,
+        # so beyond the forward's live set it adds little more than the parameter grads
+        cfg = synth_config()
+        net = HsdaNet(cfg, seed=0)
+        rng = np.random.default_rng(3)
+        images = [rng.random((3, cfg.canvas_size, cfg.canvas_size)) for _ in range(8)]
+        signals = [rng.normal(size=(9, 120)) for _ in range(8)]
+        grad_bytes = sum(t.values.nbytes for t in net.parameter_dict().values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                logits, _ = net(images, signals)
+                loss = cross_entropy(softmax_rows(logits), np.arange(8) % 2)
+            forward_end = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert backward_peak <= forward_end + grad_bytes + 2 * 2**20, (backward_peak, forward_end, grad_bytes)
 
 
 # ---------------------------------------------------------------------------

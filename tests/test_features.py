@@ -201,6 +201,24 @@ class TestRender:
                 render_image(s, size=16)
             assert build_dataset([s], canvas_size=16) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::hsda.errors.DataQualityWarning")
+    def test_color_range_overflow_rejected(self, tmp_path):
+        from hsda.train import build_dataset
+
+        # a csv-v1 block whose kinematic channels reach ~1e307: max - min overflows
+        raw = tmp_path / "huge.csv"
+        raw.write_text(
+            "b,1,HC\n5.0,1.7209468052432864,2.73632478879006e+306,1.7663251912448072\n"
+            "10.0,-0.9456473628377351,nan,nan\n15.0,-0.8353136472004867,1.647384273614417,nan\n"
+            "20.0,-2.7583151453487083e+307,0.49288909900051836,-4.185414248360619e+305\n"
+            "25.0,0.20353927046150133,1.0921792778097412,8.204900731387431e+305\n"
+            "35.0,1.169467856889077,1.752644835086882,-0.521113075241252\n"
+        )
+        (s,) = preprocess(parse_raw(str(raw)))
+        with pytest.raises(ProtocolError, match="color scale"):
+            render_image(s, size=16)
+        assert build_dataset([s], canvas_size=16) == []
+
     def test_pen_up_segments_not_drawn(self):
         n = 11
         x = np.linspace(0, 1, n)

@@ -93,6 +93,19 @@ class TestSgdStep:
         with pytest.raises(FloatingPointError, match="stem.w"):
             sgd_step({"stem.w": t}, {}, lr=0.1, momentum=0.9, weight_decay=0.05)
 
+    def test_nan_in_last_block_raises_before_the_parameter_changes(self):
+        rng = np.random.default_rng(4)
+        params = {n: Tensor(rng.normal(size=3 * 32768 + 5), requires_grad=True) for n in ("first", "stage2.w")}
+        for t in params.values():
+            t.grad = rng.normal(size=t.shape).astype(np.float32)
+        params["stage2.w"].grad[-1] = np.nan
+        before = params["stage2.w"].values.copy()
+        state = {}
+        with pytest.raises(FloatingPointError, match="stage2.w"):
+            sgd_step(params, state, lr=0.1, momentum=0.9, weight_decay=0.05)
+        np.testing.assert_array_equal(params["stage2.w"].values, before)
+        assert "stage2.w" not in state
+
     def test_missing_gradient_still_decays(self):
         t = Tensor(np.array([2.0]), requires_grad=True)
         sgd_step({"w": t}, {}, lr=0.1, momentum=0.9, weight_decay=0.05)
@@ -100,23 +113,26 @@ class TestSgdStep:
 
 
     def test_matches_out_of_place_formula_bitwise(self):
-        # the update as v = momentum * v + (g + wd * w); w = w - lr * v, new arrays each step
+        # the update as v = momentum * v + (g + wd * w); w = w - lr * v, new arrays each step;
+        # the long parameters span several blocks of the blocked update and end in a partial one
         rng = np.random.default_rng(8)
-        shapes = {"a": (5, 7), "b": (3,), "no_grad": (4, 2)}
+        long = 3 * 32768 + 5
+        shapes = {"f64": (6,), "a": (5, 7), "b": (3,), "no_grad": (4, 2), "long": (long,), "long_no_grad": (long,)}
         params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+        params["f64"] = Tensor(params["f64"].values, requires_grad=True, dtype=np.float64)
         ref_w = {n: t.values.copy() for n, t in params.items()}
         ref_v = {n: np.zeros_like(w) for n, w in ref_w.items()}
         state = {}
         for step in range(3):
             lr = 0.1 / (step + 1)
             for n, t in params.items():
-                t.grad = None if n == "no_grad" else rng.normal(size=t.shape).astype(np.float32)
+                t.grad = None if n.endswith("no_grad") else rng.normal(size=t.shape).astype(np.float32)
                 g = t.grad if t.grad is not None else np.zeros_like(ref_w[n])
                 ref_v[n] = 0.9 * ref_v[n] + (g + 0.05 * ref_w[n])
                 ref_w[n] = ref_w[n] - lr * ref_v[n]
             sgd_step(params, state, lr, momentum=0.9, weight_decay=0.05)
             for n, t in params.items():
-                assert t.values.dtype == np.float32
+                assert t.values.dtype == (np.float64 if n == "f64" else np.float32)
                 np.testing.assert_array_equal(t.values, ref_w[n])
                 np.testing.assert_array_equal(state[n], ref_v[n])
 
