@@ -276,4 +276,10 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
     run("conv2d:grouped-x", lambda x: ops.conv2d(x, Tensor(wg2), None, padding=1, groups=2), xg2)
     run("conv2d:grouped-w", lambda w: ops.conv2d(Tensor(xg2), w, None, padding=1, groups=2), wg2)
 
+    k5 = rng.normal(size=(3, 2, 5))
+    k3 = rng.normal(size=(3, 2, 3))
+    run("add_centered:a", lambda x: ops.add_centered(x, Tensor(k3)), k5)
+    run("add_centered:b", lambda x: ops.add_centered(Tensor(k5), x), k3)
+    run("add_centered:1-tap", lambda x: ops.add_centered(Tensor(k5), x), rng.normal(size=(3, 2, 1)))
+
     return results

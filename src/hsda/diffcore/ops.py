@@ -3,9 +3,9 @@
 Every function takes/returns :class:`Tensor` and registers a backward rule on
 the active tape. Broadcasting is deliberately narrow: elementwise ops accept
 identical shapes or a scalar on one side, nothing else. Dedicated primitives
-(add_bias, scale_rows, pairwise_absdiff, cosine_rows) cover the row/column
-patterns the network needs, which keeps every backward rule simple enough to
-audit.
+(add_bias, add_centered, scale_rows, pairwise_absdiff, cosine_rows) cover the
+row/column and kernel-tap patterns the network needs, which keeps every
+backward rule simple enough to audit.
 
 The model runs a whole batch of samples through one call, so the matrix ops
 take a leading batch axis: matmul, add_bias, scale_rows, pairwise_absdiff,
@@ -91,8 +91,8 @@ def sub(a, b) -> Tensor:
     _check_elementwise(a, b, "sub")
     out = _out(a.values - b.values, _requires(a, b))
 
-    def bwd(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+    def bwd(g, sa=a.shape, sb=b.shape):
+        return _reduce_to(g, sa), _reduce_to(-g, sb)
 
     return _record((a, b), out, bwd, "sub")
 
@@ -127,7 +127,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0
-    out = _out(np.where(mask, a.values, 0), a.requires_grad)
+    out = _out(np.fmax(a.values, 0), a.requires_grad)  # fmax: NaN and -0.0 map to +0.0, like the mask
     return _record((a,), out, lambda g: (g * mask,), "relu")
 
 
@@ -158,8 +158,8 @@ def _expand_reduced(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
 def sum_(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
     out = _out(a.values.sum(axis=axis, keepdims=keepdims), a.requires_grad)
 
-    def bwd(g):
-        return (_expand_reduced(g, a.shape, axis, keepdims).astype(g.dtype, copy=True),)
+    def bwd(g, shape=a.shape):
+        return (_expand_reduced(g, shape, axis, keepdims).astype(g.dtype, copy=True),)
 
     return _record((a,), out, bwd, "sum")
 
@@ -168,8 +168,8 @@ def mean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tenso
     count = a.size if axis is None else a.shape[axis]
     out = _out(a.values.mean(axis=axis, keepdims=keepdims), a.requires_grad)
 
-    def bwd(g):
-        return (_expand_reduced(g, a.shape, axis, keepdims) / count,)
+    def bwd(g, shape=a.shape):
+        return (_expand_reduced(g, shape, axis, keepdims) / count,)
 
     return _record((a,), out, bwd, "mean")
 
@@ -182,8 +182,8 @@ def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         out_v = np.squeeze(out_v, axis=axis)
     out = _out(out_v, a.requires_grad)
 
-    def bwd(g):
-        gx = np.zeros_like(a.values)
+    def bwd(g, shape=a.shape, dtype=a.values.dtype):
+        gx = np.zeros(shape, dtype=dtype)
         ge = g if keepdims else np.expand_dims(g, axis)
         np.put_along_axis(gx, np.expand_dims(idx, axis), ge, axis=axis)
         return (gx,)
@@ -289,6 +289,22 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
         return g, g.sum(axis=lead)
 
     return _record((a, b), out, bwd, "add_bias")
+
+
+def add_centered(a: Tensor, b: Tensor) -> Tensor:
+    """a + b with b's taps centred on a's last axis, as if b were zero-padded to a's extent.
+
+    Outer taps of a get + 0.0, so a -0.0 there becomes +0.0 as under the padding.
+    """
+    ka, kb = a.shape[-1], b.shape[-1]
+    if a.shape[:-1] != b.shape[:-1] or kb > ka or (ka - kb) % 2:
+        raise ShapeError("add_centered: %s with %s (leading axes differ or b not centrable)" % (a.shape, b.shape))
+    lo, hi = (ka - kb) // 2, (ka + kb) // 2
+    y = a.values + 0.0
+    for j in range(kb):  # one long strided add per tap: a slice add would loop over a 1-5 long axis
+        np.add(a.values[..., lo + j], b.values[..., j], out=y[..., lo + j])
+    out = _out(y, _requires(a, b))
+    return _record((a, b), out, lambda g: (g, g[..., lo:hi]), "add_centered")
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
@@ -424,14 +440,12 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
         raise ShapeError("adaptive_max_pool1d expects (B, C, T), got %s" % (a.shape,))
     T = a.shape[-1]
     starts, ends = _pool_bins(T, out_len)
-    y = np.empty(a.shape[:-1] + (out_len,), dtype=a.values.dtype)
-    arg = np.empty(y.shape, dtype=np.int64)
-    for i in range(out_len):
-        window = a.values[..., starts[i] : ends[i]]
-        aw = window.argmax(axis=-1)
-        arg[..., i] = starts[i] + aw
-        y[..., i] = np.take_along_axis(window, aw[..., None], axis=-1)[..., 0]
-    out = _out(y, a.requires_grad)
+    # every bin at once: a short bin repeats its last index, which moves neither its max nor its first argmax
+    take = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
+    windows = a.values[..., take]  # (B, C, out_len, widest)
+    aw = windows.argmax(axis=-1)
+    arg = starts + aw
+    out = _out(np.take_along_axis(windows, aw[..., None], axis=-1)[..., 0], a.requires_grad)
 
     def bwd(g):
         gx = np.zeros((g.size // out_len, T), dtype=g.dtype)

@@ -3,10 +3,11 @@
 Each head computes two row-stochastic weight matrices over the token pairs:
 similarity weights from scaled dot products plus a learned position bias, and
 difference weights from the pairwise absolute feature differences aggregated
-by parallel convolutions (kernels 5/3/1, run as one merged 5-tap convolution)
-over the key axis and reduced to a scalar logit per pair. A per-query-row
-scalar gate blends the two, which keeps the blend row-stochastic, and the
-blended weights aggregate the values.
+by parallel convolutions over the key axis (kernels 5/3/1, run as one 5-tap
+convolution whose kernel adds the shorter ones onto its centre taps) and
+reduced to a scalar logit per pair. A per-query-row scalar gate blends the
+two, which keeps the blend row-stochastic, and the blended weights aggregate
+the values.
 
 Tokens are (n, width) for one sample or (B, n, width) for a batch; every
 weight matrix then carries the same leading axes, (B, n, n) for a batch.
@@ -37,12 +38,6 @@ def saw(q: Tensor, k: Tensor, bias: Tensor) -> Tensor:
     return dc.softmax_rows(dc.add_bias(logits, bias))
 
 
-def _pad_taps(w: Tensor, each_side: int) -> Tensor:
-    """Add each_side zero taps at both ends of a (C_out, C_in, k) kernel."""
-    zeros = Tensor(np.zeros(w.shape[:2] + (each_side,), dtype=w.dtype))
-    return dc.concat([zeros, w, zeros], axis=2)
-
-
 class DiscrepancyNet(Module):
     """M_theta: pairwise |q_i - k_j| -> row-stochastic difference weights.
 
@@ -51,10 +46,10 @@ class DiscrepancyNet(Module):
     sum is reduced to one logit per (i, j) by a small perceptron.
 
     The three are centred and linear, so their sum is one 5-tap convolution
-    (padding 2) with the kernel w5 + w3 + w1, the shorter kernels zero-padded
-    to 5 taps, and the bias b5 + b3 + b1. Each call builds that kernel on the
-    tape, so the six parameters of conv5/conv3/conv1 get their gradients
-    through it.
+    (padding 2) with the bias b5 + b3 + b1 and the kernel w5 + w3 + w1, each
+    shorter kernel added onto the centre taps by add_centered. Each call
+    merges the kernels on the tape, so the six parameters of
+    conv5/conv3/conv1 get their gradients through it.
     """
 
     def __init__(self, d_h: int, rng):
@@ -69,7 +64,7 @@ class DiscrepancyNet(Module):
         diff = dc.pairwise_absdiff(q, k)  # (..., n_q, n_k, d_h)
         # one (d_h, n_k) sequence per query row of every sample: keys are the time axis
         stacked = dc.reshape(dc.transpose(diff), (-1, d_h, n_k))
-        kernel = dc.add(dc.add(self.conv5.w, _pad_taps(self.conv3.w, 1)), _pad_taps(self.conv1.w, 2))
+        kernel = dc.add_centered(dc.add_centered(self.conv5.w, self.conv3.w), self.conv1.w)
         bias = dc.add(dc.add(self.conv5.b, self.conv3.b), self.conv1.b)
         agg = dc.conv1d(stacked, kernel, bias, padding=2)
         flat = dc.reshape(dc.transpose(agg), (-1, d_h))

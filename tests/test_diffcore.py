@@ -21,6 +21,7 @@ from hsda.diffcore import (
     adaptive_max_pool1d,
     add,
     add_bias,
+    add_centered,
     backward,
     check_parameter_gradients,
     clamp_min,
@@ -107,6 +108,43 @@ def conv2d_oracle(x, w, b, stride, padding, groups):
                             acc += w[co, cg, i, j] * xp[gi * C_g + cg, r * stride + i, c * stride + j]
                 y[co, r, c] = acc + (b[co] if b is not None else 0.0)
     return y
+
+
+# ---------------------------------------------------------------------------
+# the implementations the fast primitives replaced, kept as bitwise references
+
+
+def where_relu(v):
+    """relu's forward as a select: np.where(v > 0, v, 0)."""
+    return np.where(v > 0, v, 0)
+
+
+def padded_kernel_sum(w5, w3, w1):
+    """w5 + zero-pad(w3) + zero-pad(w1) on the tape, built by concat with zero taps."""
+
+    def pad(w, each_side):
+        zeros = Tensor(np.zeros(w.shape[:2] + (each_side,), dtype=w.dtype))
+        return concat([zeros, w, zeros], axis=2)
+
+    return add(add(w5, pad(w3, 1)), pad(w1, 2))
+
+
+def loop_max_pool(v, out_len):
+    """(max, first argmax) of every adaptive bin of a (B, C, T) array, one bin at a time."""
+    T = v.shape[-1]
+    y = np.empty(v.shape[:-1] + (out_len,), dtype=v.dtype)
+    arg = np.empty(y.shape, dtype=np.int64)
+    for i in range(out_len):
+        start, end = i * T // out_len, -(-(i + 1) * T // out_len)
+        aw = v[..., start:end].argmax(axis=-1)
+        arg[..., i] = start + aw
+        y[..., i] = np.take_along_axis(v[..., start:end], aw[..., None], axis=-1)[..., 0]
+    return y, arg
+
+
+def bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +319,73 @@ class TestForward:
         k = Tensor(np.array([[1.0, 1.0]]))
         out = pairwise_absdiff(q, k).values
         np.testing.assert_allclose(out, [[[1.0, 0.0]], [[1.0, 2.0]]])
+
+
+class TestBitIdentity:
+    """The fast relu, kernel merge and max pool reproduce the code they replaced bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_where(self, dtype):
+        fi = np.finfo(dtype)
+        special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, fi.tiny / 4, -fi.tiny / 4, fi.max, -fi.max]
+        # long enough for the vectorised loops, with every special value at several offsets
+        v = np.concatenate([np.array(special * 40), np.random.default_rng(0).normal(size=330)]).astype(dtype)
+        for arr in (v, v[1:], v.reshape(-1, 10)[:, 1:]):
+            y = relu(Tensor(arr, dtype=dtype)).values
+            assert y.dtype == dtype
+            assert np.array_equal(bits(y), bits(where_relu(arr)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_add_centered_matches_padded_sum(self, dtype):
+        rng = np.random.default_rng(5)
+        w5, w3, w1 = (rng.normal(size=(4, 3, k)).astype(dtype) for k in (5, 3, 1))
+        # -0.0 on outer and centre taps, also where all three kernels hold -0.0
+        w5[0, :, :] = -0.0
+        w3[0, :2, :] = -0.0
+        w1[0, 0, 0] = -0.0
+        w5[1, 1, [0, 4]] = -0.0
+        gy = rng.normal(size=w5.shape).astype(dtype)
+
+        def run(build):
+            ws = [Tensor(w.copy(), requires_grad=True, dtype=dtype) for w in (w5, w3, w1)]
+            with Tape() as tape:
+                k = build(*ws)
+                loss = sum_(mul(k, Tensor(gy, dtype=dtype)))
+            backward(loss, tape)
+            return [k.values] + [w.grad for w in ws]
+
+        got = run(lambda a, b, c: add_centered(add_centered(a, b), c))
+        want = run(padded_kernel_sum)
+        assert np.signbit(want[0]).any()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert np.array_equal(bits(g), bits(w))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 5), (2, 3, 2)), ((2, 3, 5), (3, 3, 3)), ((2, 3, 3), (2, 3, 5))])
+    def test_add_centered_shape_rejected(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="add_centered"):
+            add_centered(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+    @pytest.mark.parametrize("T,out_len", [(23, 5), (3, 7), (64, 32)])
+    def test_adaptive_max_pool_matches_per_bin_loop(self, T, out_len):
+        rng = np.random.default_rng(T)
+        v = rng.integers(0, 4, size=(3, 4, T)).astype(np.float64)  # few values: many ties
+        v[0, 0, T // 2] = np.nan
+        v[1, 2, :] = 0.0
+        v[1, 2, ::2] = -0.0
+        want_y, want_arg = loop_max_pool(v, out_len)
+        g = rng.normal(size=want_y.shape)
+        want_grad = np.zeros((12, T))
+        np.add.at(want_grad, (np.arange(12)[:, None].repeat(out_len, 1), want_arg.reshape(12, out_len)), g.reshape(12, out_len))
+
+        x = Tensor(v, requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            y = adaptive_max_pool1d(x, out_len)
+            loss = sum_(mul(y, Tensor(g, dtype=np.float64)))
+        assert np.isnan(y.values).any()
+        assert np.array_equal(bits(y.values), bits(want_y))
+        backward(loss, tape)
+        assert np.array_equal(bits(x.grad), bits(want_grad.reshape(v.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +580,21 @@ class TestTapeMemory:
         assert h_values() is None
         backward(y, tape)
         assert x.grad is not None and w1.grad is not None and w2.grad is not None
+
+    @pytest.mark.parametrize("reduce", [sum_, mean, lambda h: sum_(max_(h, axis=1))], ids=["sum", "mean", "max"])
+    def test_reduction_keeps_only_its_input_shape(self, reduce):
+        # sum_, mean and max_ need their input's shape and dtype in backward, not its values
+        x = Tensor(np.random.default_rng(4).normal(size=(3, 5)), requires_grad=True)
+
+        def forward():
+            h = relu(x)
+            return reduce(h), weakref.ref(h.values)
+
+        with Tape() as tape:
+            y, h_values = forward()
+        assert h_values() is None
+        backward(y, tape)
+        assert x.grad is not None
 
     def test_backward_leaves_grads_on_leaves_only_and_empties_the_tape(self):
         with using_dtype(np.float64):

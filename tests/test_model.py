@@ -622,6 +622,7 @@ class TestStepStructure:
         n_heads = sum(name.endswith(".daw.conv5.w") for name in net.parameter_dict())
         assert n_heads > 0 and len(recorded[DiscrepancyNet]) == n_heads
         assert [names.count("conv1d") for names in recorded[DiscrepancyNet]] == [1] * n_heads
+        assert not any("concat" in names for names in recorded[DiscrepancyNet])
         assert len(recorded[ImageStem]) == 1
         assert "permute" not in recorded[ImageStem][0]
 
