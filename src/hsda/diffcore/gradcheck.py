@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import ops
-from .rng import STREAM_CHECK, make_rng
+from .rng import make_rng
 from .tensor import Tape, Tensor, backward, using_dtype
 
 
@@ -71,7 +71,7 @@ def check_parameter_gradients(
     gradients with nonzero bitwise effect common in attention stacks.
     """
     if rng is None:
-        rng = make_rng(0, STREAM_CHECK)
+        rng = make_rng(0, "check")
     with using_dtype(np.float64):
         for t in params.values():
             t.zero_grad()
@@ -133,7 +133,7 @@ def _distinct(rng: np.random.Generator, shape) -> np.ndarray:
 
 def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]]:
     """grad_check every differentiable primitive; returns (name, max rel err)."""
-    rng = make_rng(seed, STREAM_CHECK)
+    rng = make_rng(seed, "check")
     results: List[Tuple[str, float]] = []
 
     def run(name: str, op: Callable[[Tensor], Tensor], x0: np.ndarray) -> None:

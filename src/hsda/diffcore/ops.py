@@ -116,11 +116,11 @@ def neg(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp for large |x|.
+    # Split by sign so exp never overflows; one exp of -|x|, taken as
+    # min(x, -x), which (unlike -abs) keeps a NaN's sign bit.
     v = a.values
-    y = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.clip(v, 0, None))),
-                 np.exp(np.clip(v, None, 0)) / (1.0 + np.exp(np.clip(v, None, 0))))
-    y = y.astype(v.dtype)
+    e = np.exp(np.minimum(v, -v))
+    y = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(v.dtype)
     out = _out(y, a.requires_grad)
     return _record((a,), out, lambda g: (g * y * (1.0 - y),), "sigmoid")
 
@@ -518,8 +518,12 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
     if min(out_shape) < 1:
         raise ShapeError("%s output %s < 1 (input %s, kernel %s)" % (name, out_shape, x.shape[2:], kernel))
 
-    xp = np.pad(x.values, ((0, 0), (0, 0)) + ((padding, padding),) * nd) if padding else x.values
-    padded = xp.shape
+    inner = (slice(None), slice(None)) + tuple(slice(padding, padding + L) for L in x.shape[2:])
+    padded = x.shape[:2] + tuple(L + 2 * padding for L in x.shape[2:])
+    xp = x.values
+    if padding:
+        xp = np.zeros(padded, dtype=xp.dtype)
+        xp[inner] = x.values
     cols = np.empty((C_in, int(np.prod(kernel)), B) + out_shape, dtype=xp.dtype)
     for tap, window in _windows(kernel, stride, out_shape):
         cols[:, tap] = xp[window].swapaxes(0, 1)
@@ -540,7 +544,7 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
             dxp = np.zeros(padded, dtype=dcols.dtype)
             for tap, window in _windows(kernel, stride, out_shape):
                 dxp[window] += dcols[:, tap].swapaxes(0, 1)
-            dx = dxp[(slice(None), slice(None)) + tuple(slice(padding, P - padding) for P in padded[2:])]
+            dx = dxp[inner]
         if not has_bias:
             return dx, dw
         return dx, dw, gy.sum(axis=1)

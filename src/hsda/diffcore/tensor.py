@@ -6,12 +6,15 @@ Tensors wrap a numpy array plus an optional gradient buffer. Operations in
 as it goes, and accumulates gradients into every leaf that requires them.
 
 Training runs in float32 by default; gradient checking switches to float64
-via :func:`default_dtype` / :class:`using_dtype`.
+via :func:`default_dtype` / :func:`using_dtype`.
+
+The default dtype and the active tape are per process, not per thread: the
+package starts no threads, and parallel work runs in separate processes.
 """
 
 from __future__ import annotations
 
-import threading
+import contextlib
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,39 +24,24 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
 
-_state = threading.local()
-
-
-def _tls():
-    if not hasattr(_state, "tape_stack"):
-        _state.tape_stack = []
-        _state.dtype = np.float32
-    return _state
+_dtype = np.dtype(np.float32)
+_tape: Optional["Tape"] = None
 
 
 def default_dtype() -> np.dtype:
     """Dtype given to tensors created without an explicit dtype."""
-    return _tls().dtype
+    return _dtype
 
 
-class using_dtype:
-    """Context manager that temporarily switches the default dtype.
-
-    Gradient checks run inside ``using_dtype(np.float64)``.
-    """
-
-    def __init__(self, dtype):
-        self._dtype = np.dtype(dtype)
-
-    def __enter__(self):
-        tls = _tls()
-        self._saved = tls.dtype
-        tls.dtype = self._dtype
-        return self
-
-    def __exit__(self, *exc):
-        _tls().dtype = self._saved
-        return False
+@contextlib.contextmanager
+def using_dtype(dtype):
+    """Switch the default dtype for the block; gradient checks run in float64."""
+    global _dtype
+    saved, _dtype = _dtype, np.dtype(dtype)
+    try:
+        yield
+    finally:
+        _dtype = saved
 
 
 class Tensor:
@@ -135,16 +123,18 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._outer: Optional[Tape] = None
 
     def __enter__(self):
-        _tls().tape_stack.append(self)
+        global _tape
+        self._outer, _tape = _tape, self
         return self
 
     def __exit__(self, *exc):
-        stack = _tls().tape_stack
-        if not stack or stack[-1] is not self:
+        global _tape
+        if _tape is not self:
             raise RuntimeError("tape context exited out of order")
-        stack.pop()
+        _tape = self._outer
         return False
 
     def record(
@@ -162,8 +152,7 @@ class Tape:
 
 
 def active_tape() -> Optional[Tape]:
-    stack = _tls().tape_stack
-    return stack[-1] if stack else None
+    return _tape
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

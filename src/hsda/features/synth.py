@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from ..diffcore.rng import STREAM_SYNTH, make_rng
+from ..diffcore.rng import make_rng
 from ..errors import ConfigError
 from ..ingest import StrokeSequence
 
@@ -73,7 +73,7 @@ def synth_generate(n_per_class: int, seed: int) -> List[StrokeSequence]:
     out: List[StrokeSequence] = []
     for i in range(2 * n_per_class):
         label = "HC" if i < n_per_class else "AD"
-        rng = make_rng(seed, STREAM_SYNTH, substream=i)
+        rng = make_rng(seed, "synth", substream=i)
         t, x, y, p = _base_trace(rng, impaired=label == "AD")
         if label == "AD":
             x, y, p = _add_tremor(t, x, y, p, rng)

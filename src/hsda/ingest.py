@@ -57,11 +57,6 @@ class RawRecord:
     def __len__(self) -> int:
         return len(self.t)
 
-    def channel(self, name: str) -> np.ndarray:
-        if name not in CHANNELS:
-            raise KeyError(name)
-        return getattr(self, name)
-
 
 @dataclass
 class StrokeSequence:
@@ -173,7 +168,7 @@ def merge_duplicate_times(r: RawRecord) -> RawRecord:
         return r
     merged = {}
     for name in CHANNELS:
-        v = r.channel(name)
+        v = getattr(r, name)
         finite = np.isfinite(v)
         # a sum near the float limit overflows to inf, which impute_missing refills
         with np.errstate(over="ignore"):
@@ -187,7 +182,7 @@ def impute_missing(r: RawRecord) -> RawRecord:
     """Fill missing x/y/p by linear interpolation along the timestamp axis."""
     updates = {}
     for name in CHANNELS:
-        v = r.channel(name)
+        v = getattr(r, name)
         missing = ~np.isfinite(v)
         if not missing.any():
             continue
@@ -214,7 +209,7 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
         return r
     flagged = np.zeros(n, dtype=bool)
     for name in CHANNELS:
-        v = r.channel(name)
+        v = getattr(r, name)
         # values near the float limit overflow the statistics to inf; a NaN z
         # flags nothing
         with np.errstate(over="ignore", invalid="ignore"):
@@ -241,7 +236,7 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
     log.info(
         "subject %s task %d: replacing %d/%d outlier samples", r.subject_id, r.task_id, count, n
     )
-    blanked = {name: np.where(flagged, np.nan, r.channel(name)) for name in CHANNELS}
+    blanked = {name: np.where(flagged, np.nan, getattr(r, name)) for name in CHANNELS}
     return impute_missing(dataclasses.replace(r, **blanked))
 
 
@@ -252,7 +247,7 @@ def salvageable(r: RawRecord) -> bool:
     if len(r) < MIN_SAMPLES:
         return False
     for name in CHANNELS:
-        if np.count_nonzero(np.isfinite(r.channel(name))) < 2:
+        if np.count_nonzero(np.isfinite(getattr(r, name))) < 2:
             return False
     return True
 
@@ -281,7 +276,7 @@ def clean_record(r: RawRecord, z_max: float) -> Cleaned:
     )
     changed = np.zeros(len(imputed), dtype=bool)
     for name in CHANNELS:
-        changed |= imputed.channel(name) != repaired.channel(name)
+        changed |= getattr(imputed, name) != getattr(repaired, name)
     return Cleaned(sequence, int(changed.sum()))
 
 

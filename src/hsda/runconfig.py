@@ -86,7 +86,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def _coerce(key: str, value) -> object:
     """Cast a raw string (or an already-typed override) to the field's type."""
-    typ = _FIELDS[key].type if isinstance(_FIELDS[key].type, type) else type(_FIELDS[key].default)
+    typ = type(_FIELDS[key].default)  # .type is a string under postponed annotations
     if not isinstance(value, str):
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
             return float(value)

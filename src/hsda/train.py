@@ -122,9 +122,9 @@ def split_and_fold(
 ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
     """Stratified test split plus k stratified folds over the remainder.
 
-    Test slots go to classes by largest fractional remainder; fold slots go
-    one sample at a time to the currently lightest fold, per class, which
-    keeps per-class counts within 1 across folds and pools the slack evenly.
+    Test slots go to classes by largest fractional remainder; the rest is
+    dealt round-robin to the folds, class after class, which keeps per-class
+    counts within 1 across folds and pools the slack evenly.
     Returns (test indices, [(train indices, val indices), ...]).
     """
     labels = np.asarray(labels)
@@ -161,21 +161,9 @@ def split_and_fold(
             )
     test_idx = np.sort(np.concatenate(test_parts))
 
-    fold_members: List[List[int]] = [[] for _ in range(cfg.k_folds)]
-    loads = np.zeros(cfg.k_folds, dtype=int)
-    for c in classes:
-        for idx in pool_parts[c]:
-            dest = int(np.argmin(loads))
-            fold_members[dest].append(int(idx))
-            loads[dest] += 1
-
-    folds = []
-    for i in range(cfg.k_folds):
-        val = np.sort(np.array(fold_members[i], dtype=int))
-        train = np.sort(
-            np.concatenate([np.array(fold_members[j], dtype=int) for j in range(cfg.k_folds) if j != i])
-        )
-        folds.append((train, val))
+    pool = np.concatenate([pool_parts[c] for c in classes])
+    fold_of = np.arange(pool.size) % cfg.k_folds
+    folds = [(np.sort(pool[fold_of != i]), np.sort(pool[fold_of == i])) for i in range(cfg.k_folds)]
     return test_idx, folds
 
 
@@ -200,18 +188,9 @@ class Metrics:
         total = tp + fp + fn + tn
         if total == 0:
             raise ValueError("empty confusion matrix")
-        flagged = False
-
-        def ratio(num, den):
-            nonlocal flagged
-            if den == 0:
-                flagged = True
-                return 0.0
-            return num / den
-
-        precision = ratio(tp, tp + fp)
-        recall = ratio(tp, tp + fn)
-        f1 = ratio(2 * precision * recall, precision + recall) if (precision + recall) else ratio(0, 0)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         return cls(
             tp=tp,
             fp=fp,
@@ -221,7 +200,7 @@ class Metrics:
             precision=100.0 * precision,
             recall=100.0 * recall,
             f1=100.0 * f1,
-            zero_division=flagged,
+            zero_division=not (tp + fp and tp + fn and precision + recall),
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -369,10 +348,10 @@ def run_protocol(
         fold_results.append(result)
 
     best_fold = max(range(len(fold_results)), key=lambda i: fold_results[i].best_val_acc)
-    final = HsdaNet(model_cfg, seed=cfg.seed)
-    restore_parameters(final, fold_results[best_fold].best_state)
-    metrics = evaluate(final, test_set, cfg.batch_size)
-    return ProtocolResult(fold_results, best_fold, metrics, final)
+    restore_parameters(model, fold_results[best_fold].best_state)  # the last fold's model, reused
+    model.zero_grad()
+    metrics = evaluate(model, test_set, cfg.batch_size)
+    return ProtocolResult(fold_results, best_fold, metrics, model)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ from hsda.diffcore import (
     using_dtype,
 )
 from hsda.errors import ConfigError
-from hsda.loss import cross_entropy
-from hsda.model import HsdaNet, synth_config
+from hsda.loss import contrastive, cross_entropy, make_templates, total_loss
+from hsda.model import HsdaNet, synth_config, toy_config
 from hsda.model.embeddings import pool_signal
 
 
@@ -117,6 +117,13 @@ def conv2d_oracle(x, w, b, stride, padding, groups):
 def where_relu(v):
     """relu's forward as a select: np.where(v > 0, v, 0)."""
     return np.where(v > 0, v, 0)
+
+
+def three_exp_sigmoid(v):
+    """sigmoid's forward with one clipped exp per sign branch (three exps in all)."""
+    y = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.clip(v, 0, None))),
+                 np.exp(np.clip(v, None, 0)) / (1.0 + np.exp(np.clip(v, None, 0))))
+    return y.astype(v.dtype)
 
 
 def padded_kernel_sum(w5, w3, w1):
@@ -322,7 +329,26 @@ class TestForward:
 
 
 class TestBitIdentity:
-    """The fast relu, kernel merge and max pool reproduce the code they replaced bit for bit."""
+    """The fast relu, sigmoid, kernel merge and max pool reproduce the code they replaced bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_three_exps(self, dtype):
+        fi = np.finfo(dtype)
+        payload = np.array([0x7FC00001 if dtype is np.float32 else 0x7FF8000000000001],
+                           dtype={np.float32: np.uint32, np.float64: np.uint64}[dtype]).view(dtype)[0]
+        special = [np.nan, -np.nan, payload, -payload, 0.0, -0.0, np.inf, -np.inf,
+                   fi.smallest_subnormal, -fi.smallest_subnormal, fi.tiny / 4, -fi.tiny / 4,
+                   fi.tiny, -fi.tiny, fi.max, -fi.max, 30.0, -30.0, 800.0, -800.0]
+        rng = np.random.default_rng(1)
+        v = np.concatenate([np.array(special * 20, dtype=dtype),
+                            (rng.normal(size=330) * rng.choice([1.0, 10.0, 100.0], size=330)).astype(dtype)])
+        # short arrays and odd offsets reach the unvectorised loop tails too
+        for arr in (v, v[1:], v[3:40], v.reshape(-1, 10)[:, 1:], v[:1], v[4:5]):
+            with np.errstate(all="ignore"):
+                want = three_exp_sigmoid(arr)
+            y = sigmoid(Tensor(arr, dtype=dtype)).values
+            assert y.dtype == dtype
+            assert np.array_equal(bits(y), bits(want))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_matches_where(self, dtype):
@@ -510,6 +536,38 @@ class TestTape:
         backward(y, tape)
         assert len(tape) == 0
 
+    def test_nested_tape_records_and_outer_is_restored(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as outer:
+            y = mul(x, x)
+            with Tape() as inner:
+                assert active_tape() is inner
+                mul(y, y)
+            assert active_tape() is outer
+            sum_(y)
+        assert active_tape() is None
+        assert (len(outer), len(inner)) == (2, 1)
+
+    def test_out_of_order_exit_raises(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        try:
+            with pytest.raises(RuntimeError, match="out of order"):
+                outer.__exit__(None, None, None)
+        finally:
+            inner.__exit__(None, None, None)
+            outer.__exit__(None, None, None)
+        assert active_tape() is None
+
+    def test_using_dtype_restored_after_an_exception(self):
+        before = Tensor(0.0).dtype
+        with pytest.raises(KeyError):
+            with using_dtype(np.float64):
+                assert Tensor(0.0).dtype == np.float64
+                raise KeyError("boom")
+        assert Tensor(0.0).dtype == before == np.float32
+
     def test_no_recording_without_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = mul(x, x)
@@ -663,6 +721,33 @@ class TestGradients:
         bad = [(n, e) for n, e in results if not e < 1e-4]
         assert bad == []
 
+    def test_training_step_uses_only_checked_primitives(self, monkeypatch):
+        # every primitive a training step records must also be exercised by primitive_checks
+        names = []
+        record = Tape.record
+
+        def spy(tape, inputs, output, backward_fn, name):
+            names.append(name)
+            return record(tape, inputs, output, backward_fn, name)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        cfg = toy_config()
+        rng = np.random.default_rng(0)
+        images = rng.uniform(size=(2, 3, cfg.canvas_size, cfg.canvas_size))
+        signals = [rng.normal(size=(cfg.n_channels, 30)), rng.normal(size=(cfg.n_channels, 24))]
+        labels = np.array([0, 1])
+        net = HsdaNet(cfg, seed=0)
+        with Tape() as tape:
+            logits, feats = net(images, signals)
+            ce = cross_entropy(softmax_rows(logits), labels)
+            loss = total_loss(ce, contrastive(feats, labels, make_templates(cfg.d, make_rng(0, "init"))), 0.5)
+        backward(loss, tape)
+        step = set(names)
+        names.clear()
+        primitive_checks()
+        assert step - set(names) == set()
+        assert len(step) >= 20
+
     def test_composed_expression(self):
         # small stem-like composite: conv2d -> relu -> pool-ish mean -> linear
         rng = make_rng(9, "check")
@@ -780,3 +865,5 @@ class TestRng:
     def test_unknown_stream_name(self):
         with pytest.raises(ConfigError):
             make_rng(0, "nope")
+        with pytest.raises(ConfigError):  # a raw id is not a name
+            make_rng(0, 0)

@@ -1,5 +1,7 @@
 """Optimizer arithmetic, split protocol, metrics parity, loop semantics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hsda.errors import ConfigError, ProtocolError
 from hsda.features import synth_generate
 from hsda.ingest import StrokeSequence, parse_raw, preprocess
 from hsda.loss import make_templates
-from hsda.model import HsdaNet, synth_config, toy_config
+from hsda.model import HsdaNet, restore_parameters, synth_config, toy_config
 from hsda.train import (
     Metrics,
     Sample,
@@ -137,7 +139,99 @@ class TestSgdStep:
                 np.testing.assert_array_equal(state[n], ref_v[n])
 
 
+# ---------------------------------------------------------------------------
+# the code the protocol replaced, kept as bitwise references
+
+
+def greedy_split_and_fold(labels, cfg):
+    """split_and_fold that hands each pooled sample, class after class, to the lightest fold."""
+    labels = np.asarray(labels)
+    n = labels.size
+    classes = np.unique(labels)
+    order = make_rng(cfg.seed, "shuffle", substream=0).permutation(n)
+    by_class = {c: order[labels[order] == c] for c in classes}
+    for c in classes:
+        if by_class[c].size < cfg.k_folds:
+            raise ProtocolError("class %d has %d samples, fewer than k=%d" % (c, by_class[c].size, cfg.k_folds))
+    n_test = int(round(cfg.test_fraction * n))
+    ideal = {c: cfg.test_fraction * by_class[c].size for c in classes}
+    take = {c: int(ideal[c]) for c in classes}
+    for c in sorted(classes, key=lambda c: (-(ideal[c] - take[c]), c)):
+        if sum(take.values()) >= n_test:
+            break
+        take[c] += 1
+    test_parts, pool_parts = [], {}
+    for c in classes:
+        test_parts.append(by_class[c][: take[c]])
+        pool_parts[c] = by_class[c][take[c] :]
+        if pool_parts[c].size < cfg.k_folds:
+            raise ProtocolError(
+                "class %d keeps %d samples after the test split, fewer than k=%d"
+                % (c, pool_parts[c].size, cfg.k_folds)
+            )
+    test_idx = np.sort(np.concatenate(test_parts))
+
+    fold_members = [[] for _ in range(cfg.k_folds)]
+    loads = np.zeros(cfg.k_folds, dtype=int)
+    for c in classes:
+        for idx in pool_parts[c]:
+            dest = int(np.argmin(loads))
+            fold_members[dest].append(int(idx))
+            loads[dest] += 1
+    folds = []
+    for i in range(cfg.k_folds):
+        val = np.sort(np.array(fold_members[i], dtype=int))
+        train = np.sort(
+            np.concatenate([np.array(fold_members[j], dtype=int) for j in range(cfg.k_folds) if j != i])
+        )
+        folds.append((train, val))
+    return test_idx, folds
+
+
+def closure_metrics(tp, fp, fn, tn):
+    """Metrics.from_counts whose divisions set a shared zero-division flag through a closure."""
+    flagged = False
+
+    def ratio(num, den):
+        nonlocal flagged
+        if den == 0:
+            flagged = True
+            return 0.0
+        return num / den
+
+    precision = ratio(tp, tp + fp)
+    recall = ratio(tp, tp + fn)
+    f1 = ratio(2 * precision * recall, precision + recall) if (precision + recall) else ratio(0, 0)
+    return Metrics(tp, fp, fn, tn, 100.0 * (tp + tn) / (tp + fp + fn + tn),
+                   100.0 * precision, 100.0 * recall, 100.0 * f1, flagged)
+
+
+def same_arrays(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSplitAndFold:
+    def test_round_robin_matches_greedy_folds(self):
+        rng = np.random.default_rng(2024)
+        compared = 0
+        for trial in range(240):
+            n, k = int(rng.integers(10, 81)), int(rng.integers(2, 6))
+            labels = (rng.uniform(size=n) < rng.uniform(0.15, 0.85)).astype(int)
+            cfg = TrainConfig(seed=trial, k_folds=k)
+            try:
+                want = greedy_split_and_fold(labels, cfg)
+            except ProtocolError as exc:
+                with pytest.raises(ProtocolError, match="^%s$" % re.escape(str(exc))):
+                    split_and_fold(labels, cfg)
+                continue
+            got = split_and_fold(labels, cfg)
+            assert same_arrays(got[0], want[0])
+            assert len(got[1]) == len(want[1]) == k
+            for (gt, gv), (wt, wv) in zip(got[1], want[1]):
+                assert same_arrays(gt, wt) and same_arrays(gv, wv)
+            compared += 1
+        assert compared >= 200
+
     def labels_17_17(self):
         return np.array([0] * 17 + [1] * 17)
 
@@ -245,6 +339,15 @@ class TestMetrics:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             Metrics.from_counts(0, 0, 0, 0)
+
+    def test_matches_closure_counting(self):
+        for tp, fp, fn, tn in np.ndindex(5, 5, 5, 5):
+            if tp + fp + fn + tn == 0:
+                continue
+            got, want = Metrics.from_counts(tp, fp, fn, tn), closure_metrics(tp, fp, fn, tn)
+            for field in ("tp", "fp", "fn", "tn", "accuracy", "precision", "recall", "f1", "zero_division"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert type(g) is type(w) and g == w, (field, tp, fp, fn, tn)
 
 
 class TestEvaluate:
@@ -358,6 +461,17 @@ class TestProtocol:
         assert result.fold_results[result.best_fold].best_val_acc == max(
             r.best_val_acc for r in result.fold_results
         )
+
+    def test_returned_model_is_best_state_on_a_fresh_net(self):
+        cfg = TrainConfig(seed=4, batch_size=4, max_epochs=2, patience=2)
+        result = run_protocol(tiny_samples(20, seed=21), toy_config(), cfg)
+        fresh = HsdaNet(toy_config(), seed=cfg.seed)
+        restore_parameters(fresh, result.fold_results[result.best_fold].best_state)
+        got, want = result.model.parameter_dict(), fresh.parameter_dict()
+        assert list(got) == list(want)
+        for name, t in got.items():
+            assert t.grad is None and t.requires_grad
+            assert same_arrays(t.values, want[name].values), name
 
     def test_protocol_reproducible(self):
         dataset = tiny_samples(20, seed=21)
