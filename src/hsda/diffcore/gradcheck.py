@@ -131,6 +131,16 @@ def _distinct(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.permutation(n).astype(np.float64) * 0.37 - n * 0.2).reshape(shape)
 
 
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """A (B, C, *S) draw as the convolutions take it: (C, B, *S)."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
+def _sample_major(y: Tensor) -> Tensor:
+    """A convolution's (C, B, *S) output in (B, C, *S) order, the order the check's weights were drawn for."""
+    return ops.permute(y, (1, 0) + tuple(range(2, y.values.ndim)))
+
+
 def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]]:
     """grad_check every differentiable primitive; returns (name, max rel err)."""
     rng = make_rng(seed, "check")
@@ -139,6 +149,9 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
     def run(name: str, op: Callable[[Tensor], Tensor], x0: np.ndarray) -> None:
         w = _weights(rng, op, x0)
         results.append((name, grad_check(_scalar(op, w), Tensor(x0), eps=eps)))
+
+    def run_conv(name: str, op: Callable[[Tensor], Tensor], x0: np.ndarray) -> None:
+        run(name, lambda x: _sample_major(op(x)), x0)
 
     m34 = rng.normal(size=(3, 4))
     m34b = rng.normal(size=(3, 4))
@@ -228,58 +241,69 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
 
     w1 = rng.normal(size=(3, 2, 3)) * 0.5
     b1 = rng.normal(size=3)
-    x1 = rng.normal(size=(2, 2, 8))
-    run("conv1d:x", lambda x: ops.conv1d(x, Tensor(w1), Tensor(b1), stride=1, padding=1), x1)
-    run("conv1d:w", lambda w: ops.conv1d(Tensor(x1), w, Tensor(b1), stride=1, padding=1), w1)
-    run("conv1d:b", lambda b: ops.conv1d(Tensor(x1), Tensor(w1), b, stride=1, padding=1), b1)
-    run(
+    x1 = _channel_major(rng.normal(size=(2, 2, 8)))
+    run_conv("conv1d:x", lambda x: ops.conv1d(x, Tensor(w1), Tensor(b1), stride=1, padding=1), x1)
+    run_conv("conv1d:w", lambda w: ops.conv1d(Tensor(x1), w, Tensor(b1), stride=1, padding=1), w1)
+    run_conv("conv1d:b", lambda b: ops.conv1d(Tensor(x1), Tensor(w1), b, stride=1, padding=1), b1)
+    run_conv(
         "conv1d:stride2",
         lambda x: ops.conv1d(x, Tensor(w1), None, stride=2, padding=1),
-        rng.normal(size=(2, 2, 9)),
+        _channel_major(rng.normal(size=(2, 2, 9))),
     )
     wdw = rng.normal(size=(4, 1, 3)) * 0.5
-    run(
+    run_conv(
         "conv1d:depthwise",
         lambda x: ops.conv1d(x, Tensor(wdw), None, stride=1, padding=1, groups=4),
-        rng.normal(size=(2, 4, 6)),
+        _channel_major(rng.normal(size=(2, 4, 6))),
     )
     wg1 = rng.normal(size=(6, 2, 3)) * 0.5
-    xg1 = rng.normal(size=(2, 4, 7))
-    run("conv1d:grouped-x", lambda x: ops.conv1d(x, Tensor(wg1), None, stride=2, padding=1, groups=2), xg1)
-    run("conv1d:grouped-w", lambda w: ops.conv1d(Tensor(xg1), w, None, stride=2, padding=1, groups=2), wg1)
+    xg1 = _channel_major(rng.normal(size=(2, 4, 7)))
+    run_conv("conv1d:grouped-x", lambda x: ops.conv1d(x, Tensor(wg1), None, stride=2, padding=1, groups=2), xg1)
+    run_conv("conv1d:grouped-w", lambda w: ops.conv1d(Tensor(xg1), w, None, stride=2, padding=1, groups=2), wg1)
 
     w2 = rng.normal(size=(3, 2, 3, 3)) * 0.5
     b2 = rng.normal(size=3)
-    x2 = rng.normal(size=(2, 2, 6, 6))
-    run("conv2d:x", lambda x: ops.conv2d(x, Tensor(w2), Tensor(b2), stride=1, padding=1), x2)
-    run("conv2d:w", lambda w: ops.conv2d(Tensor(x2), w, Tensor(b2), stride=1, padding=1), w2)
-    run("conv2d:b", lambda b: ops.conv2d(Tensor(x2), Tensor(w2), b, stride=1, padding=1), b2)
-    run(
+    x2 = _channel_major(rng.normal(size=(2, 2, 6, 6)))
+    run_conv("conv2d:x", lambda x: ops.conv2d(x, Tensor(w2), Tensor(b2), stride=1, padding=1), x2)
+    run_conv("conv2d:w", lambda w: ops.conv2d(Tensor(x2), w, Tensor(b2), stride=1, padding=1), w2)
+    run_conv("conv2d:b", lambda b: ops.conv2d(Tensor(x2), Tensor(w2), b, stride=1, padding=1), b2)
+    run_conv(
         "conv2d:stride2",
         lambda x: ops.conv2d(x, Tensor(w2), None, stride=2, padding=1),
-        rng.normal(size=(2, 2, 7, 7)),
+        _channel_major(rng.normal(size=(2, 2, 7, 7))),
     )
     wdw2 = rng.normal(size=(4, 1, 3, 3)) * 0.5
-    run(
+    run_conv(
         "conv2d:depthwise",
         lambda x: ops.conv2d(x, Tensor(wdw2), None, stride=1, padding=1, groups=4),
-        rng.normal(size=(2, 4, 5, 5)),
+        _channel_major(rng.normal(size=(2, 4, 5, 5))),
     )
     w11 = rng.normal(size=(5, 4, 1, 1)) * 0.5
-    run(
+    run_conv(
         "conv2d:pointwise",
         lambda x: ops.conv2d(x, Tensor(w11), None),
-        rng.normal(size=(2, 4, 5, 5)),
+        _channel_major(rng.normal(size=(2, 4, 5, 5))),
     )
     wg2 = rng.normal(size=(4, 2, 3, 3)) * 0.5
-    xg2 = rng.normal(size=(2, 4, 4, 4))
-    run("conv2d:grouped-x", lambda x: ops.conv2d(x, Tensor(wg2), None, padding=1, groups=2), xg2)
-    run("conv2d:grouped-w", lambda w: ops.conv2d(Tensor(xg2), w, None, padding=1, groups=2), wg2)
+    xg2 = _channel_major(rng.normal(size=(2, 4, 4, 4)))
+    run_conv("conv2d:grouped-x", lambda x: ops.conv2d(x, Tensor(wg2), None, padding=1, groups=2), xg2)
+    run_conv("conv2d:grouped-w", lambda w: ops.conv2d(Tensor(xg2), w, None, padding=1, groups=2), wg2)
 
     k5 = rng.normal(size=(3, 2, 5))
     k3 = rng.normal(size=(3, 2, 3))
     run("add_centered:a", lambda x: ops.add_centered(x, Tensor(k3)), k5)
     run("add_centered:b", lambda x: ops.add_centered(Tensor(k5), x), k3)
     run("add_centered:1-tap", lambda x: ops.add_centered(Tensor(k5), x), rng.normal(size=(3, 2, 1)))
+
+    xk = rng.normal(size=(2, 3, 5, 4))  # (B, n_q, n_k, C_in)
+    wk = rng.normal(size=(3, 4, 5)) * 0.5
+    bk = rng.normal(size=3)
+    run("conv_keys:x", lambda x: ops.conv_keys(x, Tensor(wk), Tensor(bk)), xk)
+    run("conv_keys:w", lambda w: ops.conv_keys(Tensor(xk), w, Tensor(bk)), wk)
+    run("conv_keys:b", lambda b: ops.conv_keys(Tensor(xk), Tensor(wk), b), bk)
+    ln_cm = rng.normal(size=(5, 2, 3, 2))
+    run("layer_norm:axis0-x", lambda x: ops.layer_norm(x, Tensor(gam), Tensor(bet), axis=0), ln_cm)
+    run("layer_norm:axis0-gamma", lambda x: ops.layer_norm(Tensor(ln_cm), x, Tensor(bet), axis=0), gam)
+    run("layer_norm:axis0-beta", lambda x: ops.layer_norm(Tensor(ln_cm), Tensor(gam), x, axis=0), bet)
 
     return results

@@ -10,11 +10,13 @@ backward rule simple enough to audit.
 The model runs a whole batch of samples through one call, so the matrix ops
 take a leading batch axis: matmul, add_bias, scale_rows, pairwise_absdiff,
 softmax_rows, transpose and layer_norm act on the trailing axes of (B, ...)
-inputs, flatten keeps the batch axis, and the convolutions and
-adaptive_max_pool1d take only (B, C, ...) maps: one sample is a batch of one.
-Each records one tape node for the whole batch. layer_norm normalizes the
-last axis unless its ``axis`` argument names another; axis=1 normalizes the
-channels of a (B, C, H, W) map without moving them last.
+inputs, and flatten keeps the batch axis. The convolutions take only
+channel-major maps (C, B, *S), the layout their GEMM produces, and
+adaptive_max_pool1d pools the last axis of any 3-axis map: one sample is a
+batch of one. conv_keys instead convolves a channels-last (..., n, C) stack
+along its n axis. Each op records one tape node for the whole batch.
+layer_norm normalizes the last axis unless its ``axis`` argument names
+another; axis=0 normalizes the channels of a (C, B, H, W) map where they lie.
 
 The backward rules of matmul and the convolutions skip the gradient of an
 operand that does not require one and return None for it.
@@ -25,6 +27,7 @@ hsda.model.embeddings; it shares _pool_bins with adaptive_max_pool1d.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional, Sequence, Tuple
 
@@ -352,8 +355,9 @@ def softmax_rows(a: Tensor) -> Tensor:
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: int = -1) -> Tensor:
     """Normalize one axis (the last by default) to mean 0 / population variance 1, then affine.
 
-    gamma and beta have that axis's length and act along it: axis=1 of a
-    (B, C, H, W) map normalizes the channels at every sample and position.
+    gamma and beta have that axis's length and act along it: axis=0 of a
+    channel-major (C, B, H, W) map normalizes the channels at every sample
+    and position.
     """
     axis = axis % a.values.ndim
     d = a.shape[axis]
@@ -374,10 +378,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: 
 
     def bwd(g):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
-        others = tuple(i for i in range(g.ndim) if i != axis)
         tmp = g * xhat
-        dgamma = tmp.sum(axis=others)
-        dbeta = g.sum(axis=others)
+        dgamma, dbeta = _sum_except(tmp, axis), _sum_except(g, axis)
         dx = g * gv
         np.multiply(dx, xhat, out=tmp)
         proj = tmp.mean(axis=axis, keepdims=True)
@@ -388,6 +390,19 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: 
         return dx, dgamma, dbeta
 
     return _record((a, gamma, beta), out, bwd, "layer_norm")
+
+
+def _sum_except(t: np.ndarray, axis: int) -> np.ndarray:
+    """Sum t over every axis but `axis`.
+
+    For axis 0 of a (C, B, *S) map each (channel, sample) row is summed over
+    its positions first, then the samples are added in order: the order a
+    sample-major (B, C, *S) map reduces in, which keeps seeded results bit
+    for bit.
+    """
+    if axis or t.ndim < 3:
+        return t.sum(axis=tuple(i for i in range(t.ndim) if i != axis))
+    return np.ascontiguousarray(t.reshape(t.shape[0], t.shape[1], -1).sum(-1).T).sum(0)
 
 
 def cosine_rows(a: Tensor, b: Tensor, floor: float = 1e-8) -> Tensor:
@@ -432,7 +447,7 @@ def _pool_bins(length: int, out_len: int):
 
 
 def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
-    """Max over each bin of the last axis of a batch (B, C, T).
+    """Max over each bin of the last axis of a 3-axis map, (C, B, T) in the model.
 
     The gradient goes to the first maximal entry per bin.
     """
@@ -464,13 +479,25 @@ def _conv_out_len(L: int, k: int, stride: int, padding: int) -> int:
     return (L + 2 * padding - k) // stride + 1
 
 
-# One lowering serves every spatial rank. The padded input (B, C_in, *S) is
+# One lowering serves every spatial rank. A channel-major map (C_in, B, *S) is
 # unfolded into columns laid out (C_in, taps, B, *out), read by the GEMM as
 # (C_in * taps, B * out): batch and output positions share the column axis, so
-# every group of every sample goes through one stacked matmul. Taps run in C
+# every group of every sample goes through one stacked matmul, and its
+# (C_out, B * out) product is already the channel-major output. Taps run in C
 # order over the kernel extents, and col2im adds them back in that order. The
-# backward closure keeps the columns (for dw) but only the padded *shape*: the
-# padded input itself would stay alive until backward for nothing.
+# backward closure keeps the columns (for dw) but only the input's *shape*,
+# and drops the columns once dw is taken, before the equally large dcols
+# exist.
+#
+# When every input extent is stride times the output extent (stride 1 with a
+# padding that keeps the extent, or an even map halved at stride 2), the map
+# is split once into stride**nd phase planes of the output's extent, and each
+# tap reads one plane shifted by one flat offset: one long copy per tap, then
+# zeros where the shifted read left the plane along some axis. col2im adds
+# each tap back into its plane by the same shift, its out-of-plane entries
+# zeroed first: a +0.0 leaves every partial sum's bits alone, since a sum
+# begun at +0.0 is never -0.0. Other shapes copy one strided window per tap
+# from a zero-padded map.
 
 
 def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
@@ -480,29 +507,92 @@ def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
     return np.matmul(wg, cg).reshape(w.shape[0], -1)
 
 
-def _group_matmul_grads(w: np.ndarray, cols: np.ndarray, gy: np.ndarray, groups: int, need_cols: bool):
-    """(dw, dcols) of _group_matmul for the output gradient gy (C_out, N); dcols is None unless needed."""
-    wg = w.reshape(groups, w.shape[0] // groups, -1)
-    cg = cols.reshape(groups, wg.shape[2], -1)
-    gg = gy.reshape(groups, wg.shape[1], -1)
-    dw = np.matmul(gg, cg.transpose(0, 2, 1)).reshape(w.shape)
-    if not need_cols:
-        return dw, None
-    return dw, np.matmul(wg.transpose(0, 2, 1), gg).reshape(cols.shape)
+def _taps(kernel: Tuple[int, ...], padding: int):
+    """Yield (tap, offsets): each tap's read offset from its output position, per spatial axis, in C order."""
+    for tap, origin in enumerate(itertools.product(*map(range, kernel))):
+        yield tap, tuple(o - padding for o in origin)
 
 
-def _windows(kernel: Tuple[int, ...], stride: int, out: Tuple[int, ...]):
-    """Yield (tap, index): index picks the (B, C, *out) window a tap reads from a padded (B, C, *S) map."""
-    for tap, offsets in enumerate(itertools.product(*map(range, kernel))):
-        yield tap, (slice(None), slice(None)) + tuple(slice(o, o + stride * n, stride) for o, n in zip(offsets, out))
+@functools.lru_cache(maxsize=256)
+def _phase_shifts(kernel, stride: int, padding: int, out: Tuple[int, ...], n: int):
+    """(tap, phase, shift, span, edges) per tap, for a map split into phase planes of extent out.
+
+    Output position f of the flattened (B, *out) plane reads plane `phase` at
+    f + shift; span = (lo, hi) is the range of reads that land in the
+    flattened plane, None when none do, and each edge indexes the
+    out-of-plane slab of one axis in a (C, B, *out) array. The plan depends
+    on shapes only, so it is made once per shape.
+    """
+    plan = []
+    for tap, offsets in _taps(kernel, padding):
+        shift, pitch, edges = 0, 1, []
+        for axis in reversed(range(len(out))):
+            q, m = offsets[axis] // stride, out[axis]
+            shift += q * pitch
+            pitch *= m
+            if q:
+                edges.append((slice(None),) * (axis + 2) + (slice(m - q, None) if q > 0 else slice(None, -q),))
+        span = (max(shift, 0), n + min(shift, 0)) if abs(shift) < n else None
+        plan.append((tap, tuple(d % stride for d in offsets), shift, span, tuple(edges)))
+    return tuple(plan)
+
+
+def _phase_axes(nd: int):
+    """Axis order taking a (C, B, m_1, s, ..., m_nd, s) split map to (s, ..., s, C, B, m_1, ..., m_nd)."""
+    return tuple(3 + 2 * a for a in range(nd)) + (0, 1) + tuple(2 + 2 * a for a in range(nd))
+
+
+def _im2col(x: np.ndarray, kernel, stride: int, padding: int, out: Tuple[int, ...]) -> np.ndarray:
+    """Columns (C, taps, B, *out) of a channel-major map x (C, B, *S)."""
+    C, B, extent = x.shape[0], x.shape[1], x.shape[2:]
+    cols = np.empty((C, int(np.prod(kernel)), B) + out, dtype=x.dtype)
+    if all(L == stride * m for L, m in zip(extent, out)):
+        split = x.reshape((C, B) + tuple(v for m in out for v in (m, stride)))
+        planes = np.ascontiguousarray(split.transpose(_phase_axes(len(out))))
+        cf, n = cols.reshape(C, cols.shape[1], -1), B * int(np.prod(out))
+        for tap, phase, shift, span, edges in _phase_shifts(kernel, stride, padding, out, n):
+            if span is not None:
+                lo, hi = span
+                cf[:, tap, lo - shift : hi - shift] = planes[phase].reshape(C, -1)[:, lo:hi]
+            for edge in edges:
+                cols[:, tap][edge] = 0
+        return cols
+    xp = np.zeros((C, B) + tuple(L + 2 * padding for L in extent), dtype=x.dtype)
+    xp[(slice(None), slice(None)) + tuple(slice(padding, padding + L) for L in extent)] = x
+    for tap, offsets in _taps(kernel, padding):
+        cols[:, tap] = xp[(slice(None), slice(None)) + tuple(
+            slice(d + padding, d + padding + stride * m, stride) for d, m in zip(offsets, out))]
+    return cols
+
+
+def _col2im(dcols: np.ndarray, shape: Tuple[int, ...], kernel, stride: int, padding: int) -> np.ndarray:
+    """The (C, B, *S) map gradient from column gradients (C, taps, B, *out); may overwrite dcols."""
+    C, B, extent, out = shape[0], shape[1], shape[2:], dcols.shape[3:]
+    nd = len(out)
+    if all(L == stride * m for L, m in zip(extent, out)):
+        planes = np.zeros((stride,) * nd + (C, B) + out, dtype=dcols.dtype)
+        dcf, n = dcols.reshape(C, dcols.shape[1], -1), B * int(np.prod(out))
+        for tap, phase, shift, span, edges in _phase_shifts(kernel, stride, padding, out, n):
+            for edge in edges:
+                dcols[:, tap][edge] = 0
+            if span is not None:
+                lo, hi = span
+                planes[phase].reshape(C, -1)[:, lo:hi] += dcf[:, tap, lo - shift : hi - shift]
+        del dcols, dcf  # the merge allocates the map: let the column gradient go first
+        return planes.transpose(np.argsort(_phase_axes(nd))).reshape(shape)
+    dxp = np.zeros((C, B) + tuple(L + 2 * padding for L in extent), dtype=dcols.dtype)
+    for tap, offsets in _taps(kernel, padding):
+        dxp[(slice(None), slice(None)) + tuple(
+            slice(d + padding, d + padding + stride * m, stride) for d, m in zip(offsets, out))] += dcols[:, tap]
+    return dxp[(slice(None), slice(None)) + tuple(slice(padding, padding + L) for L in extent)]
 
 
 def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: int, groups: int, name: str):
-    """Cross-correlation over the last w.ndim - 2 axes of a batch (B, C_in, *S)."""
+    """Cross-correlation over the last w.ndim - 2 axes of a channel-major map (C_in, B, *S)."""
     nd = w.values.ndim - 2
     if x.values.ndim != nd + 2:
         raise ShapeError("%s input must be a batch with %d axes, got %s" % (name, nd + 2, x.shape))
-    B, C_in = x.shape[:2]
+    C_in, B = x.shape[:2]
     C_out, C_g, kernel = w.shape[0], w.shape[1], w.shape[2:]
     if any(k % 2 == 0 for k in kernel):
         raise ConfigError("%s kernel extents must be odd, got %s" % (name, kernel))
@@ -518,36 +608,30 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
     if min(out_shape) < 1:
         raise ShapeError("%s output %s < 1 (input %s, kernel %s)" % (name, out_shape, x.shape[2:], kernel))
 
-    inner = (slice(None), slice(None)) + tuple(slice(padding, padding + L) for L in x.shape[2:])
-    padded = x.shape[:2] + tuple(L + 2 * padding for L in x.shape[2:])
-    xp = x.values
-    if padding:
-        xp = np.zeros(padded, dtype=xp.dtype)
-        xp[inner] = x.values
-    cols = np.empty((C_in, int(np.prod(kernel)), B) + out_shape, dtype=xp.dtype)
-    for tap, window in _windows(kernel, stride, out_shape):
-        cols[:, tap] = xp[window].swapaxes(0, 1)
+    cols = _im2col(x.values, kernel, stride, padding, out_shape)
     y = _group_matmul(w.values, cols, groups)  # (C_out, B * prod(out_shape))
     if bias is not None:
         y += bias.values[:, None]
-    y = np.ascontiguousarray(y.reshape((C_out, B) + out_shape).swapaxes(0, 1))
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    out = _out(y, _requires(*inputs))
-    wv, need_dx, has_bias = w.values, x.requires_grad, bias is not None  # not x: its values may go
+    out = _out(y.reshape((C_out, B) + out_shape), _requires(*inputs))
+    wv, need_dx, has_bias, x_shape = w.values, x.requires_grad, bias is not None, x.shape  # not x: its values may go
 
     def bwd(g):
-        gy = g.swapaxes(0, 1).reshape(C_out, -1)
-        dw, dcols = _group_matmul_grads(wv, cols, gy, groups, need_dx)
+        nonlocal cols
+        wg = wv.reshape(groups, C_out // groups, -1)
+        gy = g.reshape(groups, wg.shape[1], -1)
+        dw = np.matmul(gy, cols.reshape(groups, wg.shape[2], -1).transpose(0, 2, 1)).reshape(wv.shape)
+        shape, cols = cols.shape, None
         dx = None
-        if dcols is not None:
-            dxp = np.zeros(padded, dtype=dcols.dtype)
-            for tap, window in _windows(kernel, stride, out_shape):
-                dxp[window] += dcols[:, tap].swapaxes(0, 1)
-            dx = dxp[inner]
+        if need_dx:
+            dx = _col2im(np.matmul(wg.transpose(0, 2, 1), gy).reshape(shape), x_shape, kernel, stride, padding)
         if not has_bias:
             return dx, dw
-        return dx, dw, gy.sum(axis=1)
+        gy = gy.reshape(C_out, -1)
+        # One position per sample: add the samples in order, as a sample-major
+        # (B, C_out) gradient sums, which keeps seeded results bit for bit.
+        return dx, dw, gy.sum(axis=1) if gy.shape[1] > B else np.ascontiguousarray(gy.T).sum(axis=0)
 
     return _record(inputs, out, bwd, name)
 
@@ -562,8 +646,9 @@ def conv1d(
 ) -> Tensor:
     """1D cross-correlation over the last axis.
 
-    x is a batch (B, C_in, T); w is (C_out, C_in/groups, k). Depthwise =
-    groups == C_in with C_out == C_in.
+    x is a channel-major batch (C_in, B, T); w is (C_out, C_in/groups, k);
+    the output is (C_out, B, T_out). Depthwise = groups == C_in with
+    C_out == C_in.
     """
     if w.values.ndim != 3:
         raise ShapeError("conv1d weight must be (C_out, C_in/g, k), got %s" % (w.shape,))
@@ -580,8 +665,48 @@ def conv2d(
 ) -> Tensor:
     """2D cross-correlation.
 
-    x is a batch (B, C_in, H, W); w is (C_out, C_in/groups, kh, kw).
+    x is a channel-major batch (C_in, B, H, W); w is (C_out, C_in/groups, kh,
+    kw); the output is (C_out, B, H_out, W_out).
     """
     if w.values.ndim != 4:
         raise ShapeError("conv2d weight must be (C_out, C_in/g, kh, kw), got %s" % (w.shape,))
     return _conv(x, w, bias, stride, padding, groups, "conv2d")
+
+
+def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Same-padded cross-correlation along axis -2 of a channels-last stack: (..., n, C_in) -> (..., n, C_out).
+
+    w is (C_out, C_in, k) with k odd and bias (C_out,). The difference
+    attention runs it over the key axis of the pairwise differences
+    (..., n_q, n_k, d_h), whose features are already the last axis, so no
+    tape node moves them. Inside, the stack is lowered as a channel-major
+    conv1d map (C_in, rows / n, n), and the GEMMs keep conv1d's operand
+    layouts, with the output gradient read as a transposed view: BLAS rounds
+    the transposed products differently.
+    """
+    if w.values.ndim != 3 or x.values.ndim < 2 or x.shape[-1] != w.shape[1] or bias.shape != (w.shape[0],):
+        raise ShapeError("conv_keys: input %s, weight %s, bias %s" % (x.shape, w.shape, bias.shape))
+    C_out, C_in, k = w.shape
+    if k % 2 == 0:
+        raise ConfigError("conv_keys kernel extent must be odd, got %d" % k)
+    n = x.shape[-2]
+    x_cm = np.ascontiguousarray(np.moveaxis(x.values, -1, 0)).reshape(C_in, -1, n)
+    cols = _im2col(x_cm, (k,), 1, k // 2, (n,)).reshape(C_in * k, -1)
+    w2 = w.values.reshape(C_out, -1)
+    y = w2 @ cols
+    y += bias.values[:, None]
+    out = _out(np.ascontiguousarray(y.T).reshape(x.shape[:-1] + (C_out,)), _requires(x, w, bias))
+    cm_shape, need_dx = x_cm.shape, x.requires_grad
+
+    def bwd(g):
+        nonlocal cols
+        gy = g.reshape(-1, C_out).T
+        dw = (gy @ cols.T).reshape(w2.shape[:1] + (C_in, k))
+        cols = None  # dcols is as large
+        dx = None
+        if need_dx:
+            dx_cm = _col2im((w2.T @ gy).reshape((C_in, k) + cm_shape[1:]), cm_shape, (k,), 1, k // 2)
+            dx = np.ascontiguousarray(np.moveaxis(dx_cm, 0, -1)).reshape(g.shape[:-1] + (C_in,))
+        return dx, dw, gy.sum(axis=1)
+
+    return _record((x, w, bias), out, bwd, "conv_keys")

@@ -49,7 +49,9 @@ class DiscrepancyNet(Module):
     (padding 2) with the bias b5 + b3 + b1 and the kernel w5 + w3 + w1, each
     shorter kernel added onto the centre taps by add_centered. Each call
     merges the kernels on the tape, so the six parameters of
-    conv5/conv3/conv1 get their gradients through it.
+    conv5/conv3/conv1 get their gradients through it. conv_keys runs the
+    merged convolution on the (..., n_q, n_k, d_h) differences as they lie,
+    keys along axis -2 and features last, so no transpose enters the tape.
     """
 
     def __init__(self, d_h: int, rng):
@@ -60,15 +62,11 @@ class DiscrepancyNet(Module):
 
     def __call__(self, q: Tensor, k: Tensor) -> Tensor:
         """q (..., n_q, d_h) and k (..., n_k, d_h) -> weights (..., n_q, n_k)."""
-        d_h, n_k = q.shape[-1], k.shape[-2]
         diff = dc.pairwise_absdiff(q, k)  # (..., n_q, n_k, d_h)
-        # one (d_h, n_k) sequence per query row of every sample: keys are the time axis
-        stacked = dc.reshape(dc.transpose(diff), (-1, d_h, n_k))
         kernel = dc.add_centered(dc.add_centered(self.conv5.w, self.conv3.w), self.conv1.w)
         bias = dc.add(dc.add(self.conv5.b, self.conv3.b), self.conv1.b)
-        agg = dc.conv1d(stacked, kernel, bias, padding=2)
-        flat = dc.reshape(dc.transpose(agg), (-1, d_h))
-        logits = dc.reshape(self.reduce(flat), diff.shape[:-1])
+        agg = dc.conv_keys(diff, kernel, bias)  # keys are the sequence axis, features the channels
+        logits = dc.reshape(self.reduce(dc.reshape(agg, (-1, q.shape[-1]))), diff.shape[:-1])
         return dc.softmax_rows(logits)
 
 

@@ -56,17 +56,21 @@ class ImageStem(Module):
         self.token_mlp = Mlp(c_full * map_hw * map_hw, cfg.token_hidden, cfg.d, rng)
 
     def __call__(self, images: Tensor) -> Tuple[Tensor, Tensor]:
-        """(B, 3, S, S) images -> tokens (B, d) and stem maps (B, C, S/8, S/8)."""
+        """(B, 3, S, S) images -> tokens (B, d) and channel-major stem maps (C, B, S/8, S/8).
+
+        The batch is laid out channel-major once, as it enters, and the last
+        map is permuted back to sample order once, for the token perceptron.
+        """
         if images.values.ndim != 4 or images.shape[1:] != (3, self.canvas_size, self.canvas_size):
             raise ConfigError(
                 "stem expects (B, 3, %d, %d) images, got %s"
                 % (self.canvas_size, self.canvas_size, images.shape)
             )
-        x = dc.relu(self.norm1(self.conv1(images)))
+        x = dc.relu(self.norm1(self.conv1(dc.permute(images, (1, 0, 2, 3)))))
         x = dc.relu(self.norm2(self.conv2(x)))
         x = dc.relu(self.norm3(self.conv3(x)))
         x = dc.relu(self.norm4(self.conv4(x)))
-        tokens = self.token_mlp(dc.flatten(x))  # (B, d)
+        tokens = self.token_mlp(dc.flatten(dc.permute(x, (1, 0, 2, 3))))  # (B, d)
         return tokens, x
 
 
@@ -83,7 +87,7 @@ class SignalEmbed(Module):
         self.map_conv = Conv1d(cfg.n_channels, cfg.signal_map_channels, 1, rng)
 
     def __call__(self, signals: Sequence[np.ndarray]) -> Tuple[Tensor, Tensor]:
-        """B signal matrices (n, T_i) of any lengths -> tokens (B, n, d) and 1D maps (B, C1, T_1).
+        """B signal matrices (n, T_i) of any lengths -> tokens (B, n, d) and channel-major 1D maps (C1, B, T_1).
 
         Each signal is pooled to fixed lengths on its own, then the pooled
         matrices run through the layers as one batch.
@@ -102,5 +106,5 @@ class SignalEmbed(Module):
         h = dc.relu(self.norm1(self.fc1(Tensor(np.stack(pooled)))))  # (B, n, hidden)
         h = dc.relu(self.norm2(self.fc2(h)))
         tokens = self.token_mlp(h)  # (B, n, d)
-        map1d = self.map_conv(Tensor(np.stack(pooled_map)))  # (B, map_channels, map_len)
+        map1d = self.map_conv(Tensor(np.stack(pooled_map, axis=1)))  # (map_channels, B, map_len)
         return tokens, map1d

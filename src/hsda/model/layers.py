@@ -110,13 +110,13 @@ class Conv1d(Module):
 
 
 class ChannelNorm2d(Module):
-    """LayerNorm over the channel axis of a (B, C, H, W) map, per sample and position.
+    """LayerNorm over the channel axis of a channel-major (C, B, H, W) map, per sample and position.
 
-    Axis 1 is normalized where it lies, with no copy to channels-last.
+    Axis 0 is normalized where it lies, with no copy to channels-last.
     """
 
     def __init__(self, channels: int):
-        self.ln = LayerNorm(channels, axis=1)
+        self.ln = LayerNorm(channels, axis=0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.ln(x)

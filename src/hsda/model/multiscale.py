@@ -32,10 +32,10 @@ class Rfm2d(Module):
         self.summary = Mlp(channels * self.out_hw * self.out_hw, d_prime, d_prime, rng)
 
     def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
-        """(B, C, h, w) map -> refined (B, C, h', w') map and summary z' (B, d_prime)."""
+        """Channel-major (C, B, h, w) map -> refined (C, B, h', w') map and summary z' (B, d_prime)."""
         y = self.pool(x)
         refined = dc.add(y, self.pw2(self.dw(self.pw1(y))))
-        z_prime = self.summary(dc.flatten(refined))
+        z_prime = self.summary(dc.flatten(dc.permute(refined, (1, 0, 2, 3))))
         return refined, z_prime
 
 
@@ -50,11 +50,11 @@ class Rfm1d(Module):
         self.summary = Mlp(channels * self.out_len, d_prime, n_signal_tokens * d_prime, rng)
 
     def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:
-        """(B, C, T) map -> refined (B, C, T') map and summaries z'' (B, n, d_prime)."""
+        """Channel-major (C, B, T) map -> refined (C, B, T') map and summaries z'' (B, n, d_prime)."""
         y = dc.adaptive_max_pool1d(x, self.out_len)
         refined = dc.add(y, self.pw2(self.dw(self.pw1(y))))
-        flat_summary = self.summary(dc.flatten(refined))  # (B, n * d_prime)
-        z_dprime = dc.reshape(flat_summary, (x.shape[0], self.n_signal_tokens, self.d_prime))
+        flat_summary = self.summary(dc.flatten(dc.permute(refined, (1, 0, 2))))  # (B, n * d_prime)
+        z_dprime = dc.reshape(flat_summary, (x.shape[1], self.n_signal_tokens, self.d_prime))
         return refined, z_dprime
 
 

@@ -129,6 +129,8 @@ def split_and_fold(
     """
     labels = np.asarray(labels)
     n = labels.size
+    if n == 0:
+        raise ProtocolError("no samples to split: every record was dropped")
     classes = np.unique(labels)
     rng = make_rng(cfg.seed, "shuffle", substream=0)
     order = rng.permutation(n)

@@ -332,6 +332,14 @@ class TestTrainEvaluateCommands:
             assert "error:" in err and "data_sha256 differs" in err
             assert not (eval_out / "metrics.txt").exists()
 
+    def test_every_record_dropped_exits_one(self, tmp_path, capsys):
+        raw = tmp_path / "one.csv"
+        raw.write_text("hc_000,1,HC\n0,0.0,0.0,0.5\n5,0.1,0.1,0.5\n10,0.2,0.2,0.5\n15,0.3,0.3,0.5\n")
+        assert cli.main(["train", str(raw), "--scale", "toy", "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "error: no samples to split" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_sidecar_without_data_digest_exits_one(self, tmp_path, capsys):
         from hsda.model import save_checkpoint
 

@@ -216,37 +216,37 @@ class TestRefinement:
             sizes.append((sizes[-1] - 1) // 2 + 1)
         assert sizes == [16, 8, 4, 2]
         rng = make_rng(7, "init")
-        x = rand_tensor(np.random.default_rng(11), (2, 4, 16, 16))
+        x = rand_tensor(np.random.default_rng(11), (4, 2, 16, 16))
         for in_hw in sizes[:-1]:
             rfm = Rfm2d(4, 8, in_hw, rng)
             x, z = rfm(x)
-            assert x.shape == (2, 4, rfm.out_hw, rfm.out_hw)
+            assert x.shape == (4, 2, rfm.out_hw, rfm.out_hw)
             assert z.shape == (2, 8)
 
     def test_rfm2d_unit_map_is_fixed_point(self):
         rfm = Rfm2d(3, 4, 1, make_rng(8, "init"))
-        out, _ = rfm(rand_tensor(np.random.default_rng(12), (1, 3, 1, 1)))
-        assert out.shape == (1, 3, 1, 1)
+        out, _ = rfm(rand_tensor(np.random.default_rng(12), (3, 1, 1, 1)))
+        assert out.shape == (3, 1, 1, 1)
 
     def test_fresh_rfm2d_branch_is_inert(self):
         rfm = Rfm2d(3, 4, 6, make_rng(9, "init"))
-        x = rand_tensor(np.random.default_rng(13), (2, 3, 6, 6))
+        x = rand_tensor(np.random.default_rng(13), (3, 2, 6, 6))
         refined, _ = rfm(x)
         np.testing.assert_array_equal(refined.values, rfm.pool(x).values)
 
     def test_rfm1d_halves_with_floor(self):
         rng = make_rng(10, "init")
-        x = rand_tensor(np.random.default_rng(14), (2, 5, 9))
+        x = rand_tensor(np.random.default_rng(14), (5, 2, 9))
         rfm = Rfm1d(5, 9, 4, 9, rng)
         out, z = rfm(x)
-        assert out.shape == (2, 5, 4)
+        assert out.shape == (5, 2, 4)
         assert z.shape == (2, 9, 4)
-        out2, _ = Rfm1d(5, 9, 4, 1, rng)(rand_tensor(np.random.default_rng(15), (1, 5, 1)))
-        assert out2.shape == (1, 5, 1)
+        out2, _ = Rfm1d(5, 9, 4, 1, rng)(rand_tensor(np.random.default_rng(15), (5, 1, 1)))
+        assert out2.shape == (5, 1, 1)
 
     def test_fresh_rfm1d_branch_is_inert(self):
         rfm = Rfm1d(4, 9, 4, 10, make_rng(11, "init"))
-        x = rand_tensor(np.random.default_rng(16), (2, 4, 10))
+        x = rand_tensor(np.random.default_rng(16), (4, 2, 10))
         refined, _ = rfm(x)
         np.testing.assert_array_equal(
             refined.values, dc.adaptive_max_pool1d(x, 5).values
@@ -281,7 +281,7 @@ class TestEmbeddings:
         img = rand_tensor(np.random.default_rng(19), (2, 3, 16, 16))
         token, map2d = stem(img)
         assert token.shape == (2, cfg.d)
-        assert map2d.shape == (2, cfg.stem_channels, 2, 2)
+        assert map2d.shape == (cfg.stem_channels, 2, 2, 2)
 
     def test_stem_rejects_wrong_canvas(self):
         stem = ImageStem(toy_config(), make_rng(13, "init"))
@@ -295,7 +295,7 @@ class TestEmbeddings:
         signals = [np.random.default_rng(t_len).normal(size=(9, t_len)) for t_len in lengths]
         tokens, map1d = embed(signals)
         assert tokens.shape == (len(lengths), 9, cfg.d)
-        assert map1d.shape == (len(lengths), cfg.signal_map_channels, cfg.signal_map_len)
+        assert map1d.shape == (cfg.signal_map_channels, len(lengths), cfg.signal_map_len)
 
     def test_signal_embed_rejects_wrong_channel_count(self):
         embed = SignalEmbed(toy_config(), make_rng(15, "init"))
@@ -555,12 +555,12 @@ class TestMergedKernels:
             norm = ChannelNorm2d(4)
             norm.ln.gamma.values[:] = rng.uniform(0.5, 1.5, size=4)
             norm.ln.beta.values[:] = rng.normal(size=4)
-            xv = rng.normal(size=(2, 4, 3, 5)) * 2.0 + 1.0
+            xv = rng.normal(size=(4, 2, 3, 5)) * 2.0 + 1.0
             gy = rng.normal(size=xv.shape)
             gamma, beta = norm.ln.gamma, norm.ln.beta
 
             def permuted(x):
-                return dc.permute(dc.layer_norm(dc.permute(x, (0, 2, 3, 1)), gamma, beta), (0, 3, 1, 2))
+                return dc.permute(dc.layer_norm(dc.permute(x, (1, 2, 3, 0)), gamma, beta), (3, 0, 1, 2))
 
             got = run_with_grads(norm, [Tensor(xv, requires_grad=True)], gy, [gamma, beta])
             want = run_with_grads(permuted, [Tensor(xv, requires_grad=True)], gy, [gamma, beta])
@@ -582,9 +582,9 @@ class TestMergedKernels:
             def three_convs(q, k):
                 d_h, n_k = q.shape[-1], k.shape[-2]
                 diff = dc.pairwise_absdiff(q, k)
-                stacked = dc.reshape(dc.transpose(diff), (-1, d_h, n_k))
+                stacked = dc.reshape(dc.permute(diff, (3, 0, 1, 2)), (d_h, -1, n_k))
                 agg = dc.add(dc.add(net.conv5(stacked), net.conv3(stacked)), net.conv1(stacked))
-                flat = dc.reshape(dc.transpose(agg), (-1, d_h))
+                flat = dc.reshape(dc.permute(agg, (1, 2, 0)), (-1, d_h))
                 return dc.softmax_rows(dc.reshape(net.reduce(flat), diff.shape[:-1]))
 
             params = [t for conv in convs for t in (conv.w, conv.b)]
@@ -596,7 +596,7 @@ class TestMergedKernels:
 
 
 class TestStepStructure:
-    def test_one_conv1d_per_daw_and_no_stem_permute(self, monkeypatch):
+    def test_one_conv_keys_per_daw_and_one_stem_permute(self, monkeypatch):
         net = HsdaNet(toy_config(), seed=0)
         tape = dc.Tape()
         recorded = {DiscrepancyNet: [], ImageStem: []}
@@ -621,10 +621,13 @@ class TestStepStructure:
 
         n_heads = sum(name.endswith(".daw.conv5.w") for name in net.parameter_dict())
         assert n_heads > 0 and len(recorded[DiscrepancyNet]) == n_heads
-        assert [names.count("conv1d") for names in recorded[DiscrepancyNet]] == [1] * n_heads
-        assert not any("concat" in names for names in recorded[DiscrepancyNet])
+        for names in recorded[DiscrepancyNet]:
+            assert names.count("conv_keys") == 1
+            assert not {"conv1d", "permute", "concat"} & set(names)
         assert len(recorded[ImageStem]) == 1
-        assert "permute" not in recorded[ImageStem][0]
+        stem = recorded[ImageStem][0]
+        # the channel-major map goes back to sample order once, for the flatten
+        assert stem.count("permute") == 1 and stem[stem.index("permute") + 1] == "reshape"
 
 
 class TestModelGradients:

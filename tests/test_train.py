@@ -282,6 +282,10 @@ class TestSplitAndFold:
         with pytest.raises(ProtocolError, match="^class 0 has 3 samples, fewer than k=4$"):
             split_and_fold(labels, TrainConfig(seed=0))
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ProtocolError, match="^no samples to split"):
+            split_and_fold([], TrainConfig(seed=0))
+
     def test_class_too_small_after_test_split(self):
         labels = np.array([0] * 4 + [1] * 20)
         with pytest.raises(ProtocolError, match="^class 0 keeps 3 samples after the test split"):
