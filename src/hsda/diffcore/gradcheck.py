@@ -242,40 +242,40 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
     w1 = rng.normal(size=(3, 2, 3)) * 0.5
     b1 = rng.normal(size=3)
     x1 = _channel_major(rng.normal(size=(2, 2, 8)))
-    run_conv("conv1d:x", lambda x: ops.conv1d(x, Tensor(w1), Tensor(b1), stride=1, padding=1), x1)
-    run_conv("conv1d:w", lambda w: ops.conv1d(Tensor(x1), w, Tensor(b1), stride=1, padding=1), w1)
-    run_conv("conv1d:b", lambda b: ops.conv1d(Tensor(x1), Tensor(w1), b, stride=1, padding=1), b1)
+    run_conv("conv1d:x", lambda x: ops.conv1d(x, Tensor(w1), Tensor(b1), stride=1), x1)
+    run_conv("conv1d:w", lambda w: ops.conv1d(Tensor(x1), w, Tensor(b1), stride=1), w1)
+    run_conv("conv1d:b", lambda b: ops.conv1d(Tensor(x1), Tensor(w1), b, stride=1), b1)
     run_conv(
         "conv1d:stride2",
-        lambda x: ops.conv1d(x, Tensor(w1), None, stride=2, padding=1),
+        lambda x: ops.conv1d(x, Tensor(w1), None, stride=2),
         _channel_major(rng.normal(size=(2, 2, 9))),
     )
     wdw = rng.normal(size=(4, 1, 3)) * 0.5
     run_conv(
         "conv1d:depthwise",
-        lambda x: ops.conv1d(x, Tensor(wdw), None, stride=1, padding=1, groups=4),
+        lambda x: ops.conv1d(x, Tensor(wdw), None, stride=1, groups=4),
         _channel_major(rng.normal(size=(2, 4, 6))),
     )
     wg1 = rng.normal(size=(6, 2, 3)) * 0.5
     xg1 = _channel_major(rng.normal(size=(2, 4, 7)))
-    run_conv("conv1d:grouped-x", lambda x: ops.conv1d(x, Tensor(wg1), None, stride=2, padding=1, groups=2), xg1)
-    run_conv("conv1d:grouped-w", lambda w: ops.conv1d(Tensor(xg1), w, None, stride=2, padding=1, groups=2), wg1)
+    run_conv("conv1d:grouped-x", lambda x: ops.conv1d(x, Tensor(wg1), None, stride=2, groups=2), xg1)
+    run_conv("conv1d:grouped-w", lambda w: ops.conv1d(Tensor(xg1), w, None, stride=2, groups=2), wg1)
 
     w2 = rng.normal(size=(3, 2, 3, 3)) * 0.5
     b2 = rng.normal(size=3)
     x2 = _channel_major(rng.normal(size=(2, 2, 6, 6)))
-    run_conv("conv2d:x", lambda x: ops.conv2d(x, Tensor(w2), Tensor(b2), stride=1, padding=1), x2)
-    run_conv("conv2d:w", lambda w: ops.conv2d(Tensor(x2), w, Tensor(b2), stride=1, padding=1), w2)
-    run_conv("conv2d:b", lambda b: ops.conv2d(Tensor(x2), Tensor(w2), b, stride=1, padding=1), b2)
+    run_conv("conv2d:x", lambda x: ops.conv2d(x, Tensor(w2), Tensor(b2), stride=1), x2)
+    run_conv("conv2d:w", lambda w: ops.conv2d(Tensor(x2), w, Tensor(b2), stride=1), w2)
+    run_conv("conv2d:b", lambda b: ops.conv2d(Tensor(x2), Tensor(w2), b, stride=1), b2)
     run_conv(
         "conv2d:stride2",
-        lambda x: ops.conv2d(x, Tensor(w2), None, stride=2, padding=1),
+        lambda x: ops.conv2d(x, Tensor(w2), None, stride=2),
         _channel_major(rng.normal(size=(2, 2, 7, 7))),
     )
     wdw2 = rng.normal(size=(4, 1, 3, 3)) * 0.5
     run_conv(
         "conv2d:depthwise",
-        lambda x: ops.conv2d(x, Tensor(wdw2), None, stride=1, padding=1, groups=4),
+        lambda x: ops.conv2d(x, Tensor(wdw2), None, stride=1, groups=4),
         _channel_major(rng.normal(size=(2, 4, 5, 5))),
     )
     w11 = rng.normal(size=(5, 4, 1, 1)) * 0.5
@@ -286,8 +286,8 @@ def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]
     )
     wg2 = rng.normal(size=(4, 2, 3, 3)) * 0.5
     xg2 = _channel_major(rng.normal(size=(2, 4, 4, 4)))
-    run_conv("conv2d:grouped-x", lambda x: ops.conv2d(x, Tensor(wg2), None, padding=1, groups=2), xg2)
-    run_conv("conv2d:grouped-w", lambda w: ops.conv2d(Tensor(xg2), w, None, padding=1, groups=2), wg2)
+    run_conv("conv2d:grouped-x", lambda x: ops.conv2d(x, Tensor(wg2), None, groups=2), xg2)
+    run_conv("conv2d:grouped-w", lambda w: ops.conv2d(Tensor(xg2), w, None, groups=2), wg2)
 
     k5 = rng.normal(size=(3, 2, 5))
     k3 = rng.normal(size=(3, 2, 3))

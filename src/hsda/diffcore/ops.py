@@ -14,7 +14,9 @@ inputs, and flatten keeps the batch axis. The convolutions take only
 channel-major maps (C, B, *S), the layout their GEMM produces, and
 adaptive_max_pool1d pools the last axis of any 3-axis map: one sample is a
 batch of one. conv_keys instead convolves a channels-last (..., n, C) stack
-along its n axis. Each op records one tape node for the whole batch.
+along its n axis. Every convolution has one contract: odd kernels, each axis
+padded by half its kernel, so an axis of extent L gives ceil(L / stride)
+outputs. Each op records one tape node for the whole batch.
 layer_norm normalizes the last axis unless its ``axis`` argument names
 another; axis=0 normalizes the channels of a (C, B, H, W) map where they lie.
 
@@ -475,29 +477,24 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # convolutions (cross-correlation semantics, no kernel flip)
 
 
-def _conv_out_len(L: int, k: int, stride: int, padding: int) -> int:
-    return (L + 2 * padding - k) // stride + 1
-
-
-# One lowering serves every spatial rank. A channel-major map (C_in, B, *S) is
-# unfolded into columns laid out (C_in, taps, B, *out), read by the GEMM as
-# (C_in * taps, B * out): batch and output positions share the column axis, so
-# every group of every sample goes through one stacked matmul, and its
-# (C_out, B * out) product is already the channel-major output. Taps run in C
-# order over the kernel extents, and col2im adds them back in that order. The
-# backward closure keeps the columns (for dw) but only the input's *shape*,
-# and drops the columns once dw is taken, before the equally large dcols
-# exist.
+# One lowering serves every spatial rank. Kernels are odd and every axis is
+# padded by half its kernel, so an axis of extent L gives ceil(L / stride)
+# outputs. A channel-major map (C_in, B, *S) is unfolded into columns laid
+# out (C_in, taps, B, *out), read by the GEMM as (C_in * taps, B * out): batch
+# and output positions share the column axis, so every group of every sample
+# goes through one stacked matmul, and its (C_out, B * out) product is already
+# the channel-major output. Taps run in C order over the kernel extents, and
+# col2im adds them back in that order. The backward closure keeps the columns
+# (for dw) but only the input's *shape*, and drops the columns once dw is
+# taken, before the equally large dcols exist.
 #
-# When every input extent is stride times the output extent (stride 1 with a
-# padding that keeps the extent, or an even map halved at stride 2), the map
+# The map, zero-extended at its far end to stride times the output extent,
 # is split once into stride**nd phase planes of the output's extent, and each
 # tap reads one plane shifted by one flat offset: one long copy per tap, then
 # zeros where the shifted read left the plane along some axis. col2im adds
 # each tap back into its plane by the same shift, its out-of-plane entries
-# zeroed first: a +0.0 leaves every partial sum's bits alone, since a sum
-# begun at +0.0 is never -0.0. Other shapes copy one strided window per tap
-# from a zero-padded map.
+# zeroed first, and crops the merged planes back to the map: a +0.0 leaves
+# every partial sum's bits alone, since a sum begun at +0.0 is never -0.0.
 
 
 def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
@@ -507,31 +504,28 @@ def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
     return np.matmul(wg, cg).reshape(w.shape[0], -1)
 
 
-def _taps(kernel: Tuple[int, ...], padding: int):
-    """Yield (tap, offsets): each tap's read offset from its output position, per spatial axis, in C order."""
-    for tap, origin in enumerate(itertools.product(*map(range, kernel))):
-        yield tap, tuple(o - padding for o in origin)
-
-
 @functools.lru_cache(maxsize=256)
-def _phase_shifts(kernel, stride: int, padding: int, out: Tuple[int, ...], n: int):
+def _phase_shifts(kernel, stride: int, out: Tuple[int, ...], n: int):
     """(tap, phase, shift, span, edges) per tap, for a map split into phase planes of extent out.
 
-    Output position f of the flattened (B, *out) plane reads plane `phase` at
-    f + shift; span = (lo, hi) is the range of reads that land in the
-    flattened plane, None when none do, and each edge indexes the
-    out-of-plane slab of one axis in a (C, B, *out) array. The plan depends
-    on shapes only, so it is made once per shape.
+    Tap offsets from the output position run from -(k // 2) to k // 2 along
+    each axis, in C order. Output position f of the flattened (B, *out) plane
+    reads plane `phase` at f + shift; span = (lo, hi) is the range of reads
+    that land in the flattened plane, None when none do, and each edge indexes
+    the out-of-plane slab of one axis in a (C, B, *out) array. The plan
+    depends on shapes only, so it is made once per shape.
     """
     plan = []
-    for tap, offsets in _taps(kernel, padding):
+    for tap, offsets in enumerate(itertools.product(*(range(-(k // 2), k // 2 + 1) for k in kernel))):
         shift, pitch, edges = 0, 1, []
         for axis in reversed(range(len(out))):
             q, m = offsets[axis] // stride, out[axis]
             shift += q * pitch
             pitch *= m
             if q:
-                edges.append((slice(None),) * (axis + 2) + (slice(m - q, None) if q > 0 else slice(None, -q),))
+                # a kernel wider than the map can reach past the whole axis
+                edge = slice(max(m - q, 0), None) if q > 0 else slice(None, -q)
+                edges.append((slice(None),) * (axis + 2) + (edge,))
         span = (max(shift, 0), n + min(shift, 0)) if abs(shift) < n else None
         plan.append((tap, tuple(d % stride for d in offsets), shift, span, tuple(edges)))
     return tuple(plan)
@@ -542,52 +536,45 @@ def _phase_axes(nd: int):
     return tuple(3 + 2 * a for a in range(nd)) + (0, 1) + tuple(2 + 2 * a for a in range(nd))
 
 
-def _im2col(x: np.ndarray, kernel, stride: int, padding: int, out: Tuple[int, ...]) -> np.ndarray:
-    """Columns (C, taps, B, *out) of a channel-major map x (C, B, *S)."""
+def _im2col(x: np.ndarray, kernel, stride: int) -> np.ndarray:
+    """Columns (C, taps, B, *out) of a channel-major map x (C, B, *S), out = ceil(S / stride)."""
     C, B, extent = x.shape[0], x.shape[1], x.shape[2:]
+    out = tuple(-(-L // stride) for L in extent)
+    if any(L != stride * m for L, m in zip(extent, out)):
+        x_ext = np.zeros((C, B) + tuple(stride * m for m in out), dtype=x.dtype)
+        x_ext[(slice(None), slice(None)) + tuple(slice(L) for L in extent)] = x
+        x = x_ext
+    split = x.reshape((C, B) + tuple(v for m in out for v in (m, stride)))
+    planes = np.ascontiguousarray(split.transpose(_phase_axes(len(out))))
     cols = np.empty((C, int(np.prod(kernel)), B) + out, dtype=x.dtype)
-    if all(L == stride * m for L, m in zip(extent, out)):
-        split = x.reshape((C, B) + tuple(v for m in out for v in (m, stride)))
-        planes = np.ascontiguousarray(split.transpose(_phase_axes(len(out))))
-        cf, n = cols.reshape(C, cols.shape[1], -1), B * int(np.prod(out))
-        for tap, phase, shift, span, edges in _phase_shifts(kernel, stride, padding, out, n):
-            if span is not None:
-                lo, hi = span
-                cf[:, tap, lo - shift : hi - shift] = planes[phase].reshape(C, -1)[:, lo:hi]
-            for edge in edges:
-                cols[:, tap][edge] = 0
-        return cols
-    xp = np.zeros((C, B) + tuple(L + 2 * padding for L in extent), dtype=x.dtype)
-    xp[(slice(None), slice(None)) + tuple(slice(padding, padding + L) for L in extent)] = x
-    for tap, offsets in _taps(kernel, padding):
-        cols[:, tap] = xp[(slice(None), slice(None)) + tuple(
-            slice(d + padding, d + padding + stride * m, stride) for d, m in zip(offsets, out))]
+    cf, n = cols.reshape(C, cols.shape[1], -1), B * int(np.prod(out))
+    for tap, phase, shift, span, edges in _phase_shifts(kernel, stride, out, n):
+        if span is not None:
+            lo, hi = span
+            cf[:, tap, lo - shift : hi - shift] = planes[phase].reshape(C, -1)[:, lo:hi]
+        for edge in edges:
+            cols[:, tap][edge] = 0
     return cols
 
 
-def _col2im(dcols: np.ndarray, shape: Tuple[int, ...], kernel, stride: int, padding: int) -> np.ndarray:
+def _col2im(dcols: np.ndarray, shape: Tuple[int, ...], kernel, stride: int) -> np.ndarray:
     """The (C, B, *S) map gradient from column gradients (C, taps, B, *out); may overwrite dcols."""
     C, B, extent, out = shape[0], shape[1], shape[2:], dcols.shape[3:]
     nd = len(out)
-    if all(L == stride * m for L, m in zip(extent, out)):
-        planes = np.zeros((stride,) * nd + (C, B) + out, dtype=dcols.dtype)
-        dcf, n = dcols.reshape(C, dcols.shape[1], -1), B * int(np.prod(out))
-        for tap, phase, shift, span, edges in _phase_shifts(kernel, stride, padding, out, n):
-            for edge in edges:
-                dcols[:, tap][edge] = 0
-            if span is not None:
-                lo, hi = span
-                planes[phase].reshape(C, -1)[:, lo:hi] += dcf[:, tap, lo - shift : hi - shift]
-        del dcols, dcf  # the merge allocates the map: let the column gradient go first
-        return planes.transpose(np.argsort(_phase_axes(nd))).reshape(shape)
-    dxp = np.zeros((C, B) + tuple(L + 2 * padding for L in extent), dtype=dcols.dtype)
-    for tap, offsets in _taps(kernel, padding):
-        dxp[(slice(None), slice(None)) + tuple(
-            slice(d + padding, d + padding + stride * m, stride) for d, m in zip(offsets, out))] += dcols[:, tap]
-    return dxp[(slice(None), slice(None)) + tuple(slice(padding, padding + L) for L in extent)]
+    planes = np.zeros((stride,) * nd + (C, B) + out, dtype=dcols.dtype)
+    dcf, n = dcols.reshape(C, dcols.shape[1], -1), B * int(np.prod(out))
+    for tap, phase, shift, span, edges in _phase_shifts(kernel, stride, out, n):
+        for edge in edges:
+            dcols[:, tap][edge] = 0
+        if span is not None:
+            lo, hi = span
+            planes[phase].reshape(C, -1)[:, lo:hi] += dcf[:, tap, lo - shift : hi - shift]
+    del dcols, dcf  # the merge allocates the map: let the column gradient go first
+    merged = planes.transpose(np.argsort(_phase_axes(nd))).reshape((C, B) + tuple(stride * m for m in out))
+    return merged[(slice(None), slice(None)) + tuple(slice(L) for L in extent)]
 
 
-def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: int, groups: int, name: str):
+def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, groups: int, name: str):
     """Cross-correlation over the last w.ndim - 2 axes of a channel-major map (C_in, B, *S)."""
     nd = w.values.ndim - 2
     if x.values.ndim != nd + 2:
@@ -604,11 +591,11 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
         raise ShapeError("%s weight %s inconsistent with C_in=%d groups=%d" % (name, w.shape, C_in, groups))
     if bias is not None and bias.shape != (C_out,):
         raise ShapeError("%s bias must be (C_out,), got %s" % (name, bias.shape))
-    out_shape = tuple(_conv_out_len(L, k, stride, padding) for L, k in zip(x.shape[2:], kernel))
+    out_shape = tuple(-(-L // stride) for L in x.shape[2:])
     if min(out_shape) < 1:
         raise ShapeError("%s output %s < 1 (input %s, kernel %s)" % (name, out_shape, x.shape[2:], kernel))
 
-    cols = _im2col(x.values, kernel, stride, padding, out_shape)
+    cols = _im2col(x.values, kernel, stride)
     y = _group_matmul(w.values, cols, groups)  # (C_out, B * prod(out_shape))
     if bias is not None:
         y += bias.values[:, None]
@@ -625,7 +612,7 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
         shape, cols = cols.shape, None
         dx = None
         if need_dx:
-            dx = _col2im(np.matmul(wg.transpose(0, 2, 1), gy).reshape(shape), x_shape, kernel, stride, padding)
+            dx = _col2im(np.matmul(wg.transpose(0, 2, 1), gy).reshape(shape), x_shape, kernel, stride)
         if not has_bias:
             return dx, dw
         gy = gy.reshape(C_out, -1)
@@ -636,41 +623,28 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, padding: in
     return _record(inputs, out, bwd, name)
 
 
-def conv1d(
-    x: Tensor,
-    w: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-    groups: int = 1,
-) -> Tensor:
-    """1D cross-correlation over the last axis.
+def conv1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1, groups: int = 1) -> Tensor:
+    """1D cross-correlation over the last axis, padded by k // 2 at each end.
 
-    x is a channel-major batch (C_in, B, T); w is (C_out, C_in/groups, k);
-    the output is (C_out, B, T_out). Depthwise = groups == C_in with
-    C_out == C_in.
+    x is a channel-major batch (C_in, B, T); w is (C_out, C_in/groups, k)
+    with k odd; the output is (C_out, B, ceil(T / stride)). Depthwise =
+    groups == C_in with C_out == C_in.
     """
     if w.values.ndim != 3:
         raise ShapeError("conv1d weight must be (C_out, C_in/g, k), got %s" % (w.shape,))
-    return _conv(x, w, bias, stride, padding, groups, "conv1d")
+    return _conv(x, w, bias, stride, groups, "conv1d")
 
 
-def conv2d(
-    x: Tensor,
-    w: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-    groups: int = 1,
-) -> Tensor:
-    """2D cross-correlation.
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1, groups: int = 1) -> Tensor:
+    """2D cross-correlation, each axis padded by half its kernel at each end.
 
     x is a channel-major batch (C_in, B, H, W); w is (C_out, C_in/groups, kh,
-    kw); the output is (C_out, B, H_out, W_out).
+    kw) with kh, kw odd; the output is (C_out, B, ceil(H / stride),
+    ceil(W / stride)).
     """
     if w.values.ndim != 4:
         raise ShapeError("conv2d weight must be (C_out, C_in/g, kh, kw), got %s" % (w.shape,))
-    return _conv(x, w, bias, stride, padding, groups, "conv2d")
+    return _conv(x, w, bias, stride, groups, "conv2d")
 
 
 def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
@@ -691,7 +665,7 @@ def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ConfigError("conv_keys kernel extent must be odd, got %d" % k)
     n = x.shape[-2]
     x_cm = np.ascontiguousarray(np.moveaxis(x.values, -1, 0)).reshape(C_in, -1, n)
-    cols = _im2col(x_cm, (k,), 1, k // 2, (n,)).reshape(C_in * k, -1)
+    cols = _im2col(x_cm, (k,), 1).reshape(C_in * k, -1)
     w2 = w.values.reshape(C_out, -1)
     y = w2 @ cols
     y += bias.values[:, None]
@@ -705,7 +679,7 @@ def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         cols = None  # dcols is as large
         dx = None
         if need_dx:
-            dx_cm = _col2im((w2.T @ gy).reshape((C_in, k) + cm_shape[1:]), cm_shape, (k,), 1, k // 2)
+            dx_cm = _col2im((w2.T @ gy).reshape((C_in, k) + cm_shape[1:]), cm_shape, (k,), 1)
             dx = np.ascontiguousarray(np.moveaxis(dx_cm, 0, -1)).reshape(g.shape[:-1] + (C_in,))
         return dx, dw, gy.sum(axis=1)
 

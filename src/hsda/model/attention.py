@@ -55,8 +55,8 @@ class DiscrepancyNet(Module):
     """
 
     def __init__(self, d_h: int, rng):
-        self.conv5 = Conv1d(d_h, d_h, 5, rng, padding=2)
-        self.conv3 = Conv1d(d_h, d_h, 3, rng, padding=1)
+        self.conv5 = Conv1d(d_h, d_h, 5, rng)
+        self.conv3 = Conv1d(d_h, d_h, 3, rng)
         self.conv1 = Conv1d(d_h, d_h, 1, rng)
         self.reduce = Mlp(d_h, d_h, 1, rng)
 

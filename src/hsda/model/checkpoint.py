@@ -92,6 +92,8 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
                 raise ProtocolError(
                     "checkpoint record %d (%s) has unsupported rank %d" % (index, name, rank)
                 ) from None
+            if not np.isfinite(params[name]).all():
+                raise ProtocolError("checkpoint record %d (%s) has non-finite values" % (index, name))
         if fh.read(1):
             raise ProtocolError("checkpoint has trailing bytes after its %d records" % count)
     try:

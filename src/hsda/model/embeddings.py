@@ -43,13 +43,13 @@ class ImageStem(Module):
         c_full = cfg.stem_channels
         c_quarter = max(1, c_full // 4)
         c_half = max(1, c_full // 2)
-        self.conv1 = Conv2d(3, c_quarter, 3, rng, stride=2, padding=1)
+        self.conv1 = Conv2d(3, c_quarter, 3, rng, stride=2)
         self.norm1 = ChannelNorm2d(c_quarter)
-        self.conv2 = Conv2d(c_quarter, c_half, 3, rng, stride=2, padding=1)
+        self.conv2 = Conv2d(c_quarter, c_half, 3, rng, stride=2)
         self.norm2 = ChannelNorm2d(c_half)
-        self.conv3 = Conv2d(c_half, c_full, 3, rng, stride=2, padding=1)
+        self.conv3 = Conv2d(c_half, c_full, 3, rng, stride=2)
         self.norm3 = ChannelNorm2d(c_full)
-        self.conv4 = Conv2d(c_full, c_full, 3, rng, stride=1, padding=1)
+        self.conv4 = Conv2d(c_full, c_full, 3, rng, stride=1)
         self.norm4 = ChannelNorm2d(c_full)
         self.canvas_size = cfg.canvas_size
         map_hw = cfg.stem_map_size

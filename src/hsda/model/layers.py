@@ -84,29 +84,33 @@ class LayerNorm(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0, groups=1, zero_init=False):
+    """k x k convolution of a channel-major (C, B, H, W) map, padded by k // 2 on each side."""
+
+    def __init__(self, c_in, c_out, k, rng, stride=1, groups=1, zero_init=False):
         shape = (c_out, c_in // groups, k, k)
         self.w = Tensor(
             np.zeros(shape) if zero_init else trunc_normal(rng, shape), requires_grad=True
         )
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
-        self.stride, self.padding, self.groups = stride, padding, groups
+        self.stride, self.groups = stride, groups
 
     def __call__(self, x: Tensor) -> Tensor:
-        return dc.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding, groups=self.groups)
+        return dc.conv2d(x, self.w, self.b, stride=self.stride, groups=self.groups)
 
 
 class Conv1d(Module):
-    def __init__(self, c_in, c_out, k, rng, stride=1, padding=0, groups=1, zero_init=False):
+    """Stride-1, length-keeping convolution of a channel-major (C, B, T) map."""
+
+    def __init__(self, c_in, c_out, k, rng, groups=1, zero_init=False):
         shape = (c_out, c_in // groups, k)
         self.w = Tensor(
             np.zeros(shape) if zero_init else trunc_normal(rng, shape), requires_grad=True
         )
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
-        self.stride, self.padding, self.groups = stride, padding, groups
+        self.groups = groups
 
     def __call__(self, x: Tensor) -> Tensor:
-        return dc.conv1d(x, self.w, self.b, stride=self.stride, padding=self.padding, groups=self.groups)
+        return dc.conv1d(x, self.w, self.b, groups=self.groups)
 
 
 class ChannelNorm2d(Module):

@@ -24,9 +24,9 @@ def _halved(n: int) -> int:
 
 class Rfm2d(Module):
     def __init__(self, channels: int, d_prime: int, in_hw: int, rng):
-        self.pool = Conv2d(channels, channels, 3, rng, stride=2, padding=1)
+        self.pool = Conv2d(channels, channels, 3, rng, stride=2)
         self.pw1 = Conv2d(channels, channels, 1, rng)
-        self.dw = Conv2d(channels, channels, 3, rng, padding=1, groups=channels)
+        self.dw = Conv2d(channels, channels, 3, rng, groups=channels)
         self.pw2 = Conv2d(channels, channels, 1, rng, zero_init=True)
         self.out_hw = _halved(in_hw)
         self.summary = Mlp(channels * self.out_hw * self.out_hw, d_prime, d_prime, rng)
@@ -43,7 +43,7 @@ class Rfm1d(Module):
     def __init__(self, channels: int, n_signal_tokens: int, d_prime: int, in_len: int, rng):
         self.out_len = max(1, in_len // 2)
         self.pw1 = Conv1d(channels, channels, 1, rng)
-        self.dw = Conv1d(channels, channels, 3, rng, padding=1, groups=channels)
+        self.dw = Conv1d(channels, channels, 3, rng, groups=channels)
         self.pw2 = Conv1d(channels, channels, 1, rng, zero_init=True)
         self.n_signal_tokens = n_signal_tokens
         self.d_prime = d_prime

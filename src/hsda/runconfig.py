@@ -20,6 +20,7 @@ and pins the BLAS thread pools before anything numeric loads.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -44,6 +45,9 @@ class TrainConfig:
     contrastive_weight: float = 0.8  # 0 disables the template term
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # every float setting, RunConfig's too
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (name, value))
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in u64, got %r" % self.seed)
         for name in ("lr0", "batch_size", "max_epochs", "patience", "k_folds"):

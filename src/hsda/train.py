@@ -144,6 +144,10 @@ def split_and_fold(
             )
 
     n_test = int(round(cfg.test_fraction * n))
+    if n_test == 0:
+        raise ProtocolError(
+            "test_fraction %g of %d samples leaves the test split empty" % (cfg.test_fraction, n)
+        )
     ideal = {c: cfg.test_fraction * by_class[c].size for c in classes}
     take = {c: int(ideal[c]) for c in classes}
     remainders = sorted(classes, key=lambda c: (-(ideal[c] - take[c]), c))

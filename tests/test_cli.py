@@ -1,6 +1,8 @@
 """Command-line behavior: determinism, provenance sidecars, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import os
 import struct
 import subprocess
@@ -8,12 +10,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsda
 from hsda import cli
 from hsda.diffcore import Tensor, ops
 from hsda.errors import ConfigError
-from hsda.runconfig import RunConfig, make_runconfig, parse_config_file, write_runconfig
+from hsda.runconfig import RunConfig, TrainConfig, make_runconfig, parse_config_file, write_runconfig
 
 # a salvageable 6-sample block plus one too short to difference
 TWO_SUBJECT_RAW = """s01,1,HC
@@ -117,6 +121,19 @@ class TestRunConfig:
         path.write_text("patience = 20\nmax_epochs = 10\n")
         with pytest.raises(ConfigError, match="patience"):
             make_runconfig(str(path))
+
+    @pytest.mark.parametrize("key", ["lr0", "momentum", "weight_decay", "contrastive_weight", "z_max"])
+    def test_non_finite_floats_rejected(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        for text in ("nan", "inf", "-inf"):
+            path.write_text("%s = %s\n" % (key, text))
+            with pytest.raises(ConfigError, match="%s must be finite" % key):
+                make_runconfig(str(path))
+            with pytest.raises(ConfigError, match="%s must be finite" % key):
+                make_runconfig(None, {key: float(text)})
+            if hasattr(TrainConfig, key):
+                with pytest.raises(ConfigError, match="%s must be finite" % key):
+                    TrainConfig(**{key: float(text)})
 
     def test_serialization_roundtrip(self, tmp_path):
         original = RunConfig(seed=9, multiscale=False, z_max=4.5, scale="toy", out="elsewhere")
@@ -340,6 +357,17 @@ class TestTrainEvaluateCommands:
         assert "error: no samples to split" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    def test_empty_test_split_exits_one_before_training(self, tmp_path, capsys):
+        data = make_synth(tmp_path, n=2, seed=7)
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text("k_folds = 2\ntest_fraction = 0.1\nmax_epochs = 1\npatience = 1\n")
+        argv = ["train", data, "--config", str(cfg), "--scale", "toy", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: test_fraction 0.1 of 4 samples leaves the test split empty" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_sidecar_without_data_digest_exits_one(self, tmp_path, capsys):
         from hsda.model import save_checkpoint
 
@@ -515,3 +543,79 @@ class TestExitCodesAndEnv:
             weights = hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest()
             runs.append(((out / "history.csv").read_bytes(), weights))
         assert runs[0] == runs[1]
+
+
+class _Unreachable(Exception):
+    """Stands in for the exception classes main() also reports, so they escape instead."""
+
+
+# one field of a sample row: any float spelling, a plausible value, empty or unparseable
+FIELD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["", "x"]),
+)
+TIME = st.one_of(
+    st.integers(0, 60).map(lambda k: repr(5.0 * k)),
+    st.integers(0, 60).map(lambda k: repr(1e-300 * k)),
+    FIELD,
+)
+
+
+@st.composite
+def raw_block(draw, index):
+    """One csv-v1 block: arbitrary rows, or a pen trace with dirty.py's dirt."""
+    header = "s%d,1,%s\n" % (index, draw(st.sampled_from(["HC", "AD"])))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(TIME, FIELD, FIELD, FIELD), max_size=40))
+        return header + "".join("%s,%s,%s,%s\n" % row for row in rows)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 48))
+    t = 5.0 * np.arange(n) + rng.uniform(0.0, 0.8, size=n)
+    if draw(st.booleans()):  # a repeated timestamp, which csv-v1 allows
+        t[n // 2] = t[n // 2 - 1]
+    xyp = np.stack([np.sin(0.1 * t), np.cos(0.07 * t), 0.5 + 0.05 * np.sin(0.01 * t)], axis=1)
+    xyp[rng.random(size=n) < 0.05, rng.integers(0, 3)] *= 25.0  # spike rows
+    text = [["%.6f" % v for v in row] for row in xyp]
+    for i, j in zip(*np.nonzero(rng.random(size=(n, 3)) < 0.02)):
+        text[i][j] = "NaN"
+    return header + "".join("%.3f,%s\n" % (ti, ",".join(row)) for ti, row in zip(t, text))
+
+
+class TestWholeFiles:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(*[raw_block(i) for i in range(n)])))
+    @settings(max_examples=50, deadline=None)
+    def test_every_command_ends_in_a_result_or_a_message(self, tmp_path_factory, blocks):
+        work = tmp_path_factory.mktemp("whole")
+        raw, cfg = work / "raw.csv", work / "train.cfg"
+        raw.write_text("\n".join(blocks))
+        cfg.write_text("max_epochs = 1\npatience = 1\nk_folds = 2\nbatch_size = 4\n")
+        train = str(work / "train")
+        commands = [
+            ["preprocess", str(raw), "--out", str(work / "sig")],
+            ["render", str(raw), "--scale", "toy", "--out", str(work / "img")],
+            ["train", str(raw), "--scale", "toy", "--config", str(cfg), "--out", train],
+            ["evaluate", str(raw), "--checkpoint", os.path.join(train, "checkpoint.bin"), "--out", str(work / "eval")],
+        ]
+        codes = []
+        # with those handlers disarmed, a 1 can only come from a ConfigError or ProtocolError
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "OSError", _Unreachable, raising=False)
+            mp.setattr(cli, "FloatingPointError", _Unreachable, raising=False)
+            for argv in commands:
+                if argv[0] == "evaluate" and codes[-1]:
+                    break  # no checkpoint to evaluate
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    codes.append(cli.main(argv))
+                assert codes[-1] in (0, 1), argv
+                if codes[-1]:
+                    assert err.getvalue().startswith("error: "), err.getvalue()
+        if codes[0] == 0:
+            manifest = (work / "sig" / "manifest.txt").read_text().splitlines()
+            for i in range(len(blocks)):
+                (line,) = [m for m in manifest if m.startswith("s%d task 01: " % i)]
+                assert line.split(": ", 1)[1].startswith(("ok, ", "dropped ("))
+        if codes[2] == 1:
+            assert not os.path.exists(os.path.join(train, "checkpoint.bin"))

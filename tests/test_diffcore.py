@@ -222,25 +222,24 @@ class TestForward:
                 np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "C_in,C_out,k,T,stride,padding,groups",
+        "C_in,C_out,k,T,stride,groups",
         [
-            (1, 1, 3, 7, 1, 0, 1),
-            (2, 3, 3, 8, 1, 1, 1),
-            (2, 4, 5, 10, 2, 2, 1),
-            (4, 4, 3, 6, 1, 1, 4),
-            (4, 6, 3, 9, 2, 1, 2),
-            (3, 2, 1, 5, 1, 0, 1),
+            (2, 3, 3, 8, 1, 1),
+            (2, 4, 5, 10, 2, 1),
+            (4, 4, 3, 6, 1, 4),
+            (4, 6, 3, 9, 2, 2),
+            (3, 2, 1, 5, 1, 1),
         ],
     )
-    def test_conv1d_against_oracle(self, C_in, C_out, k, T, stride, padding, groups):
+    def test_conv1d_against_oracle(self, C_in, C_out, k, T, stride, groups):
         rng = make_rng(11, "check")
         with using_dtype(np.float64):
             x = rng.normal(size=(C_in, 1, T))
             w = rng.normal(size=(C_out, C_in // groups, k))
             b = rng.normal(size=C_out)
-            got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups)
+            got = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, groups=groups)
             np.testing.assert_allclose(
-                got.values[:, 0], conv1d_oracle(x[:, 0], w, b, stride, padding, groups), rtol=1e-12, atol=1e-12
+                got.values[:, 0], conv1d_oracle(x[:, 0], w, b, stride, k // 2, groups), rtol=1e-12, atol=1e-12
             )
 
     def test_conv1d_batched_matches_per_sample(self):
@@ -249,7 +248,7 @@ class TestForward:
             x = rng.normal(size=(2, 3, 8))  # channel-major: 2 channels, 3 samples
             w = rng.normal(size=(4, 2, 3))
             b = rng.normal(size=4)
-            batched = conv1d(Tensor(x), Tensor(w), Tensor(b), padding=1).values
+            batched = conv1d(Tensor(x), Tensor(w), Tensor(b)).values
             for i in range(3):
                 np.testing.assert_allclose(
                     batched[:, i], conv1d_oracle(x[:, i], w, b, 1, 1, 1), rtol=1e-12, atol=1e-12
@@ -273,32 +272,31 @@ class TestForward:
             x = rng.normal(size=(4, 3, 6, 5))  # channel-major: 4 channels, 3 samples
             w = rng.normal(size=(6, 2, 3, 3))
             b = rng.normal(size=6)
-            batched = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1, groups=2).values
+            batched = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, groups=2).values
             for i in range(3):
                 np.testing.assert_allclose(
                     batched[:, i], conv2d_oracle(x[:, i], w, b, 2, 1, 2), rtol=1e-12, atol=1e-12
                 )
 
     @pytest.mark.parametrize(
-        "C_in,C_out,k,H,W,stride,padding,groups",
+        "C_in,C_out,k,H,W,stride,groups",
         [
-            (1, 1, 3, 5, 5, 1, 0, 1),
-            (2, 3, 3, 6, 6, 1, 1, 1),
-            (3, 4, 3, 7, 5, 2, 1, 1),
-            (4, 4, 3, 5, 5, 1, 1, 4),
-            (2, 5, 1, 4, 4, 1, 0, 1),
-            (4, 6, 3, 6, 5, 2, 1, 2),
+            (2, 3, 3, 6, 6, 1, 1),
+            (3, 4, 3, 7, 5, 2, 1),
+            (4, 4, 3, 5, 5, 1, 4),
+            (2, 5, 1, 4, 4, 1, 1),
+            (4, 6, 3, 6, 5, 2, 2),
         ],
     )
-    def test_conv2d_against_oracle(self, C_in, C_out, k, H, W, stride, padding, groups):
+    def test_conv2d_against_oracle(self, C_in, C_out, k, H, W, stride, groups):
         rng = make_rng(13, "check")
         with using_dtype(np.float64):
             x = rng.normal(size=(C_in, 1, H, W))
             w = rng.normal(size=(C_out, C_in // groups, k, k))
             b = rng.normal(size=C_out)
-            got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, groups=groups)
+            got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, groups=groups)
             np.testing.assert_allclose(
-                got.values[:, 0], conv2d_oracle(x[:, 0], w, b, stride, padding, groups), rtol=1e-12, atol=1e-12
+                got.values[:, 0], conv2d_oracle(x[:, 0], w, b, stride, k // 2, groups), rtol=1e-12, atol=1e-12
             )
 
     # The signal average pool runs off the tape (hsda.model.embeddings), but
@@ -378,42 +376,47 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "op,B,C_in,C_out,S,k,stride,padding,groups",
+        "op,B,C_in,C_out,S,k,stride,groups",
         [
-            (conv2d, 16, 4, 6, (7, 5), 3, 1, 1, 1),
-            (conv2d, 16, 4, 6, (9, 9), 3, 2, 1, 2),
-            (conv2d, 16, 4, 6, (8, 6), 3, 2, 1, 2),
-            (conv2d, 16, 4, 4, (6, 6), 3, 1, 1, 4),
-            (conv2d, 3, 3, 4, (7, 7), 5, 2, 2, 1),
-            (conv2d, 16, 3, 4, (6, 5), 5, 1, 2, 1),
-            (conv2d, 16, 4, 5, (3, 3), 1, 1, 0, 1),
-            (conv2d, 16, 8, 8, (2, 2), 3, 2, 1, 1),
-            (conv2d, 16, 8, 8, (1, 1), 3, 1, 1, 8),
-            (conv1d, 16, 4, 6, (11,), 5, 2, 2, 2),
-            (conv1d, 16, 4, 6, (10,), 3, 2, 1, 1),
-            (conv1d, 16, 8, 8, (9,), 3, 1, 1, 8),
-            (conv1d, 16, 3, 5, (8,), 1, 1, 0, 1),
-            (conv1d, 16, 8, 8, (1,), 3, 1, 1, 8),
+            (conv2d, 16, 4, 6, (7, 5), 3, 1, 1),
+            (conv2d, 16, 4, 6, (9, 9), 3, 2, 2),
+            (conv2d, 16, 4, 6, (8, 6), 3, 2, 2),
+            (conv2d, 16, 4, 4, (6, 6), 3, 1, 4),
+            (conv2d, 3, 3, 4, (7, 7), 5, 2, 1),
+            (conv2d, 16, 3, 4, (6, 5), 5, 1, 1),
+            (conv2d, 16, 4, 5, (3, 3), 1, 1, 1),
+            (conv2d, 16, 8, 8, (2, 2), 3, 2, 1),
+            (conv2d, 16, 8, 8, (1, 1), 3, 1, 8),
+            (conv2d, 16, 8, 8, (1, 1), 3, 2, 1),
+            (conv2d, 4, 2, 3, (3, 2), 7, 1, 1),
+            (conv1d, 16, 4, 6, (11,), 5, 2, 2),
+            (conv1d, 16, 4, 6, (10,), 3, 2, 1),
+            (conv1d, 16, 8, 8, (9,), 3, 1, 8),
+            (conv1d, 16, 3, 5, (8,), 1, 1, 1),
+            (conv1d, 16, 8, 8, (1,), 3, 1, 8),
+            (conv1d, 16, 8, 8, (1,), 3, 2, 1),
+            (conv1d, 4, 2, 3, (2,), 7, 1, 1),
         ],
         ids=[
             "2d-s1-p1", "2d-s2-odd-grouped", "2d-s2-even-grouped", "2d-depthwise", "2d-k5-s2-p2", "2d-k5-s1-p2",
-            "2d-pointwise-p0", "2d-one-position", "2d-depthwise-one-position",
-            "1d-k5-s2-grouped", "1d-s2-even", "1d-depthwise", "1d-pointwise-p0", "1d-depthwise-one-position",
+            "2d-pointwise-p0", "2d-one-position", "2d-depthwise-one-position", "2d-s2-one-position-extended",
+            "2d-kernel-wider-than-map", "1d-k5-s2-grouped", "1d-s2-even", "1d-depthwise", "1d-pointwise-p0",
+            "1d-depthwise-one-position", "1d-s2-one-position-extended", "1d-kernel-wider-than-map",
         ],
     )
-    def test_channel_major_conv_matches_sample_major(self, dtype, op, B, C_in, C_out, S, k, stride, padding, groups):
+    def test_channel_major_conv_matches_sample_major(self, dtype, op, B, C_in, C_out, S, k, stride, groups):
         rng = np.random.default_rng(B + C_in + len(S))
         x = rng.normal(size=(B, C_in) + S).astype(dtype)
         w = rng.normal(size=(C_out, C_in // groups) + (k,) * len(S)).astype(dtype)
         b = rng.normal(size=C_out).astype(dtype)
-        g = rng.normal(size=(B, C_out) + tuple((L + 2 * padding - k) // stride + 1 for L in S)).astype(dtype)
-        want_y, want_dx, want_dw, want_db = sample_major_conv(x, w, b, g, stride, padding, groups)
+        g = rng.normal(size=(B, C_out) + tuple(-(-L // stride) for L in S)).astype(dtype)
+        want_y, want_dx, want_dw, want_db = sample_major_conv(x, w, b, g, stride, k // 2, groups)
 
         def cm(a):
             return np.ascontiguousarray(a.swapaxes(0, 1))
 
         got = tape_grads(
-            lambda xt, wt, bt: op(xt, wt, bt, stride=stride, padding=padding, groups=groups),
+            lambda xt, wt, bt: op(xt, wt, bt, stride=stride, groups=groups),
             cm(g),
             *(Tensor(v, requires_grad=True, dtype=dtype) for v in (cm(x), w, b)),
         )
@@ -603,8 +606,8 @@ class TestGuards:
             (conv2d, (4, 1, 8, 8), (2, 3, 3, 3), None, "inconsistent with C_in=4"),
             (conv1d, (1, 1, 8), (2, 1, 3), (3,), "bias must be"),
             (conv2d, (1, 1, 8, 8), (2, 1, 3, 3), (2, 1), "bias must be"),
-            (conv1d, (1, 1, 2), (1, 1, 5), None, "output .* < 1"),
-            (conv2d, (1, 1, 8, 2), (1, 1, 5, 5), None, "output .* < 1"),
+            (conv1d, (1, 1, 0), (1, 1, 5), None, "output .* < 1"),
+            (conv2d, (1, 1, 8, 0), (1, 1, 5, 5), None, "output .* < 1"),
         ],
         ids=[
             "conv1d-input-rank-1",
@@ -740,13 +743,13 @@ class TestTape:
     def test_conv_param_grads_same_without_input_grad(self, op, x_shape, w_shape):
         rng = np.random.default_rng(5)
         xv, wv, bv = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=6)
-        gw = rng.normal(size=op(Tensor(xv), Tensor(wv), Tensor(bv), stride=2, padding=1, groups=2).shape)
+        gw = rng.normal(size=op(Tensor(xv), Tensor(wv), Tensor(bv), stride=2, groups=2).shape)
         grads = []
         for x_needs in (True, False):
             x = Tensor(xv, requires_grad=x_needs)
             w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
             with Tape() as tape:
-                y = sum_(mul(op(x, w, b, stride=2, padding=1, groups=2), Tensor(gw)))
+                y = sum_(mul(op(x, w, b, stride=2, groups=2), Tensor(gw)))
             backward(y, tape)
             assert (x.grad is not None) == x_needs
             grads.append((w.grad, b.grad))
@@ -773,7 +776,7 @@ class TestTapeMemory:
         w2 = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
 
         def forward():
-            h = relu(conv2d(x, w1, padding=1))
+            h = relu(conv2d(x, w1))
             return sum_(conv2d(h, w2)), weakref.ref(h.values)
 
         with Tape() as tape:
@@ -793,7 +796,7 @@ class TestTapeMemory:
         tracemalloc.start()
         try:
             with Tape() as tape:
-                loss = sum_(mul(conv2d(x, w, stride=2, padding=1), c))
+                loss = sum_(mul(conv2d(x, w, stride=2), c))
             backward(loss, tape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -918,7 +921,7 @@ class TestGradients:
             wl = Tensor(rng.normal(size=(3, 2)) * 0.4)
 
             def f(x):
-                h = conv2d(x, w1, stride=2, padding=1)
+                h = conv2d(x, w1, stride=2)
                 h = sigmoid(h)
                 pooled = mean(reshape(h, (3, 9)), axis=1, keepdims=True)
                 return sum_(matmul(transpose(pooled), wl))

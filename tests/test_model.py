@@ -35,9 +35,10 @@ def rand_tensor(rng, shape, requires_grad=False):
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
 
 
-def record_bytes(name: bytes) -> bytes:
-    """One checkpoint record: the raw name and a (2,) float32 value."""
-    return struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2) + np.ones(2, "<f4").tobytes()
+def record_bytes(name: bytes, values=(1.0, 1.0)) -> bytes:
+    """One checkpoint record: the raw name and a 1-axis float32 value."""
+    values = np.asarray(values, "<f4")
+    return struct.pack("<I", len(name)) + name + struct.pack("<II", 1, values.size) + values.tobytes()
 
 
 def toy_inputs(seed=0, canvas=16, t_len=32):
@@ -474,6 +475,14 @@ class TestCheckpoint:
                 struct.pack("<II", 1, 1) + b"w" + struct.pack("<66I", 65, *[1] * 64, 0),
                 r"record 0 \(w\) has unsupported rank 65",
             ),
+            (
+                struct.pack("<I", 2) + record_bytes(b"w") + record_bytes(b"v", [1.0, float("nan")]),
+                r"record 1 \(v\) has non-finite values",
+            ),
+            (
+                struct.pack("<I", 1) + record_bytes(b"w", [float("-inf")]),
+                r"record 0 \(w\) has non-finite values",
+            ),
         ],
         ids=[
             "non-utf8-name",
@@ -483,6 +492,8 @@ class TestCheckpoint:
             "extents-overflow",
             "extent-beyond-file",
             "rank-beyond-numpy",
+            "nan-value",
+            "infinite-value",
         ],
     )
     def test_malformed_records_rejected(self, tmp_path, body, message):
