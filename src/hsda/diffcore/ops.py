@@ -263,7 +263,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             g2 = g.reshape(-1, g.shape[-1])
-            da = (g2 @ b.values.T).reshape(a.shape) if a.requires_grad else None
+            da = _product(g2, b.values.T).reshape(a.shape) if a.requires_grad else None
             db = a2.T @ g2 if b.requires_grad else None
             return da, db
 
@@ -276,6 +276,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return da, db
 
     return _record((a, b), out, bwd, "matmul")
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b), with a contracted extent of 1 taken as a broadcast multiply.
+
+    numpy runs such outer products in a loop several times slower than the
+    multiply. Its sums start at +0.0, so the + 0.0 here turns a -0.0 product
+    into the +0.0 it returns; every other entry is the same one rounded product.
+    """
+    if a.shape[-1] != 1:
+        return np.matmul(a, b)
+    p = a * b
+    p += 0.0
+    return p
 
 
 def add_bias(a: Tensor, b: Tensor) -> Tensor:
@@ -486,15 +500,19 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # the channel-major output. Taps run in C order over the kernel extents, and
 # col2im adds them back in that order. The backward closure keeps the columns
 # (for dw) but only the input's *shape*, and drops the columns once dw is
-# taken, before the equally large dcols exist.
+# taken, before the equally large dcols exist. At stride 1 with more than one
+# tap the columns are plain shifted copies of the input, taps times its size:
+# there the closure keeps the input map instead and rebuilds the same column
+# bytes with the same _im2col call at the start of its backward.
 #
 # The map, zero-extended at its far end to stride times the output extent,
 # is split once into stride**nd phase planes of the output's extent, and each
 # tap reads one plane shifted by one flat offset: one long copy per tap, then
 # zeros where the shifted read left the plane along some axis. col2im adds
 # each tap back into its plane by the same shift, its out-of-plane entries
-# zeroed first, and crops the merged planes back to the map: a +0.0 leaves
-# every partial sum's bits alone, since a sum begun at +0.0 is never -0.0.
+# zeroed first, writes each plane into its strided slice of the map, and
+# crops the map: a +0.0 leaves every partial sum's bits alone, since a sum
+# begun at +0.0 is never -0.0.
 
 
 def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
@@ -570,7 +588,12 @@ def _col2im(dcols: np.ndarray, shape: Tuple[int, ...], kernel, stride: int) -> n
             lo, hi = span
             planes[phase].reshape(C, -1)[:, lo:hi] += dcf[:, tap, lo - shift : hi - shift]
     del dcols, dcf  # the merge allocates the map: let the column gradient go first
-    merged = planes.transpose(np.argsort(_phase_axes(nd))).reshape((C, B) + tuple(stride * m for m in out))
+    if stride == 1:
+        merged = planes[(0,) * nd]
+    else:  # one strided slice per phase: a transposed gather would step a whole plane per element
+        merged = np.empty((C, B) + tuple(stride * m for m in out), dtype=planes.dtype)
+        for phase in itertools.product(range(stride), repeat=nd):
+            merged[(slice(None), slice(None)) + tuple(slice(p, None, stride) for p in phase)] = planes[phase]
     return merged[(slice(None), slice(None)) + tuple(slice(L) for L in extent)]
 
 
@@ -602,17 +625,21 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, groups: int
 
     inputs = (x, w) if bias is None else (x, w, bias)
     out = _out(y.reshape((C_out, B) + out_shape), _requires(*inputs))
-    wv, need_dx, has_bias, x_shape = w.values, x.requires_grad, bias is not None, x.shape  # not x: its values may go
+    rebuild = stride == 1 and cols.shape[1] > 1
+    kept = x.values if rebuild else cols  # stride-1 columns are shifted copies of x, rebuilt in backward
+    wv, need_dx, has_bias, x_shape = w.values, x.requires_grad, bias is not None, x.shape  # not x: it may go
+    del cols
 
     def bwd(g):
-        nonlocal cols
+        nonlocal kept
+        cols, kept = (_im2col(kept, kernel, stride) if rebuild else kept), None
         wg = wv.reshape(groups, C_out // groups, -1)
         gy = g.reshape(groups, wg.shape[1], -1)
         dw = np.matmul(gy, cols.reshape(groups, wg.shape[2], -1).transpose(0, 2, 1)).reshape(wv.shape)
         shape, cols = cols.shape, None
         dx = None
         if need_dx:
-            dx = _col2im(np.matmul(wg.transpose(0, 2, 1), gy).reshape(shape), x_shape, kernel, stride)
+            dx = _col2im(_product(wg.transpose(0, 2, 1), gy).reshape(shape), x_shape, kernel, stride)
         if not has_bias:
             return dx, dw
         gy = gy.reshape(C_out, -1)
@@ -671,9 +698,12 @@ def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     y += bias.values[:, None]
     out = _out(np.ascontiguousarray(y.T).reshape(x.shape[:-1] + (C_out,)), _requires(x, w, bias))
     cm_shape, need_dx = x_cm.shape, x.requires_grad
+    kept = x_cm if k > 1 else cols  # as _conv: a stride-1 map, not its columns
+    del x_cm, cols
 
     def bwd(g):
-        nonlocal cols
+        nonlocal kept
+        cols, kept = (_im2col(kept, (k,), 1).reshape(C_in * k, -1) if k > 1 else kept), None
         gy = g.reshape(-1, C_out).T
         dw = (gy @ cols.T).reshape(w2.shape[:1] + (C_in, k))
         cols = None  # dcols is as large

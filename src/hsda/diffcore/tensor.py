@@ -4,6 +4,9 @@ Tensors wrap a numpy array plus an optional gradient buffer. Operations in
 :mod:`hsda.diffcore.ops` record themselves on the active tape; calling
 :func:`backward` on a scalar output walks the tape in reverse, releasing it
 as it goes, and accumulates gradients into every leaf that requires them.
+A tape made with an ``on_leaf`` callback hands each leaf to it as soon as
+the leaf's gradient is final, so training can apply and drop each gradient
+before the next one is complete.
 
 Training runs in float32 by default; gradient checking switches to float64
 via :func:`default_dtype` / :func:`using_dtype`.
@@ -119,11 +122,14 @@ class Tape:
 
     Use as a context manager; ops executed inside record themselves when any
     of their inputs requires a gradient. Nesting is allowed (innermost wins).
+    ``on_leaf``, if given, is called by :func:`backward` with each leaf an op
+    took as input, once that leaf's gradient is final.
     """
 
-    def __init__(self):
+    def __init__(self, on_leaf: Optional[Callable[[Tensor], None]] = None):
         self._nodes: list[_Node] = []
         self._outer: Optional[Tape] = None
+        self.on_leaf = on_leaf
 
     def __enter__(self):
         global _tape
@@ -163,11 +169,18 @@ def backward(loss: Tensor, tape: Tape) -> None:
     computing it; such inputs get no ``grad``. Each node is popped and drops
     its closure, inputs and output gradient once used, so the graph is freed
     as it is walked; a second backward needs a fresh forward pass.
+
+    With the tape's ``on_leaf`` set, each leaf an op took as input is passed
+    to it right after the walk leaves the first node recorded with that leaf
+    as input: every later node has been walked, so the leaf's gradient is
+    final (None if no gradient reached it). No node walked after that point
+    reads the leaf, so the callback may update the leaf's values in place.
     """
     if loss.values.size != 1:
         raise ValueError("backward() needs a scalar loss, got shape %s" % (loss.shape,))
     (loss._node or loss).grad = np.ones_like(loss.values)
-    nodes = tape._nodes
+    nodes, on_leaf = tape._nodes, tape.on_leaf
+    final_at = _first_uses(nodes) if on_leaf is not None else {}
     while nodes:
         node = nodes.pop()
         g, fn, inputs = node.grad, node.backward_fn, node.inputs
@@ -176,3 +189,16 @@ def backward(loss: Tensor, tape: Tape) -> None:
             for inp, gi in zip(inputs, fn(g)):
                 if gi is not None and inp is not None:
                     inp.accumulate_grad(gi)
+        for leaf in final_at.pop(len(nodes), ()):
+            on_leaf(leaf)
+
+
+def _first_uses(nodes: Sequence[_Node]) -> dict:
+    """{node index: leaves first taken as input by that node}, each leaf listed once."""
+    seen, at = set(), {}
+    for i, node in enumerate(nodes):
+        for inp in node.inputs:
+            if isinstance(inp, Tensor) and id(inp) not in seen:
+                seen.add(id(inp))
+                at.setdefault(i, []).append(inp)
+    return at

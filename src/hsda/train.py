@@ -89,28 +89,33 @@ def sgd_step(
     """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place.
 
     state[name] is the momentum buffer v of a parameter, made on the first
-    step. The six operations run in order block by block, through one
-    scratch buffer shared by all parameters. A missing gradient counts as
-    zero; a non-finite one raises before its parameter changes.
+    step. The six operations run in order block by block. A missing
+    gradient counts as zero; a non-finite one raises before its parameter
+    changes.
     """
-    scratch = None
     for name, t in params.items():
-        g = None if t.grad is None else t.grad.reshape(-1)
-        if g is not None and not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient in %s" % name)
-        if name not in state:
-            state[name] = np.zeros_like(t.values)
-        if scratch is None or scratch.dtype != t.dtype:
-            scratch = np.empty(_BLOCK, dtype=t.dtype)
-        w, v = t.values.reshape(-1), state[name].reshape(-1)  # views: both are C-contiguous
-        for lo in range(0, w.size, _BLOCK):
-            wb, vb, s = w[lo : lo + _BLOCK], v[lo : lo + _BLOCK], scratch[: min(_BLOCK, w.size - lo)]
-            np.multiply(wb, weight_decay, out=s)
-            s += 0.0 if g is None else g[lo : lo + _BLOCK]
-            vb *= momentum
-            vb += s
-            np.multiply(vb, lr, out=s)
-            wb -= s
+        _sgd_update(name, t, state, lr, momentum, weight_decay)
+
+
+def _sgd_update(
+    name: str, t: Tensor, state: Dict[str, np.ndarray], lr: float, momentum: float, weight_decay: float
+) -> None:
+    """sgd_step on one parameter."""
+    g = None if t.grad is None else t.grad.reshape(-1)
+    if g is not None and not np.all(np.isfinite(g)):
+        raise FloatingPointError("non-finite gradient in %s" % name)
+    if name not in state:
+        state[name] = np.zeros_like(t.values)
+    w, v = t.values.reshape(-1), state[name].reshape(-1)  # views: both are C-contiguous
+    scratch = np.empty(min(_BLOCK, w.size), dtype=t.dtype)
+    for lo in range(0, w.size, _BLOCK):
+        wb, vb, s = w[lo : lo + _BLOCK], v[lo : lo + _BLOCK], scratch[: min(_BLOCK, w.size - lo)]
+        np.multiply(wb, weight_decay, out=s)
+        s += 0.0 if g is None else g[lo : lo + _BLOCK]
+        vb *= momentum
+        vb += s
+        np.multiply(vb, lr, out=s)
+        wb -= s
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +281,7 @@ def train_loop(
     if not train_set or not val_set:
         raise ProtocolError("fold %d has an empty train or validation set" % fold)
     params = model.parameter_dict()
+    names = {id(t): name for name, t in params.items()}
     state: Dict[str, np.ndarray] = {}
     shuffle_rng = make_rng(cfg.seed, "shuffle", substream=1 + fold)
     history: List[Tuple[int, float, float, float]] = []
@@ -292,7 +298,18 @@ def train_loop(
             batch = [train_set[i] for i in order[b_start : b_start + cfg.batch_size]]
             batch_labels = np.array([s.label for s in batch])
             model.zero_grad()
-            with dc.Tape() as tape:
+            rest = dict(params)  # the parameters no node took as input: normally none
+
+            def apply_grad(leaf: Tensor) -> None:
+                # each gradient is applied, and let go, as soon as backward completes it
+                name = names.get(id(leaf))
+                if name is not None:
+                    _sgd_update(name, rest.pop(name), state, lr, cfg.momentum, cfg.weight_decay)
+                    leaf.grad = None
+
+            # a diverging run overflows in here and in validation; the loss check and
+            # each gradient's check report it, so numpy's warnings would be noise
+            with np.errstate(over="ignore", invalid="ignore"), dc.Tape(on_leaf=apply_grad) as tape:
                 logits, feats = model([s.image for s in batch], [s.signal for s in batch])
                 ce = cross_entropy(dc.softmax_rows(logits), batch_labels)
                 if cfg.contrastive_weight > 0.0:
@@ -307,11 +324,12 @@ def train_loop(
                         "non-finite loss at epoch %d batch %d" % (epoch, b_start // cfg.batch_size)
                     )
                 dc.backward(loss, tape)
-            sgd_step(params, state, lr, cfg.momentum, cfg.weight_decay)
+            sgd_step(rest, state, lr, cfg.momentum, cfg.weight_decay)
             templates = update_templates(templates, feats.values, batch_labels)
             batch_losses.append(loss_value)
 
-        val_acc = int(np.sum(predict(model, val_set, cfg.batch_size) == val_labels)) / len(val_set)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_acc = int(np.sum(predict(model, val_set, cfg.batch_size) == val_labels)) / len(val_set)
         history.append((epoch, lr, float(np.mean(batch_losses)), val_acc))
         if val_acc > best_acc:
             best_acc, best_epoch, since_best = val_acc, epoch, 0

@@ -368,6 +368,17 @@ class TestTrainEvaluateCommands:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_exits_one_without_numpy_warnings(self, tmp_path, capsys):
+        # the overflow is reported once, as the non-finite loss, not first as numpy's warnings
+        data = make_synth(tmp_path, n=6, seed=7)
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("lr0 = 1e30\nk_folds = 2\nmax_epochs = 2\npatience = 2\n")
+        argv = ["train", data, "--config", str(cfg), "--scale", "toy", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert "error: non-finite loss at epoch 1 batch 0" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_sidecar_without_data_digest_exits_one(self, tmp_path, capsys):
         from hsda.model import save_checkpoint
 

@@ -51,6 +51,7 @@ from hsda.diffcore import (
     transpose,
     using_dtype,
 )
+from hsda.diffcore import ops
 from hsda.errors import ConfigError
 from hsda.loss import contrastive, cross_entropy, make_templates, total_loss
 from hsda.model import HsdaNet, synth_config, toy_config
@@ -478,6 +479,19 @@ class TestBitIdentity:
             conv_keys(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", [((40, 1), (1, 7)), ((6, 9, 1), (6, 1, 33))], ids=["2d", "batched"])
+    def test_outer_product_matches_matmul(self, dtype, a_shape, b_shape):
+        # a contracted extent of 1 runs as a multiply, whose -0.0 products come back as matmul's +0.0
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=a_shape).astype(dtype), rng.normal(size=b_shape).astype(dtype)
+        a.reshape(-1)[::3] = 0.0
+        a.reshape(-1)[1::5] = -0.0
+        plain = a * b
+        assert np.signbit(plain[plain == 0]).any()
+        got, want = ops._product(a, b), np.matmul(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_matches_three_exps(self, dtype):
         fi = np.finfo(dtype)
         payload = np.array([0x7FC00001 if dtype is np.float32 else 0x7FF8000000000001],
@@ -756,6 +770,41 @@ class TestTape:
         for with_x, without_x in zip(*grads):
             np.testing.assert_array_equal(with_x, without_x)
 
+    def test_on_leaf_gets_each_leaf_once_its_gradient_is_final(self):
+        # w feeds two matmuls: the callback may change it in place only after
+        # both rules ran, since the first-recorded one reads w for x's gradient
+        with using_dtype(np.float64):
+            rng = np.random.default_rng(6)
+            xv, wv, cv = rng.normal(size=(3, 4)), rng.normal(size=(4, 4)), rng.normal(size=(3, 4))
+
+            def step(on_leaf):
+                x, w = Tensor(xv.copy(), requires_grad=True), Tensor(wv.copy(), requires_grad=True)
+                with Tape(on_leaf=on_leaf) as tape:
+                    h = matmul(x, w)
+                    y = sum_(mul(matmul(h, w), Tensor(cv)))
+                backward(y, tape)
+                return x, w
+
+            ref_x, ref_w = step(None)
+            seen = []
+
+            def update(leaf):
+                seen.append((leaf, leaf.grad))
+                leaf.values -= 0.5 * leaf.grad
+
+            x, w = step(update)
+            assert [leaf for leaf, _ in seen] == [x, w]
+            for (leaf, grad), ref in zip(seen, (ref_x, ref_w)):
+                assert grad.tobytes() == ref.grad.tobytes()
+                assert leaf.values.tobytes() == (ref.values - 0.5 * ref.grad).tobytes()
+
+    def test_on_leaf_skips_constants(self):
+        x, seen = Tensor(np.ones(3), requires_grad=True), []
+        with Tape(on_leaf=seen.append) as tape:
+            y = sum_(mul(x, Tensor(np.full(3, 2.0))))
+        backward(y, tape)
+        assert seen == [x]
+
     def test_constants_get_no_grad(self):
         with using_dtype(np.float64):
             x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -769,7 +818,7 @@ class TestTape:
 
 class TestTapeMemory:
     def test_relu_output_feeding_a_conv_is_freed_before_backward(self):
-        # neither the tape nor conv2d's backward rule needs the relu output's values
+        # a stride-2 conv2d keeps its columns; neither they nor the tape need the relu output's values
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(3, 2, 6, 6)), requires_grad=True)
         w1 = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
@@ -777,13 +826,57 @@ class TestTapeMemory:
 
         def forward():
             h = relu(conv2d(x, w1))
-            return sum_(conv2d(h, w2)), weakref.ref(h.values)
+            return sum_(conv2d(h, w2, stride=2)), weakref.ref(h.values)
 
         with Tape() as tape:
             y, h_values = forward()
         assert h_values() is None
         backward(y, tape)
         assert x.grad is not None and w1.grad is not None and w2.grad is not None
+
+    @pytest.mark.parametrize(
+        "op, S, w_shape", [(conv2d, (16, 16), (8, 8, 3, 3)), (conv1d, (256,), (8, 8, 5))], ids=["conv2d", "conv1d"]
+    )
+    def test_stride1_conv_keeps_its_input_not_its_columns(self, op, S, w_shape):
+        # stride-1 columns are shifted copies of the input map, rebuilt in backward
+        rng = np.random.default_rng(2)
+        taps = int(np.prod(w_shape[2:]))
+        x = Tensor(rng.normal(size=(8, 4) + S), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        cols_bytes = taps * x.values.nbytes
+
+        def forward():
+            h = relu(x)
+            return sum_(op(h, w)), weakref.ref(h.values)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y, h_values = forward()
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert h_values() is not None
+        assert live < 2 * x.values.nbytes < cols_bytes, (live, cols_bytes)
+        backward(y, tape)
+        assert h_values() is None and x.grad is not None and w.grad is not None
+
+    def test_conv_keys_keeps_its_channel_major_copy_not_its_columns(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 16, 16, 8)), requires_grad=True)
+        w, b = Tensor(rng.normal(size=(8, 8, 5)), requires_grad=True), Tensor(rng.normal(size=8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = sum_(conv_keys(x, w, b))
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert live < 1.5 * x.values.nbytes, (live, x.values.nbytes)
+        backward(y, tape)
+        assert x.grad is not None and w.grad is not None
 
     def test_conv_backward_drops_columns_before_dcols(self):
         # a stem-shaped stride-2 convolution: the columns go once dw is taken,
@@ -835,25 +928,40 @@ class TestTapeMemory:
     def test_backward_peak_stays_near_the_forward_end(self):
         # backward frees each node's activations and output gradient as it walks,
         # so beyond the forward's live set it adds little more than the parameter grads
-        cfg = synth_config()
-        net = HsdaNet(cfg, seed=0)
-        rng = np.random.default_rng(3)
-        images = [rng.random((3, cfg.canvas_size, cfg.canvas_size)) for _ in range(8)]
-        signals = [rng.normal(size=(9, 120)) for _ in range(8)]
-        grad_bytes = sum(t.values.nbytes for t in net.parameter_dict().values())
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            with Tape() as tape:
-                logits, _ = net(images, signals)
-                loss = cross_entropy(softmax_rows(logits), np.arange(8) % 2)
-            forward_end = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.reset_peak()
-            backward(loss, tape)
-            backward_peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        forward_end, backward_peak, grad_bytes = synth_backward_memory(on_leaf=None, batch=8)
         assert backward_peak <= forward_end + grad_bytes + 2 * 2**20, (backward_peak, forward_end, grad_bytes)
+
+    def test_backward_peak_with_on_leaf_stays_within_the_forward_end(self):
+        # a callback that takes each gradient as it completes keeps them from piling up;
+        # at this batch the piled-up gradients (11.6 MB) would lift the peak 4.9 MB above the forward's end
+        def drop(leaf):
+            leaf.grad = None
+
+        forward_end, backward_peak, _ = synth_backward_memory(on_leaf=drop, batch=16)
+        assert backward_peak <= forward_end + 2 * 2**20, (backward_peak, forward_end)
+
+
+def synth_backward_memory(on_leaf, batch):
+    """Traced bytes live at a synth-scale forward's end, the backward's peak, and the parameters' bytes."""
+    cfg = synth_config()
+    net = HsdaNet(cfg, seed=0)
+    rng = np.random.default_rng(3)
+    images = [rng.random((3, cfg.canvas_size, cfg.canvas_size)) for _ in range(batch)]
+    signals = [rng.normal(size=(9, 120)) for _ in range(batch)]
+    grad_bytes = sum(t.values.nbytes for t in net.parameter_dict().values())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape(on_leaf=on_leaf) as tape:
+            logits, _ = net(images, signals)
+            loss = cross_entropy(softmax_rows(logits), np.arange(batch) % 2)
+        forward_end = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(loss, tape)
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return forward_end, backward_peak, grad_bytes
 
 
 # ---------------------------------------------------------------------------

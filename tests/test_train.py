@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsda import diffcore as dc
+from hsda import train
 from hsda.diffcore import Tensor, make_rng
 from hsda.errors import ConfigError, ProtocolError
 from hsda.features import synth_generate
 from hsda.ingest import StrokeSequence, parse_raw, preprocess
 from hsda.loss import make_templates
-from hsda.model import HsdaNet, restore_parameters, synth_config, toy_config
+from hsda.model import HsdaNet, ModelConfig, restore_parameters, synth_config, toy_config
 from hsda.train import (
     Metrics,
     Sample,
@@ -425,6 +427,24 @@ class TestTrainLoop:
                 cfg,
             )
 
+    def test_one_backward_then_one_sgd_step_per_batch(self, monkeypatch):
+        # a benchmark wraps dc.backward as a two-argument function and stamps step ends from sgd_step
+        events, backward, step = [], dc.backward, train.sgd_step
+
+        def strict_backward(loss, tape):
+            events.append("backward")
+            return backward(loss, tape)
+
+        def counting_step(*args, **kwargs):
+            events.append("sgd_step")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(dc, "backward", strict_backward)
+        monkeypatch.setattr(train, "sgd_step", counting_step)
+        result = self.loop(max_epochs=2, patience=2)  # 6 samples in batches of 4
+        assert len(result.history) == 2
+        assert events == ["backward", "sgd_step"] * 4
+
     def test_separable_data_reaches_full_val_accuracy(self):
         # synth-scale model on generator data; at this reduced data volume
         # takeoff is seed-dependent, so the seed is load-bearing. The test
@@ -451,6 +471,50 @@ class TestTrainLoop:
         templates = make_templates(16, make_rng(0, "init", substream=1))
         with pytest.raises(ProtocolError):
             train_loop(model, templates, [], tiny_samples(2), cfg)
+
+
+class PlainTape(dc.Tape):
+    """A tape that ignores on_leaf: every gradient piles up for one sgd_step after backward."""
+
+    def __init__(self, on_leaf=None):
+        super().__init__()
+
+
+class TestGradientsAppliedAsCompleted:
+    def run_loop(self, monkeypatch, model_cfg, tape_cls):
+        """Parameters, momentum buffers and sgd_step sizes after one epoch from a perturbed init."""
+        cfg = TrainConfig(seed=3, batch_size=2, max_epochs=1, patience=1)
+        model = HsdaNet(model_cfg, seed=cfg.seed)
+        # off the init, whose zero proj and fc2 weights zero most gradients
+        rng = np.random.default_rng(9)
+        for t in model.parameter_dict().values():
+            t.values += rng.normal(0.0, 0.05, size=t.shape).astype(t.dtype)
+        states, step_sizes, step = [], [], train.sgd_step
+
+        def recording_step(params, state, *args):
+            states.append(state)
+            step_sizes.append(len(params))
+            return step(params, state, *args)
+
+        monkeypatch.setattr(train, "sgd_step", recording_step)
+        monkeypatch.setattr(dc, "Tape", tape_cls)
+        templates = make_templates(model_cfg.d, make_rng(cfg.seed, "init", substream=1))
+        train_set = tiny_samples(4, seed=11, canvas=model_cfg.canvas_size)
+        train_loop(model, templates, train_set, tiny_samples(2, seed=12, canvas=model_cfg.canvas_size), cfg)
+        monkeypatch.undo()
+        return model.parameter_dict(), states[-1], step_sizes
+
+    @pytest.mark.parametrize("scale", ["toy", "synth", "full"])
+    def test_same_bits_as_backward_then_sgd_step(self, monkeypatch, scale):
+        model_cfg = {"toy": toy_config, "synth": synth_config, "full": ModelConfig}[scale]()
+        params, state, sizes = self.run_loop(monkeypatch, model_cfg, dc.Tape)
+        ref_params, ref_state, ref_sizes = self.run_loop(monkeypatch, model_cfg, PlainTape)
+        assert sizes == [0, 0] and ref_sizes == [len(params)] * 2  # every update ran inside backward
+        assert sorted(state) == sorted(ref_state)
+        for name, t in params.items():
+            assert t.values.tobytes() == ref_params[name].values.tobytes(), name
+            assert state[name].tobytes() == ref_state[name].tobytes(), name
+            assert t.grad is None
 
 
 class TestProtocol:
