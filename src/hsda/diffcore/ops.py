@@ -14,9 +14,10 @@ inputs, and flatten keeps the batch axis. The convolutions take only
 channel-major maps (C, B, *S), the layout their GEMM produces, and
 adaptive_max_pool1d pools the last axis of any 3-axis map: one sample is a
 batch of one. conv_keys instead convolves a channels-last (..., n, C) stack
-along its n axis. Every convolution has one contract: odd kernels, each axis
-padded by half its kernel, so an axis of extent L gives ceil(L / stride)
-outputs. Each op records one tape node for the whole batch.
+along its n axis, through the same lowering as the others. Every convolution
+has one contract: odd kernels, each axis padded by half its kernel, so an
+axis of extent L gives ceil(L / stride) outputs. Each op records one tape
+node for the whole batch.
 layer_norm normalizes the last axis unless its ``axis`` argument names
 another; axis=0 normalizes the channels of a (C, B, H, W) map where they lie.
 
@@ -491,19 +492,22 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # convolutions (cross-correlation semantics, no kernel flip)
 
 
-# One lowering serves every spatial rank. Kernels are odd and every axis is
-# padded by half its kernel, so an axis of extent L gives ceil(L / stride)
-# outputs. A channel-major map (C_in, B, *S) is unfolded into columns laid
-# out (C_in, taps, B, *out), read by the GEMM as (C_in * taps, B * out): batch
-# and output positions share the column axis, so every group of every sample
-# goes through one stacked matmul, and its (C_out, B * out) product is already
-# the channel-major output. Taps run in C order over the kernel extents, and
-# col2im adds them back in that order. The backward closure keeps the columns
-# (for dw) but only the input's *shape*, and drops the columns once dw is
-# taken, before the equally large dcols exist. At stride 1 with more than one
-# tap the columns are plain shifted copies of the input, taps times its size:
-# there the closure keeps the input map instead and rebuilds the same column
-# bytes with the same _im2col call at the start of its backward.
+# One lowering, _conv_core, serves every spatial rank and conv_keys. Kernels
+# are odd and every axis is padded by half its kernel, so an axis of extent L
+# gives ceil(L / stride) outputs. A channel-major map (C_in, B, *S) is
+# unfolded into columns laid out (C_in, taps, B, *out), read by the GEMM as
+# (C_in * taps, B * out): batch and output positions share the column axis, so
+# every group of every sample goes through one stacked matmul, and its (C_out,
+# B * out) product is already the channel-major output. Taps run in C order
+# over the kernel extents, and col2im adds them back in that order. The
+# backward closure keeps the columns (for dw) but only the input's *shape*,
+# and drops the columns once dw is taken, before the equally large dcols
+# exist. At stride 1 with more than one tap the columns are plain shifted
+# copies of the input, taps times its size: there the closure keeps the input
+# map instead and rebuilds the same column bytes with the same _im2col call at
+# the start of its backward. The output gradient comes in as (C_out, B * out);
+# conv_keys passes the transposed view of its channels-last gradient, not a
+# copy, and BLAS reads it transposed.
 #
 # The map, zero-extended at its far end to stride times the output extent,
 # is split once into stride**nd phase planes of the output's extent, and each
@@ -513,13 +517,6 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # zeroed first, writes each plane into its strided slice of the map, and
 # crops the map: a +0.0 leaves every partial sum's bits alone, since a sum
 # begun at +0.0 is never -0.0.
-
-
-def _group_matmul(w: np.ndarray, cols: np.ndarray, groups: int) -> np.ndarray:
-    """Grouped weights (C_out, C_in/groups, *kernel) times columns (C_in, taps, N) -> (C_out, N)."""
-    wg = w.reshape(groups, w.shape[0] // groups, -1)
-    cg = cols.reshape(groups, wg.shape[2], -1)
-    return np.matmul(wg, cg).reshape(w.shape[0], -1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -597,6 +594,39 @@ def _col2im(dcols: np.ndarray, shape: Tuple[int, ...], kernel, stride: int) -> n
     return merged[(slice(None), slice(None)) + tuple(slice(L) for L in extent)]
 
 
+def _conv_core(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride: int, groups: int, need_dx: bool):
+    """(y, bwd) for a channel-major map x (C_in, B, *S): y is (C_out, B * out), bias added.
+
+    bwd takes an output gradient of y's shape and returns (dx, dw), or (dx, dw, db) with a bias.
+    """
+    C_out, B, kernel = w.shape[0], x.shape[1], w.shape[2:]
+    cols = _im2col(x, kernel, stride)
+    wg = w.reshape(groups, C_out // groups, -1)  # grouped weights times grouped columns, one stacked matmul
+    y = np.matmul(wg, cols.reshape(groups, wg.shape[2], -1)).reshape(C_out, -1)
+    if bias is not None:
+        y += bias[:, None]
+    rebuild = stride == 1 and cols.shape[1] > 1
+    kept = x if rebuild else cols  # stride-1 columns are shifted copies of x, rebuilt in backward
+    x_shape = x.shape
+
+    def bwd(gy):
+        nonlocal kept
+        cols, kept = (_im2col(kept, kernel, stride) if rebuild else kept), None
+        gg = gy.reshape(groups, wg.shape[1], -1)
+        dw = np.matmul(gg, cols.reshape(groups, wg.shape[2], -1).transpose(0, 2, 1)).reshape(w.shape)
+        shape, cols = cols.shape, None
+        dx = None
+        if need_dx:
+            dx = _col2im(_product(wg.transpose(0, 2, 1), gg).reshape(shape), x_shape, kernel, stride)
+        if bias is None:
+            return dx, dw
+        # One position per sample: add the samples in order, as a sample-major
+        # (B, C_out) gradient sums, which keeps seeded results bit for bit.
+        return dx, dw, gy.sum(axis=1) if gy.shape[1] > B else np.ascontiguousarray(gy.T).sum(axis=0)
+
+    return y, bwd
+
+
 def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, groups: int, name: str):
     """Cross-correlation over the last w.ndim - 2 axes of a channel-major map (C_in, B, *S)."""
     nd = w.values.ndim - 2
@@ -618,36 +648,11 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, groups: int
     if min(out_shape) < 1:
         raise ShapeError("%s output %s < 1 (input %s, kernel %s)" % (name, out_shape, x.shape[2:], kernel))
 
-    cols = _im2col(x.values, kernel, stride)
-    y = _group_matmul(w.values, cols, groups)  # (C_out, B * prod(out_shape))
-    if bias is not None:
-        y += bias.values[:, None]
-
     inputs = (x, w) if bias is None else (x, w, bias)
+    bias_values = None if bias is None else bias.values
+    y, core_bwd = _conv_core(x.values, w.values, bias_values, stride, groups, x.requires_grad)
     out = _out(y.reshape((C_out, B) + out_shape), _requires(*inputs))
-    rebuild = stride == 1 and cols.shape[1] > 1
-    kept = x.values if rebuild else cols  # stride-1 columns are shifted copies of x, rebuilt in backward
-    wv, need_dx, has_bias, x_shape = w.values, x.requires_grad, bias is not None, x.shape  # not x: it may go
-    del cols
-
-    def bwd(g):
-        nonlocal kept
-        cols, kept = (_im2col(kept, kernel, stride) if rebuild else kept), None
-        wg = wv.reshape(groups, C_out // groups, -1)
-        gy = g.reshape(groups, wg.shape[1], -1)
-        dw = np.matmul(gy, cols.reshape(groups, wg.shape[2], -1).transpose(0, 2, 1)).reshape(wv.shape)
-        shape, cols = cols.shape, None
-        dx = None
-        if need_dx:
-            dx = _col2im(_product(wg.transpose(0, 2, 1), gy).reshape(shape), x_shape, kernel, stride)
-        if not has_bias:
-            return dx, dw
-        gy = gy.reshape(C_out, -1)
-        # One position per sample: add the samples in order, as a sample-major
-        # (B, C_out) gradient sums, which keeps seeded results bit for bit.
-        return dx, dw, gy.sum(axis=1) if gy.shape[1] > B else np.ascontiguousarray(gy.T).sum(axis=0)
-
-    return _record(inputs, out, bwd, name)
+    return _record(inputs, out, lambda g: core_bwd(g.reshape(C_out, -1)), name)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1, groups: int = 1) -> Tensor:
@@ -680,10 +685,8 @@ def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     w is (C_out, C_in, k) with k odd and bias (C_out,). The difference
     attention runs it over the key axis of the pairwise differences
     (..., n_q, n_k, d_h), whose features are already the last axis, so no
-    tape node moves them. Inside, the stack is lowered as a channel-major
-    conv1d map (C_in, rows / n, n), and the GEMMs keep conv1d's operand
-    layouts, with the output gradient read as a transposed view: BLAS rounds
-    the transposed products differently.
+    tape node moves them. Inside, _conv_core lowers the stack as a
+    channel-major map (C_in, rows / n, n).
     """
     if w.values.ndim != 3 or x.values.ndim < 2 or x.shape[-1] != w.shape[1] or bias.shape != (w.shape[0],):
         raise ShapeError("conv_keys: input %s, weight %s, bias %s" % (x.shape, w.shape, bias.shape))
@@ -692,25 +695,13 @@ def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ConfigError("conv_keys kernel extent must be odd, got %d" % k)
     n = x.shape[-2]
     x_cm = np.ascontiguousarray(np.moveaxis(x.values, -1, 0)).reshape(C_in, -1, n)
-    cols = _im2col(x_cm, (k,), 1).reshape(C_in * k, -1)
-    w2 = w.values.reshape(C_out, -1)
-    y = w2 @ cols
-    y += bias.values[:, None]
+    y, core_bwd = _conv_core(x_cm, w.values, bias.values, 1, 1, x.requires_grad)
     out = _out(np.ascontiguousarray(y.T).reshape(x.shape[:-1] + (C_out,)), _requires(x, w, bias))
-    cm_shape, need_dx = x_cm.shape, x.requires_grad
-    kept = x_cm if k > 1 else cols  # as _conv: a stride-1 map, not its columns
-    del x_cm, cols
 
     def bwd(g):
-        nonlocal kept
-        cols, kept = (_im2col(kept, (k,), 1).reshape(C_in * k, -1) if k > 1 else kept), None
-        gy = g.reshape(-1, C_out).T
-        dw = (gy @ cols.T).reshape(w2.shape[:1] + (C_in, k))
-        cols = None  # dcols is as large
-        dx = None
-        if need_dx:
-            dx_cm = _col2im((w2.T @ gy).reshape((C_in, k) + cm_shape[1:]), cm_shape, (k,), 1)
-            dx = np.ascontiguousarray(np.moveaxis(dx_cm, 0, -1)).reshape(g.shape[:-1] + (C_in,))
-        return dx, dw, gy.sum(axis=1)
+        dx, dw, db = core_bwd(g.reshape(-1, C_out).T)
+        if dx is not None:
+            dx = np.ascontiguousarray(np.moveaxis(dx, 0, -1)).reshape(g.shape[:-1] + (C_in,))
+        return dx, dw, db
 
     return _record((x, w, bias), out, bwd, "conv_keys")

@@ -328,6 +328,9 @@ def train_loop(
             templates = update_templates(templates, feats.values, batch_labels)
             batch_losses.append(loss_value)
 
+        for name, t in params.items():  # a finite loss says nothing of the last update's weights
+            if not np.all(np.isfinite(t.values)):
+                raise FloatingPointError("non-finite parameter %s after epoch %d" % (name, epoch))
         with np.errstate(over="ignore", invalid="ignore"):
             val_acc = int(np.sum(predict(model, val_set, cfg.batch_size) == val_labels)) / len(val_set)
         history.append((epoch, lr, float(np.mean(batch_losses)), val_acc))
@@ -340,6 +343,20 @@ def train_loop(
                 break
 
     return FoldResult(fold, best_epoch, best_acc, best_state, history)
+
+
+def train_fold(
+    dataset: Sequence[Sample], folds: Sequence[Tuple[np.ndarray, np.ndarray]], fold: int,
+    model_cfg: ModelConfig, cfg: TrainConfig,
+) -> Tuple[FoldResult, HsdaNet]:
+    """Train one of split_and_fold's folds from the seeded init, templates from init substream 1 + fold.
+
+    Returns the fold's result and its trained model.
+    """
+    model = HsdaNet(model_cfg, seed=cfg.seed)
+    templates = make_templates(model_cfg.d, make_rng(cfg.seed, "init", substream=1 + fold))
+    train_set, val_set = ([dataset[i] for i in idx] for idx in folds[fold])
+    return train_loop(model, templates, train_set, val_set, cfg, fold=fold), model
 
 
 @dataclass
@@ -358,22 +375,12 @@ def run_protocol(
     test_set = [dataset[i] for i in test_idx]
 
     fold_results = []
-    for fold, (train_idx, val_idx) in enumerate(folds):
-        model = HsdaNet(model_cfg, seed=cfg.seed)
-        templates = make_templates(model_cfg.d, make_rng(cfg.seed, "init", substream=1 + fold))
-        result = train_loop(
-            model,
-            templates,
-            [dataset[i] for i in train_idx],
-            [dataset[i] for i in val_idx],
-            cfg,
-            fold=fold,
-        )
+    for fold in range(len(folds)):
+        result, model = train_fold(dataset, folds, fold, model_cfg, cfg)
         fold_results.append(result)
 
     best_fold = max(range(len(fold_results)), key=lambda i: fold_results[i].best_val_acc)
     restore_parameters(model, fold_results[best_fold].best_state)  # the last fold's model, reused
-    model.zero_grad()
     metrics = evaluate(model, test_set, cfg.batch_size)
     return ProtocolResult(fold_results, best_fold, metrics, model)
 

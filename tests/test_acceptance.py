@@ -16,7 +16,7 @@ from hsda import diffcore as dc
 from hsda.diffcore import Tensor, make_rng
 from hsda.features import compute_channels, synth_generate
 from hsda.loss import Templates, contrastive, make_templates, update_templates
-from hsda.model import HsdaNet, synth_config, toy_config
+from hsda.model import synth_config, toy_config
 from hsda.model.attention import AttentionHead
 from hsda.train import (
     Metrics,
@@ -25,7 +25,7 @@ from hsda.train import (
     dataset_sha256,
     run_protocol,
     split_and_fold,
-    train_loop,
+    train_fold,
 )
 
 GRAD_TOL = 1e-4
@@ -185,19 +185,7 @@ def test_criterion_6_end_to_end_synthetic():
     dataset2 = build_dataset(synth_generate(60, seed=42), canvas_size=model_cfg.canvas_size)
     assert dataset_sha256(dataset2) == dataset_sha256(dataset)
     _, folds = split_and_fold([s.label for s in dataset2], train_cfg)
-    train_idx, val_idx = folds[result.best_fold]
-    model = HsdaNet(model_cfg, seed=train_cfg.seed)
-    templates = make_templates(
-        model_cfg.d, make_rng(train_cfg.seed, "init", substream=1 + result.best_fold)
-    )
-    rerun = train_loop(
-        model,
-        templates,
-        [dataset2[i] for i in train_idx],
-        [dataset2[i] for i in val_idx],
-        train_cfg,
-        fold=result.best_fold,
-    )
+    rerun, _ = train_fold(dataset2, folds, result.best_fold, model_cfg, train_cfg)
     assert rerun.history == best.history  # float equality, so bitwise
 
 
@@ -206,8 +194,8 @@ def test_criterion_7_ablation_hooks():
     records = synth_generate(16, seed=11)
     dataset = build_dataset(records, canvas_size=synth_config().canvas_size)
     by_label = {lab: [s for s in dataset if s.label == lab] for lab in (0, 1)}
-    train_set = by_label[0][:12] + by_label[1][:12]
-    val_set = by_label[0][12:] + by_label[1][12:]
+    samples = by_label[0][:12] + by_label[1][:12] + by_label[0][12:] + by_label[1][12:]
+    folds = [(np.arange(24), np.arange(24, len(samples)))]  # one fold: 12 + 12 train, the rest val
 
     variants = (
         (synth_config(use_multiscale=False), {}),
@@ -215,9 +203,7 @@ def test_criterion_7_ablation_hooks():
     )
     for model_cfg, extra in variants:
         cfg = TrainConfig(seed=5, batch_size=8, max_epochs=5, patience=5, **extra)
-        model = HsdaNet(model_cfg, seed=cfg.seed)
-        templates = make_templates(model_cfg.d, make_rng(cfg.seed, "init", substream=1))
-        res = train_loop(model, templates, train_set, val_set, cfg)
+        res, _ = train_fold(samples, folds, 0, model_cfg, cfg)
         losses = [h[2] for h in res.history]
         assert len(losses) == 5
         for before, after in zip(losses, losses[1:]):

@@ -369,14 +369,26 @@ class TestTrainEvaluateCommands:
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverging_run_exits_one_without_numpy_warnings(self, tmp_path, capsys):
-        # the overflow is reported once, as the non-finite loss, not first as numpy's warnings
+    @pytest.mark.parametrize(
+        "config,error",
+        [
+            ("lr0 = 1e30\nk_folds = 2\nmax_epochs = 2\npatience = 2\n", "non-finite loss at epoch 1 batch 0"),
+            # one epoch of one batch: the loss stays finite, the update does not
+            (
+                "lr0 = 1e38\nmax_epochs = 1\npatience = 1\nbatch_size = 64\nk_folds = 2\n",
+                "non-finite parameter signal_embed.fc1.b after epoch 0",
+            ),
+        ],
+        ids=["loss", "weights"],
+    )
+    def test_diverging_run_exits_one_without_numpy_warnings(self, tmp_path, capsys, config, error):
+        # the overflow is reported once, by the training loop's own check, not first as numpy's warnings
         data = make_synth(tmp_path, n=6, seed=7)
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text("lr0 = 1e30\nk_folds = 2\nmax_epochs = 2\npatience = 2\n")
+        cfg.write_text(config)
         argv = ["train", data, "--config", str(cfg), "--scale", "toy", "--out", str(tmp_path / "run")]
         assert cli.main(argv) == 1
-        assert "error: non-finite loss at epoch 1 batch 0" in capsys.readouterr().err
+        assert "error: " + error in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_sidecar_without_data_digest_exits_one(self, tmp_path, capsys):
@@ -554,6 +566,16 @@ class TestExitCodesAndEnv:
             weights = hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest()
             runs.append(((out / "history.csv").read_bytes(), weights))
         assert runs[0] == runs[1]
+
+    def test_benchmark_selftest_passes(self):
+        # the benchmark drives the five-argument train_loop, sgd_step, backward and
+        # Tape.record by name, so a change to one of them fails here
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=900
+        )
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+        assert "selftest: ok" in proc.stdout
 
 
 class _Unreachable(Exception):

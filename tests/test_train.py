@@ -25,6 +25,7 @@ from hsda.train import (
     run_protocol,
     sgd_step,
     split_and_fold,
+    train_fold,
     train_loop,
     write_history_csv,
     write_metrics,
@@ -542,13 +543,18 @@ class TestProtocol:
             assert same_arrays(t.values, want[name].values), name
 
     def test_protocol_reproducible(self):
+        # each fold rerun on its own through train_fold gives run_protocol's fold bit for bit
         dataset = tiny_samples(20, seed=21)
         cfg = TrainConfig(seed=4, batch_size=4, max_epochs=2, patience=2)
         a = run_protocol(dataset, toy_config(), cfg)
-        b = run_protocol(dataset, toy_config(), cfg)
-        for ra, rb in zip(a.fold_results, b.fold_results):
-            assert ra.history == rb.history
-        assert a.test_metrics == b.test_metrics
+        _, folds = split_and_fold([s.label for s in dataset], cfg)
+        assert len(a.fold_results) == len(folds) == cfg.k_folds
+        for fold, ra in enumerate(a.fold_results):
+            rb, model = train_fold(dataset, folds, fold, toy_config(), cfg)
+            assert rb.fold == fold and rb.history == ra.history
+            assert list(rb.best_state) == list(ra.best_state) == list(model.parameter_dict())
+            for name, values in rb.best_state.items():
+                assert same_arrays(values, ra.best_state[name]), (fold, name)
 
 
 class TestArtifacts:
