@@ -104,7 +104,7 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
 
 
 def restore_parameters(model, loaded: Dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into the model's parameters, matching by name."""
+    """Copy loaded arrays into the model's parameter arrays in place, matching by name."""
     current = model.parameter_dict()
     missing = sorted(set(current) - set(loaded))
     extra = sorted(set(loaded) - set(current))
@@ -119,4 +119,4 @@ def restore_parameters(model, loaded: Dict[str, np.ndarray]) -> None:
                 "checkpoint shape %s for %s, model has %s"
                 % (loaded[name].shape, name, tensor.values.shape)
             )
-        tensor.values = loaded[name].astype(tensor.values.dtype)
+        np.copyto(tensor.values, loaded[name])

@@ -3,6 +3,13 @@
 Modules register parameters and submodules by attribute assignment; the
 parameters() walk yields dotted names in construction order, which is also
 the documented rng draw order for initialization.
+
+trunc_normal writes each weight straight into an array of the default dtype,
+drawing and clipping float64 values a chunk at a time; the chunks continue
+one generator stream, so the draw order and every value stay those of one
+whole-tensor draw. A chunk stays under glibc's 128 KiB mmap threshold so it
+is reused from the heap: a freed mmap'd chunk would raise the threshold
+and leave later training buffers on the heap, lifting the peak resident size.
 """
 
 from __future__ import annotations
@@ -15,9 +22,21 @@ from .. import diffcore as dc
 from ..diffcore import Tensor
 
 
+_DRAW_CHUNK = 8192  # float64 values: 64 KiB
+
+
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """N(0, std^2) draws clipped to two standard deviations."""
-    return np.clip(rng.normal(0.0, std, size=shape), -2.0 * std, 2.0 * std)
+    """N(0, std^2) draws clipped to two standard deviations, in the default dtype.
+
+    Bit for bit np.clip(rng.normal(0, std, shape), -2 std, 2 std) cast to that
+    dtype, and it leaves rng in the same state.
+    """
+    out = np.empty(shape, dtype=dc.default_dtype())
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        z = rng.normal(0.0, std, size=min(_DRAW_CHUNK, flat.size - start))
+        flat[start : start + z.size] = np.clip(z, -2.0 * std, 2.0 * std, out=z)
+    return out
 
 
 class Module:

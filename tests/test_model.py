@@ -1,6 +1,8 @@
 """Attention weight invariants, refinement geometry, and model wiring."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +28,11 @@ from hsda.model import (
     restore_parameters,
     save_checkpoint,
     saw,
+    synth_config,
     toy_config,
+    trunc_normal,
 )
-from hsda.model.layers import ChannelNorm2d
+from hsda.model.layers import _DRAW_CHUNK, ChannelNorm2d
 
 
 def rand_tensor(rng, shape, requires_grad=False):
@@ -537,6 +541,29 @@ class TestCheckpoint:
         with pytest.raises(ProtocolError):
             restore_parameters(net, loaded)
 
+    def test_restore_copies_into_the_existing_arrays(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, HsdaNet(toy_config(), seed=1).parameter_dict(), {})
+        loaded, _ = load_checkpoint(path)
+        for dtype in (np.float32, np.float64):
+            with dc.using_dtype(dtype):
+                net = HsdaNet(toy_config(), seed=99)
+            before = {name: t.values for name, t in net.parameters()}
+            restore_parameters(net, loaded)
+            for name, t in net.parameters():
+                assert t.values is before[name]
+                assert t.values.dtype == dtype
+                np.testing.assert_array_equal(t.values, loaded[name].astype(dtype))
+                assert t.values.astype("<f4").tobytes() == loaded[name].tobytes()
+
+    def test_mismatched_shape_rejected(self):
+        net = HsdaNet(toy_config(), seed=0)
+        loaded = {name: t.values.copy() for name, t in net.parameters()}
+        name = next(iter(loaded))
+        loaded[name] = loaded[name].reshape(-1)[:-1]
+        with pytest.raises(ProtocolError, match="checkpoint shape"):
+            restore_parameters(net, loaded)
+
     def test_values_stored_as_float32(self, tmp_path):
         with dc.using_dtype(np.float64):
             net = HsdaNet(toy_config(), seed=0)
@@ -545,6 +572,59 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         for arr in loaded.values():
             assert arr.dtype == np.float32
+
+
+def parameter_digest(net) -> str:
+    h = hashlib.sha256()
+    for name, t in net.parameters():
+        h.update(name.encode())
+        h.update(t.values.tobytes())
+    return h.hexdigest()
+
+
+class TestInitialization:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (_DRAW_CHUNK - 1,), (_DRAW_CHUNK,), (_DRAW_CHUNK + 1,), (3 * _DRAW_CHUNK + 5,), (96, 48, 3, 3)],
+    )
+    def test_chunked_draw_matches_one_shot_draw(self, shape, dtype):
+        std = 0.02
+        ref_rng, rng = make_rng(5, "init"), make_rng(5, "init")
+        want = np.clip(ref_rng.normal(0.0, std, size=shape), -2 * std, 2 * std).astype(dtype)
+        with dc.using_dtype(dtype):
+            got = trunc_normal(rng, shape, std)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "make_cfg, seed, dtype, digest",
+        [
+            (ModelConfig, 11, np.float32, "0fd97ec054bb392bc8e026f3fb18da0758d3aff4afb0c88a4339cd37f0e49ff4"),
+            (synth_config, 0, np.float32, "fa2ba47eb2b7ebc2135e34e0b0c74820e7289b432f321707142658b9ed6f045c"),
+            (toy_config, 3, np.float64, "7a9a806a167d5867c1b17e3c9fe684b8e8e4ef1998563110f241e1053a913e53"),
+        ],
+        ids=["full-f32", "synth-f32", "toy-f64"],
+    )
+    def test_whole_model_digests_are_pinned(self, make_cfg, seed, dtype, digest):
+        # sha256 over every parameter's name and bytes in parameters() order, as the
+        # whole-tensor float64 draw cast afterwards produced them
+        with dc.using_dtype(dtype):
+            net = HsdaNet(make_cfg(), seed=seed)
+        assert parameter_digest(net) == digest
+
+    def test_full_model_build_peaks_near_its_parameters(self):
+        # a whole-tensor float64 draw and its clipped copy lifted the peak 26 MiB above
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            net = HsdaNet(ModelConfig(), seed=0)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(t.values.nbytes for t in net.parameter_dict().values()) <= live - base
+        assert peak - live <= 2**20, (peak - live, live - base)
 
 
 def run_with_grads(fn, inputs, grad_out, params):
