@@ -29,7 +29,7 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
     """N(0, std^2) draws clipped to two standard deviations, in the default dtype.
 
     Bit for bit np.clip(rng.normal(0, std, shape), -2 std, 2 std) cast to that
-    dtype, and it leaves rng in the same state.
+    dtype, and rng ends in the state that one draw leaves.
     """
     out = np.empty(shape, dtype=dc.default_dtype())
     flat = out.reshape(-1)
