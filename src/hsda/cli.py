@@ -23,7 +23,7 @@ import os
 import sys
 
 from .errors import ConfigError, ProtocolError
-from .runconfig import MODEL_SCALES, RunConfig, make_runconfig, write_runconfig
+from .runconfig import FIELDS, MODEL_SCALES, RunConfig, make_runconfig, write_runconfig
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -44,10 +44,8 @@ def _pin_threads() -> None:
 
 def _runconfig_from(args: argparse.Namespace, sidecar=None) -> RunConfig:
     """Defaults, then --config, then flags, then the checkpoint sidecar."""
-    overrides = {}
-    for key in ("seed", "out", "z_max", "n", "scale"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
+    # every flag named after a setting; make_runconfig skips the ones not given (None)
+    overrides = {key: value for key, value in vars(args).items() if key in FIELDS}
     if getattr(args, "no_multiscale", False):
         overrides["multiscale"] = False
     if getattr(args, "no_contrastive", False):
@@ -62,8 +60,8 @@ def _prepare_out(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _record_stem(subject_id: str, task_id: int) -> str:
-    return "%s_task%02d" % (subject_id, task_id)
+def _record_stem(r) -> str:
+    return "%s_task%02d" % (r.subject_id, r.task_id)
 
 
 def _model_config(cfg: RunConfig, **overrides):
@@ -100,7 +98,7 @@ def _load_sequences(data_path: str, cfg: RunConfig):
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .features import kinematic_features, write_signal_csv
-    from .ingest import clean_record, parse_raw
+    from .ingest import clean_record, drop_line, parse_raw, record_name
 
     records = parse_raw(args.raw)
     out = _prepare_out(cfg)
@@ -114,15 +112,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             signals = kinematic_features(seq)
         except ProtocolError as exc:
             dropped += 1
-            lines.append("%s task %02d: dropped (%s)" % (r.subject_id, r.task_id, exc))
+            lines.append(drop_line(r, exc))
             continue
-        filename = _record_stem(r.subject_id, r.task_id) + ".csv"
+        filename = _record_stem(r) + ".csv"
         write_signal_csv(signals, os.path.join(out, filename))
         kept += 1
-        lines.append(
-            "%s task %02d: ok, outliers replaced %d -> %s"
-            % (r.subject_id, r.task_id, outliers, filename)
-        )
+        lines.append("%s: ok, outliers replaced %d -> %s" % (record_name(r), outliers, filename))
     with open(os.path.join(out, "manifest.txt"), "w") as fh:
         fh.write("subjects: %s\n" % " ".join(subjects))
         fh.write("kept: %d\ndropped: %d\n" % (kept, dropped))
@@ -135,19 +130,19 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .features import render_image, write_ppm
+    from .ingest import drop_line
 
     size = _model_config(cfg).canvas_size
     sequences = _load_sequences(args.raw, cfg)
     out = _prepare_out(cfg)
     written = 0
     for seq in sequences:
-        stem = _record_stem(seq.subject_id, seq.task_id)
         try:
             canvas = render_image(seq, size=size)
         except ProtocolError as exc:
-            print("%s: dropped (%s)" % (stem, exc), file=sys.stderr)
+            print(drop_line(seq, exc), file=sys.stderr)
             continue
-        write_ppm(canvas, os.path.join(out, stem + ".ppm"))
+        write_ppm(canvas, os.path.join(out, _record_stem(seq) + ".ppm"))
         written += 1
     print("%d images (%dx%d) -> %s" % (written, size, size, out))
     return 0

@@ -469,12 +469,12 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
     The gradient goes to the first maximal entry per bin.
     """
     if a.values.ndim != 3:
-        raise ShapeError("adaptive_max_pool1d expects (B, C, T), got %s" % (a.shape,))
+        raise ShapeError("adaptive_max_pool1d expects a 3-axis map, got %s" % (a.shape,))
     T = a.shape[-1]
     starts, ends = _pool_bins(T, out_len)
     # every bin at once: a short bin repeats its last index, which moves neither its max nor its first argmax
     take = np.minimum(starts[:, None] + np.arange((ends - starts).max()), ends[:, None] - 1)
-    windows = a.values[..., take]  # (B, C, out_len, widest)
+    windows = a.values[..., take]  # (C, B, out_len, widest) in the model
     aw = windows.argmax(axis=-1)
     arg = starts + aw
     out = _out(np.take_along_axis(windows, aw[..., None], axis=-1)[..., 0], a.requires_grad)

@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the package, and the text reader
-that turns an undecodable input file into one of them."""
+"""Exception types shared across the package, and the text reader that turns
+an undecodable input file into one of them. Non-fatal data problems are not
+exceptions: ingest and render log them as warnings named by the record."""
 
 
 class ConfigError(ValueError):
@@ -8,10 +9,6 @@ class ConfigError(ValueError):
 
 class ProtocolError(ValueError):
     """Dataset cannot support the requested split/evaluation protocol."""
-
-
-class DataQualityWarning(UserWarning):
-    """Non-fatal data problem (e.g. too many outliers in one record)."""
 
 
 def read_text(path, error) -> str:

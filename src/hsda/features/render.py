@@ -14,14 +14,16 @@ rate, acceleration, and angular speed of the nearer sample, mapped to
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataQualityWarning, ProtocolError
-from ..ingest import StrokeSequence
+from ..errors import ProtocolError
+from ..ingest import StrokeSequence, record_name
 from .kinematics import compute_channels
+
+log = logging.getLogger(__name__)
 
 COLOR_FLOOR = 0.1
 MARGIN_PX = 4
@@ -80,12 +82,7 @@ def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
         row = center - (y - (ymin + ymax) / 2.0) * scale  # image rows grow downward
 
     if extent == 0.0:
-        warnings.warn(
-            "subject %s task %d: degenerate bounding box, rendering a single pixel"
-            % (s.subject_id, s.task_id),
-            DataQualityWarning,
-            stacklevel=2,
-        )
+        log.warning("%s: degenerate bounding box, rendering a single pixel", record_name(s))
         ci = int(round(center))
         canvas[:, ci, ci] = colors[:, 0]
         return RgbCanvas(canvas)

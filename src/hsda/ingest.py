@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import DataQualityWarning, ProtocolError, read_text
+from .errors import ProtocolError, read_text
 from .runconfig import RunConfig
 
 log = logging.getLogger(__name__)
@@ -80,6 +79,16 @@ class StrokeSequence:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+def record_name(r) -> str:
+    """How every report names a raw or cleaned record: ``<subject> task <NN>``."""
+    return "%s task %02d" % (r.subject_id, r.task_id)
+
+
+def drop_line(r, reason) -> str:
+    """The one report of a dropped record: ``<name>: dropped (<reason>)``."""
+    return "%s: dropped (%s)" % (record_name(r), reason)
 
 
 def _parse_field(text: str) -> float:
@@ -223,19 +232,12 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
     if count == 0:
         return r
     if count > 0.2 * n:
-        warnings.warn(
-            "subject %s task %d: %d of %d samples flagged as outliers"
-            % (r.subject_id, r.task_id, count, n),
-            DataQualityWarning,
-            stacklevel=2,
-        )
+        log.warning("%s: %d of %d samples flagged as outliers", record_name(r), count, n)
     if n - count < 2:
         raise ProtocolError(
             "outlier repair flags %d of %d samples, fewer than 2 left to refill from" % (count, n)
         )
-    log.info(
-        "subject %s task %d: replacing %d/%d outlier samples", r.subject_id, r.task_id, count, n
-    )
+    log.info("%s: replacing %d/%d outlier samples", record_name(r), count, n)
     blanked = {name: np.where(flagged, np.nan, getattr(r, name)) for name in CHANNELS}
     return impute_missing(dataclasses.replace(r, **blanked))
 
@@ -291,5 +293,5 @@ def preprocess(records: Iterable[RawRecord], z_max: float = RunConfig.z_max) -> 
         try:
             kept.append(clean_record(r, z_max).sequence)
         except ProtocolError as exc:
-            log.warning("dropping subject %s task %d (%s)", r.subject_id, r.task_id, exc)
+            log.warning(drop_line(r, exc))
     return kept

@@ -1,8 +1,9 @@
 """Parameter containers and the small layer vocabulary the network uses.
 
-Modules register parameters and submodules by attribute assignment; the
-parameters() walk yields dotted names in construction order, which is also
-the documented rng draw order for initialization.
+A module's parameters are its Tensor attributes: parameters() walks the
+attributes, submodules and lists of submodules, and yields dotted names in
+construction order, which is also the documented rng draw order for
+initialization.
 
 trunc_normal writes each weight straight into an array of the default dtype,
 drawing and clipping float64 values a chunk at a time; the chunks continue
@@ -40,20 +41,17 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
 
 
 class Module:
-    def __setattr__(self, name, value):
-        if isinstance(value, Tensor):
-            self.__dict__.setdefault("_params", {})[name] = value
-        elif isinstance(value, Module):
-            self.__dict__.setdefault("_modules", {})[name] = value
-        elif isinstance(value, (list, tuple)) and value and all(isinstance(m, Module) for m in value):
-            for i, m in enumerate(value):
-                self.__dict__.setdefault("_modules", {})["%s.%d" % (name, i)] = m
-        object.__setattr__(self, name, value)
-
     def parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:
-        for name, p in self.__dict__.get("_params", {}).items():
-            yield prefix + name, p
-        for name, m in self.__dict__.get("_modules", {}).items():
+        """Own tensors in assignment order, then each submodule's, lists as name.0., name.1., ..."""
+        subs = []
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                yield prefix + name, value
+            elif isinstance(value, Module):
+                subs.append((name, value))
+            elif isinstance(value, (list, tuple)):
+                subs.extend(("%s.%d" % (name, i), m) for i, m in enumerate(value) if isinstance(m, Module))
+        for name, m in subs:
             yield from m.parameters(prefix + name + ".")
 
     def parameter_dict(self) -> Dict[str, Tensor]:

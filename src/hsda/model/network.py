@@ -83,12 +83,6 @@ class HsdaNet(Module):
         x = dc.concat([dc.reshape(image_tokens, (batch, 1, cfg.d)), signal_tokens], axis=1)
 
         for stage in range(1, cfg.stages + 1):
-            width = cfg.stage_width(stage)
-            if x.shape != (batch, cfg.n_tokens, width):
-                raise ConfigError(
-                    "stage %d expects tokens (%d, %d, %d), got %s"
-                    % (stage, batch, cfg.n_tokens, width, x.shape)
-                )
             base = (stage - 1) * cfg.blocks_per_stage
             for block in self.blocks[base : base + cfg.blocks_per_stage]:
                 x = block(x, collect)

@@ -50,9 +50,11 @@ class TrainConfig:
                 raise ConfigError("%s must be finite, got %r" % (name, value))
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in u64, got %r" % self.seed)
-        for name in ("lr0", "batch_size", "max_epochs", "patience", "k_folds"):
+        for name in ("lr0", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
+        if self.k_folds < 2:  # one fold leaves nothing to validate on
+            raise ConfigError("k_folds must be at least 2, got %r" % self.k_folds)
         for name in ("momentum", "weight_decay", "contrastive_weight"):
             if getattr(self, name) < 0:
                 raise ConfigError("%s must be >= 0, got %r" % (name, getattr(self, name)))
@@ -85,12 +87,12 @@ class RunConfig(TrainConfig):
                 raise ConfigError("%s must be positive, got %r" % (name, getattr(self, name)))
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(key: str, value) -> object:
     """Cast a raw string (or an already-typed override) to the field's type."""
-    typ = type(_FIELDS[key].default)  # .type is a string under postponed annotations
+    typ = type(FIELDS[key].default)  # .type is a string under postponed annotations
     if not isinstance(value, str):
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
             return float(value)
@@ -115,7 +117,7 @@ def _coerce(key: str, value) -> object:
     return text
 
 
-def parse_config_file(path, known: Optional[Mapping] = _FIELDS) -> Dict[str, str]:
+def parse_config_file(path, known: Optional[Mapping] = FIELDS) -> Dict[str, str]:
     """Read key = value lines; comments and blank lines are skipped.
 
     Keys outside `known` are rejected; `known=None` accepts any key.
@@ -146,7 +148,7 @@ def make_runconfig(path=None, overrides: Optional[Mapping[str, object]] = None) 
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELDS:
+        if key not in FIELDS:
             raise ConfigError("unknown setting %r" % key)
         merged[key] = _coerce(key, value)
     return RunConfig(**merged)

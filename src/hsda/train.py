@@ -21,7 +21,7 @@ from . import diffcore as dc
 from .diffcore import Tensor, make_rng
 from .errors import ConfigError, ProtocolError
 from .features import kinematic_features, render_image
-from .ingest import LABEL_TO_INDEX, StrokeSequence
+from .ingest import LABEL_TO_INDEX, StrokeSequence, drop_line
 from .loss import (
     Templates,
     contrastive,
@@ -54,7 +54,7 @@ def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[S
             sig = kinematic_features(stroke)
             canvas = render_image(stroke, size=canvas_size)
         except ProtocolError as exc:
-            log.warning("dropping subject %s task %d (%s)", stroke.subject_id, stroke.task_id, exc)
+            log.warning(drop_line(stroke, exc))
             continue
         samples.append(Sample(canvas.pixels, sig.channels, LABEL_TO_INDEX[stroke.label]))
     return samples

@@ -118,6 +118,9 @@ class TestRunConfig:
             make_runconfig(None, {"multiscale": "maybe"})
         with pytest.raises(ConfigError, match="batch_size"):
             make_runconfig(None, {"batch_size": 0})
+        for k in (1, 0, -2):
+            with pytest.raises(ConfigError, match="k_folds must be at least 2, got %d" % k):
+                make_runconfig(None, {"k_folds": k})
         path.write_text("patience = 20\nmax_epochs = 10\n")
         with pytest.raises(ConfigError, match="patience"):
             make_runconfig(str(path))
@@ -293,10 +296,12 @@ class TestRenderCommand:
             [sys.executable, "-m", "hsda.cli"] + argv, env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        assert "dropping subject s02 task 3 (too few valid samples)" in proc.stderr
-        assert "dropping subject s03 task 2 (outlier repair flags 40 of 40 samples" in proc.stderr
-        assert "s04_task04: dropped (kinematic channel speed is not finite)" in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "s02 task 03: dropped (too few valid samples)",
+            "s03 task 02: 40 of 40 samples flagged as outliers",
+            "s03 task 02: dropped (outlier repair flags 40 of 40 samples, fewer than 2 left to refill from)",
+            "s04 task 04: dropped (kinematic channel speed is not finite)",
+        ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_color_range_overflow_is_a_dropped_record(self, tmp_path, capsys):
@@ -305,7 +310,7 @@ class TestRenderCommand:
         raw.write_text(TWO_SUBJECT_RAW + "\n" + HUGE_KINEMATICS_RAW)
         out = tmp_path / "img"
         assert cli.main(["render", str(raw), "--scale", "toy", "--out", str(out)]) == 0
-        assert "b_task01: dropped (kinematic channel range overflows the color scale)" in capsys.readouterr().err
+        assert "b task 01: dropped (kinematic channel range overflows the color scale)" in capsys.readouterr().err
         assert sorted(f for f in os.listdir(out) if f.endswith(".ppm")) == ["s01_task01.ppm"]
 
 
@@ -356,6 +361,15 @@ class TestTrainEvaluateCommands:
         err = capsys.readouterr().err
         assert "error: no samples to split" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_single_fold_refused_before_the_data_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "one_fold.cfg"
+        cfg.write_text("k_folds = 1\n")
+        missing = str(tmp_path / "nope.csv")
+        assert cli.main(["train", missing, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: k_folds must be at least 2, got 1\n"
+        assert not (tmp_path / "run").exists()
 
     def test_empty_test_split_exits_one_before_training(self, tmp_path, capsys):
         data = make_synth(tmp_path, n=2, seed=7)

@@ -646,7 +646,7 @@ class TestGuards:
             op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), bias)
 
     def test_pool_single_sample_rejected(self):
-        with pytest.raises(ShapeError, match=r"\(B, C, T\)"):
+        with pytest.raises(ShapeError, match="expects a 3-axis map"):
             adaptive_max_pool1d(Tensor(np.zeros((2, 7))), 3)
 
     def test_add_bias_guard(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsda.errors import ConfigError, DataQualityWarning, ProtocolError
+from hsda.errors import ConfigError, ProtocolError
 from hsda.features import (
     CHANNEL_NAMES,
     N_CHANNELS,
@@ -179,11 +179,13 @@ class TestRender:
         with pytest.raises(ValueError, match="outside"):
             RgbCanvas(pixels)
 
-    def test_degenerate_point_single_pixel(self):
+    def test_degenerate_point_single_pixel(self, caplog):
         n = 6
         s = make_stroke(np.arange(n) * 5.0, np.ones(n), np.ones(n), np.full(n, 0.5))
-        with pytest.warns(DataQualityWarning):
-            canvas = render_image(s, size=32).pixels
+        canvas = render_image(s, size=32).pixels
+        assert [r.getMessage() for r in caplog.records] == [
+            "%s task %02d: degenerate bounding box, rendering a single pixel" % (s.subject_id, s.task_id)
+        ]
         lit = np.argwhere(canvas.max(axis=0) > 0)
         assert len(lit) == 1
 
@@ -201,7 +203,7 @@ class TestRender:
                 render_image(s, size=16)
             assert build_dataset([s], canvas_size=16) == []
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::hsda.errors.DataQualityWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_color_range_overflow_rejected(self, tmp_path):
         from hsda.train import build_dataset
 

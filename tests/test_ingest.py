@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsda.errors import DataQualityWarning, ProtocolError
+from hsda.errors import ProtocolError
 from hsda.features import kinematic_features
 from hsda.features.kinematics import zscore
 from hsda.ingest import (
@@ -90,6 +90,21 @@ class TestParse:
         np.testing.assert_array_equal(recs[0].t, [0.0, 5.0, 10.0])
         np.testing.assert_array_equal(recs[0].x, [1.0, 3.0, 2.0])
 
+    def test_shuffled_block_parses_like_the_sorted_one(self, tmp_path):
+        # csv-v1 asks for non-decreasing timestamps; a shuffled block is
+        # repaired by a stable sort, so rows sharing a timestamp keep file order
+        rng = np.random.default_rng(4)
+        t = np.sort(rng.choice(40, size=30))  # repeats some timestamps
+        rows = ["%d,%s,%.3f,%.3f" % (ti, "" if i == 7 else "%.3f" % rng.normal(), rng.normal(), rng.uniform())
+                for i, ti in enumerate(t)]
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        ordered = sorted(shuffled, key=lambda row: int(row.split(",")[0]))  # stable
+        assert shuffled != ordered
+        a = parse_raw(write(tmp_path, "s,1,HC\n" + "\n".join(shuffled) + "\n", "shuffled.csv"))[0]
+        b = parse_raw(write(tmp_path, "s,1,HC\n" + "\n".join(ordered) + "\n", "ordered.csv"))[0]
+        for name in ("t", "x", "y", "p"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
     def test_row_without_timestamp_dropped(self, tmp_path):
         recs = parse_raw(write(tmp_path, "s,1,HC\n0,1,1,1\n,9,9,9\n2,2,2,2\n"))
         assert len(recs[0]) == 2
@@ -152,16 +167,17 @@ class TestOutliers:
         out = remove_outliers(r, z_max=6.0)
         np.testing.assert_array_equal(out.p, r.p)
 
-    def test_heavy_contamination_warns(self):
+    def test_heavy_contamination_warns(self, caplog):
         n = 20
         x = np.zeros(n)
         x[:6] = 1e5
         x[6:] = np.linspace(0, 1, n - 6)
         r = make_record(n, x=x)
-        with pytest.warns(DataQualityWarning):
-            remove_outliers(r, z_max=6.0)
+        remove_outliers(r, z_max=6.0)
+        assert [rec.getMessage() for rec in caplog.records] == ["s1 task 01: 6 of 20 samples flagged as outliers"]
+        assert caplog.records[0].levelname == "WARNING"
 
-    def test_flags_leaving_fewer_than_two_samples_raise(self):
+    def test_flags_leaving_fewer_than_two_samples_raise(self, caplog):
         # x, y and p each flag a different stretch; together they cover all 40 samples
         rng = np.random.default_rng(3)
         x, y, p = rng.normal(scale=1e-3, size=(3, 40))
@@ -169,9 +185,9 @@ class TestOutliers:
         y[18:36] += 100.0
         p[36:] += 100.0
         r = make_record(40, x=x, y=y, p=p)
-        with pytest.warns(DataQualityWarning):
-            with pytest.raises(ProtocolError, match="^outlier repair flags 40 of 40 samples, fewer than 2 left"):
-                remove_outliers(r, z_max=6.0)
+        with pytest.raises(ProtocolError, match="^outlier repair flags 40 of 40 samples, fewer than 2 left"):
+            remove_outliers(r, z_max=6.0)
+        assert "s1 task 01: 40 of 40 samples flagged as outliers" in caplog.text
 
     def test_flagged_sample_blanked_on_all_channels(self):
         # the spike is on x only, but the whole sample is re-interpolated
@@ -225,7 +241,7 @@ class TestDropIncomplete:
         assert preprocess([bad, make_record(10)]) != []
         assert len(preprocess([bad])) == 0
 
-    def test_record_blanked_by_outlier_repair_dropped(self):
+    def test_record_blanked_by_outlier_repair_dropped(self, caplog):
         # x, y and p each flag a different stretch; together they cover all 40 samples
         rng = np.random.default_rng(3)
         x, y, p = rng.normal(scale=1e-3, size=(3, 40))
@@ -233,9 +249,12 @@ class TestDropIncomplete:
         y[18:36] += 100.0
         p[36:] += 100.0
         blanked = make_record(40, task_id=2, x=x, y=y, p=p + 0.5)
-        with pytest.warns(DataQualityWarning):
-            kept = preprocess([make_record(20, task_id=1), blanked])
+        kept = preprocess([make_record(20, task_id=1), blanked])
         assert [s.task_id for s in kept] == [1]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "s1 task 02: 40 of 40 samples flagged as outliers",
+            "s1 task 02: dropped (outlier repair flags 40 of 40 samples, fewer than 2 left to refill from)",
+        ]
 
     def test_identity_when_complete(self):
         recs = [make_record(10, seed=i) for i in range(3)]

@@ -32,7 +32,7 @@ from hsda.model import (
     toy_config,
     trunc_normal,
 )
-from hsda.model.layers import _DRAW_CHUNK, ChannelNorm2d
+from hsda.model.layers import _DRAW_CHUNK, ChannelNorm2d, Linear, Module
 
 
 def rand_tensor(rng, shape, requires_grad=False):
@@ -53,6 +53,51 @@ def toy_inputs(seed=0, canvas=16, t_len=32):
 
 
 # ---------------------------------------------------------------------------
+
+
+class TestParameterWalk:
+    """Module.parameters() finds parameters by walking attributes."""
+
+    @staticmethod
+    def names(module):
+        return [name for name, _ in module.parameters()]
+
+    def test_own_tensors_before_submodules_in_assignment_order(self):
+        rng = make_rng(0, "init")
+
+        class Net(Module):
+            def __init__(self):
+                self.first = Linear(2, 3, rng)
+                self.scale = Tensor(np.ones(3), requires_grad=True)
+                self.second = Linear(3, 1, rng)
+                self.shift = Tensor(np.zeros(1), requires_grad=True)
+
+        assert self.names(Net()) == ["scale", "shift", "first.w", "first.b", "second.w", "second.b"]
+
+    def test_reassigned_parameter_keeps_its_place(self):
+        rng = make_rng(0, "init")
+        layer = Linear(2, 3, rng)
+        replacement = Tensor(np.zeros((2, 3)), requires_grad=True)
+        layer.w = replacement
+        assert self.names(layer) == ["w", "b"]
+        assert layer.parameter_dict()["w"] is replacement
+
+    def test_module_lists_are_numbered(self):
+        rng = make_rng(0, "init")
+
+        class Stack(Module):
+            def __init__(self):
+                self.layers = [Linear(2, 2, rng), Linear(2, 2, rng, bias=False)]
+                self.pair = (Linear(2, 1, rng, bias=False),)
+
+        assert self.names(Stack()) == ["layers.0.w", "layers.0.b", "layers.1.w", "pair.0.w"]
+
+    def test_none_and_plain_attributes_skipped(self):
+        rng = make_rng(0, "init")
+        layer = Linear(2, 3, rng, bias=False)
+        layer.note, layer.sizes, layer.empty = "not a parameter", [2, 3], []
+        assert layer.b is None
+        assert self.names(layer) == ["w"]
 
 
 class TestAttentionWeights:

@@ -602,7 +602,7 @@ class TestBuildDataset:
         samples = build_dataset([good, squeezed], canvas_size=16)
         assert len(samples) == 1
         assert [r.levelname for r in caplog.records] == ["WARNING"]
-        assert "dropping subject hc_000 task 2 (kinematic channel" in caplog.text
+        assert "hc_000 task 02: dropped (kinematic channel" in caplog.text
         np.testing.assert_array_equal(samples[0].signal, build_dataset([good], 16)[0].signal)
 
     @given(st.data())
