@@ -344,8 +344,10 @@ def pairwise_absdiff(q: Tensor, k: Tensor) -> Tensor:
     if q.values.ndim < 2 or k.values.ndim != q.values.ndim or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
         raise ShapeError("pairwise_absdiff: %s vs %s" % (q.shape, k.shape))
     diff = q.values[..., :, None, :] - k.values[..., None, :, :]
-    sign = np.sign(diff)
-    out = _out(np.abs(diff), _requires(q, k))
+    # the sign as one byte per difference; g * sign casts it back exactly, and
+    # a NaN difference gets 0, where a cast of np.sign would warn
+    sign = np.subtract(diff > 0, diff < 0, dtype=np.int8)
+    out = _out(np.abs(diff, out=diff), _requires(q, k))
 
     def bwd(g):
         gs = g * sign
@@ -499,13 +501,14 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # (C_in * taps, B * out): batch and output positions share the column axis, so
 # every group of every sample goes through one stacked matmul, and its (C_out,
 # B * out) product is already the channel-major output. Taps run in C order
-# over the kernel extents, and col2im adds them back in that order. The
-# backward closure keeps the columns (for dw) but only the input's *shape*,
-# and drops the columns once dw is taken, before the equally large dcols
-# exist. At stride 1 with more than one tap the columns are plain shifted
-# copies of the input, taps times its size: there the closure keeps the input
-# map instead and rebuilds the same column bytes with the same _im2col call at
-# the start of its backward. The output gradient comes in as (C_out, B * out);
+# over the kernel extents, and col2im adds them back in that order. With more
+# than one tap the columns are shifted copies of the map's phase planes, taps /
+# stride**nd times their size, so the backward closure keeps the planes (a
+# view of the input at stride 1, one copy of it otherwise) and only the
+# input's *shape*, rebuilds the same column bytes with the same _im2col call
+# at the start of its backward, and drops them once dw is taken, before the
+# equally large dcols exist. A 1x1 convolution keeps its columns, which are no
+# larger than its input. The output gradient comes in as (C_out, B * out);
 # conv_keys passes the transposed view of its channels-last gradient, not a
 # copy, and BLAS reads it transposed.
 #
@@ -551,8 +554,8 @@ def _phase_axes(nd: int):
     return tuple(3 + 2 * a for a in range(nd)) + (0, 1) + tuple(2 + 2 * a for a in range(nd))
 
 
-def _im2col(x: np.ndarray, kernel, stride: int) -> np.ndarray:
-    """Columns (C, taps, B, *out) of a channel-major map x (C, B, *S), out = ceil(S / stride)."""
+def _planes(x: np.ndarray, stride: int) -> np.ndarray:
+    """Phase planes (stride,) * nd + (C, B, *out) of x (C, B, *S), out = ceil(S / stride); a view at stride 1."""
     C, B, extent = x.shape[0], x.shape[1], x.shape[2:]
     out = tuple(-(-L // stride) for L in extent)
     if any(L != stride * m for L, m in zip(extent, out)):
@@ -560,8 +563,14 @@ def _im2col(x: np.ndarray, kernel, stride: int) -> np.ndarray:
         x_ext[(slice(None), slice(None)) + tuple(slice(L) for L in extent)] = x
         x = x_ext
     split = x.reshape((C, B) + tuple(v for m in out for v in (m, stride)))
-    planes = np.ascontiguousarray(split.transpose(_phase_axes(len(out))))
-    cols = np.empty((C, int(np.prod(kernel)), B) + out, dtype=x.dtype)
+    return np.ascontiguousarray(split.transpose(_phase_axes(len(out))))
+
+
+def _im2col(planes: np.ndarray, kernel, stride: int) -> np.ndarray:
+    """Columns (C, taps, B, *out) from the phase planes of a map, as _planes gives them."""
+    nd = len(kernel)
+    C, B, out = planes.shape[nd], planes.shape[nd + 1], planes.shape[nd + 2 :]
+    cols = np.empty((C, int(np.prod(kernel)), B) + out, dtype=planes.dtype)
     cf, n = cols.reshape(C, cols.shape[1], -1), B * int(np.prod(out))
     for tap, phase, shift, span, edges in _phase_shifts(kernel, stride, out, n):
         if span is not None:
@@ -600,13 +609,14 @@ def _conv_core(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride:
     bwd takes an output gradient of y's shape and returns (dx, dw), or (dx, dw, db) with a bias.
     """
     C_out, B, kernel = w.shape[0], x.shape[1], w.shape[2:]
-    cols = _im2col(x, kernel, stride)
+    planes = _planes(x, stride)
+    cols = _im2col(planes, kernel, stride)
     wg = w.reshape(groups, C_out // groups, -1)  # grouped weights times grouped columns, one stacked matmul
     y = np.matmul(wg, cols.reshape(groups, wg.shape[2], -1)).reshape(C_out, -1)
     if bias is not None:
         y += bias[:, None]
-    rebuild = stride == 1 and cols.shape[1] > 1
-    kept = x if rebuild else cols  # stride-1 columns are shifted copies of x, rebuilt in backward
+    rebuild = cols.shape[1] > 1
+    kept = planes if rebuild else cols  # columns of more than one tap are rebuilt from the planes in backward
     x_shape = x.shape
 
     def bwd(gy):

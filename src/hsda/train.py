@@ -37,8 +37,8 @@ log = logging.getLogger(__name__)
 
 
 class Sample(NamedTuple):
-    image: np.ndarray  # (3, S, S) rendered stroke
-    signal: np.ndarray  # (9, T) kinematic channels, each z-scored over the record
+    image: np.ndarray  # (3, S, S) rendered stroke, in the default dtype
+    signal: np.ndarray  # (9, T) kinematic channels, each z-scored over the record, in the default dtype
     label: int
 
 
@@ -46,8 +46,10 @@ def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[S
     """Turn preprocessed strokes into model-ready (image, signal, label) triples.
 
     The label is the stroke's own; a stroke whose kinematics or canvas
-    coordinates are not finite is dropped with a warning naming it.
+    coordinates are not finite is dropped with a warning naming it. Image and
+    signal are stored in the default dtype, the one the model casts them to.
     """
+    dtype = dc.default_dtype()
     samples = []
     for stroke in strokes:
         try:
@@ -56,15 +58,20 @@ def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[S
         except ProtocolError as exc:
             log.warning(drop_line(stroke, exc))
             continue
-        samples.append(Sample(canvas.pixels, sig.channels, LABEL_TO_INDEX[stroke.label]))
+        image, signal = canvas.pixels.astype(dtype, copy=False), sig.channels.astype(dtype, copy=False)
+        samples.append(Sample(image, signal, LABEL_TO_INDEX[stroke.label]))
     return samples
 
 
 def dataset_sha256(samples: Sequence[Sample]) -> str:
-    """sha256 over each sample's label, image bytes and signal bytes, in order."""
+    """sha256 over each sample's label, its arrays' dtypes and shapes, then their bytes, in order.
+
+    The dtypes and shapes delimit the bytes: equal bytes split or typed otherwise hash apart.
+    """
     digest = hashlib.sha256()
     for s in samples:
-        digest.update(b"%d" % s.label)
+        header = (s.label, s.image.dtype.str, s.image.shape, s.signal.dtype.str, s.signal.shape)
+        digest.update(repr(header).encode())
         digest.update(s.image.tobytes())
         digest.update(s.signal.tobytes())
     return digest.hexdigest()

@@ -818,7 +818,7 @@ class TestTape:
 
 class TestTapeMemory:
     def test_relu_output_feeding_a_conv_is_freed_before_backward(self):
-        # a stride-2 conv2d keeps its columns; neither they nor the tape need the relu output's values
+        # a stride-2 conv2d keeps a copy of its input's phase planes, not the relu output's values
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(3, 2, 6, 6)), requires_grad=True)
         w1 = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
@@ -861,6 +861,73 @@ class TestTapeMemory:
         assert live < 2 * x.values.nbytes < cols_bytes, (live, cols_bytes)
         backward(y, tape)
         assert h_values() is None and x.grad is not None and w.grad is not None
+
+    @pytest.mark.parametrize("extent", [64, 63], ids=["even", "odd"])
+    def test_stride2_conv_keeps_its_phase_planes_not_its_columns(self, extent):
+        # the planes are the input zero-extended to an even extent; the 9/4x columns are rebuilt in backward
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(8, 4, extent, extent)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+        out = -(-extent // 2)
+        cols_bytes = 9 * 8 * 4 * out * out * x.values.itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = sum_(conv2d(x, w, stride=2))
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert live < 1.1 * x.values.nbytes < cols_bytes / 2, (live, x.values.nbytes, cols_bytes)
+        backward(y, tape)
+        assert x.grad is not None and w.grad is not None
+
+    def test_pairwise_absdiff_keeps_one_byte_per_difference(self):
+        rng = np.random.default_rng(5)
+        q = Tensor(rng.normal(size=(4, 32, 16)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 48, 16)), requires_grad=True)
+        n_diff = 4 * 32 * 48 * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = sum_(pairwise_absdiff(q, k))
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert n_diff <= live < 1.25 * n_diff, (live, n_diff)
+        backward(y, tape)
+        assert q.grad is not None and k.grad is not None
+
+    def test_pairwise_absdiff_gradients_equal_float_sign_sums_bit_for_bit(self):
+        # ties q_i == k_j and -0.0 entries give zero signs; g of both signs makes their zero products +0.0 and -0.0
+        rng = np.random.default_rng(6)
+        qv = rng.normal(size=(2, 5, 3)).astype(np.float32)
+        kv = rng.normal(size=(2, 6, 3)).astype(np.float32)
+        kv[:, 1] = qv[:, 2]
+        kv[:, 4, 0] = qv[:, 0, 0]
+        qv[:, 3] = -0.0
+        kv[:, 5] = 0.0
+        g = rng.normal(size=(2, 5, 6, 3)).astype(np.float32)
+        g[:, 2] = -np.abs(g[:, 2])
+        q, k = Tensor(qv, requires_grad=True), Tensor(kv, requires_grad=True)
+        with Tape() as tape:
+            y = sum_(mul(pairwise_absdiff(q, k), Tensor(g)))
+        backward(y, tape)
+        gs = g * np.sign(qv[:, :, None, :] - kv[:, None, :, :])
+        for got, want in ((q.grad, gs.sum(axis=-2)), (k.grad, -gs.sum(axis=-3))):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.filterwarnings("error")
+    def test_pairwise_absdiff_with_nan_input_does_not_warn(self):
+        q = Tensor(np.array([[[np.nan, 1.0], [0.5, 2.0]]]), requires_grad=True)
+        k = Tensor(np.array([[[1.0, np.nan], [0.5, -1.0], [3.0, 2.0]]]), requires_grad=True)
+        with Tape() as tape:
+            y = sum_(pairwise_absdiff(q, k))
+        assert np.isnan(y.values)
+        backward(y, tape)
+        assert q.grad.shape == q.shape and k.grad.shape == k.shape
 
     def test_conv_keys_keeps_its_channel_major_copy_not_its_columns(self):
         rng = np.random.default_rng(3)

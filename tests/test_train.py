@@ -11,7 +11,7 @@ from hsda import diffcore as dc
 from hsda import train
 from hsda.diffcore import Tensor, make_rng
 from hsda.errors import ConfigError, ProtocolError
-from hsda.features import synth_generate
+from hsda.features import kinematic_features, render_image, synth_generate
 from hsda.ingest import StrokeSequence, parse_raw, preprocess
 from hsda.loss import make_templates
 from hsda.model import HsdaNet, ModelConfig, restore_parameters, synth_config, toy_config
@@ -21,6 +21,7 @@ from hsda.train import (
     TrainConfig,
     build_dataset,
     cosine_lr,
+    dataset_sha256,
     evaluate,
     run_protocol,
     sgd_step,
@@ -591,6 +592,32 @@ class TestBuildDataset:
             assert s.signal.shape[0] == 9
             assert np.all(np.isfinite(s.signal))
 
+    def test_samples_are_stored_in_the_default_dtype(self):
+        records = synth_generate(1, seed=3)
+        samples = build_dataset(records, canvas_size=16)
+        with dc.using_dtype(np.float64):
+            wide = build_dataset(records, canvas_size=16)
+        for dtype, built in ((np.float32, samples), (np.float64, wide)):
+            for s, record in zip(built, records):
+                assert s.image.dtype == dtype and s.signal.dtype == dtype
+                np.testing.assert_array_equal(s.image, render_image(record, size=16).pixels.astype(dtype))
+                np.testing.assert_array_equal(s.signal, kinematic_features(record).channels.astype(dtype))
+
+    def test_float32_samples_give_the_logits_of_float64_ones(self):
+        # the model casts its inputs on entry, so storing them cast changes no logit bit
+        records = synth_generate(1, seed=3)
+        samples = build_dataset(records, canvas_size=16)
+        wide_images = [render_image(r, size=16).pixels for r in records]
+        wide_signals = [kinematic_features(r).channels for r in records]
+        assert wide_images[0].dtype == np.float64 and wide_signals[0].dtype == np.float64
+        model = HsdaNet(toy_config(), seed=0)
+        rng = np.random.default_rng(1)
+        for _, p in model.parameters():  # move off the init, where zero projections hide the attention path
+            p.values += rng.normal(0.0, 0.05, size=p.shape).astype(p.values.dtype)
+        narrow, _ = model([s.image for s in samples], [s.signal for s in samples])
+        wide, _ = model(wide_images, wide_signals)
+        np.testing.assert_array_equal(narrow.values.view(np.uint32), wide.values.view(np.uint32))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_kinematics_dropped(self, caplog):
         good, _ = synth_generate(1, seed=0)
@@ -627,6 +654,25 @@ class TestBuildDataset:
         assert len(samples) <= 1
         for sample in samples:
             assert np.all(np.isfinite(sample.signal)) and np.all(np.isfinite(sample.image))
+
+
+class TestDatasetDigest:
+    def test_equal_bytes_in_other_shapes_hash_apart(self):
+        values = np.arange(3 * 4 * 4 + 9 * 8, dtype=np.float32)
+        image = values[:48].reshape(3, 4, 4)
+        long_signal = Sample(image, values[48:].reshape(9, 8), 0)
+        wide_signal = Sample(image, values[48:].reshape(8, 9), 0)
+        joined = [np.concatenate([s.image.ravel(), s.signal.ravel()]).tobytes() for s in (long_signal, wide_signal)]
+        assert joined[0] == joined[1]
+        assert dataset_sha256([long_signal]) != dataset_sha256([wide_signal])
+
+    def test_float32_and_float64_samples_hash_apart(self):
+        records = synth_generate(1, seed=3)
+        narrow = build_dataset(records, canvas_size=16)
+        with dc.using_dtype(np.float64):
+            wide = build_dataset(records, canvas_size=16)
+        assert dataset_sha256(narrow) == dataset_sha256(build_dataset(records, canvas_size=16))
+        assert dataset_sha256(narrow) != dataset_sha256(wide)
 
 
 class TestTrainConfigGuards:
