@@ -503,12 +503,12 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # B * out) product is already the channel-major output. Taps run in C order
 # over the kernel extents, and col2im adds them back in that order. With more
 # than one tap the columns are shifted copies of the map's phase planes, taps /
-# stride**nd times their size, so the backward closure keeps the planes (a
-# view of the input at stride 1, one copy of it otherwise) and only the
-# input's *shape*, rebuilds the same column bytes with the same _im2col call
-# at the start of its backward, and drops them once dw is taken, before the
-# equally large dcols exist. A 1x1 convolution keeps its columns, which are no
-# larger than its input. The output gradient comes in as (C_out, B * out);
+# stride**nd times their size: the backward closure keeps the planes (a view
+# of the input at stride 1, one copy of it otherwise) and only the input's
+# *shape*, and rebuilds the same column bytes with the same _im2col call at
+# the start of its backward. A 1x1 convolution keeps its columns, no larger
+# than its input. Either way the columns go once dw is taken, before the
+# equally large dcols exist. The output gradient comes in as (C_out, B * out);
 # conv_keys passes the transposed view of its channels-last gradient, not a
 # copy, and BLAS reads it transposed.
 #
