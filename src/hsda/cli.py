@@ -36,7 +36,7 @@ def _pin_threads() -> None:
     cap = os.environ.get("HSDA_THREADS")
     if cap is None or cap == "":
         return
-    if not cap.isdigit() or int(cap) < 1:
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         raise ConfigError("HSDA_THREADS must be a positive integer, got %r" % cap)
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = cap

@@ -57,10 +57,6 @@ class Module:
     def parameter_dict(self) -> Dict[str, Tensor]:
         return dict(self.parameters())
 
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.zero_grad()
-
 
 class Linear(Module):
     """x @ w + b over the last axis: (m, in) -> (m, out), or (B, m, in) -> (B, m, out)."""

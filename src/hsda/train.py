@@ -93,12 +93,12 @@ _BLOCK = 1 << 15  # elements per pass: a block of w, g, v and the scratch stays 
 def sgd_step(
     params: Dict[str, Tensor], state: Dict[str, np.ndarray], lr: float, momentum: float, weight_decay: float
 ) -> None:
-    """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place.
+    """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place, then drop g.
 
     state[name] is the momentum buffer v of a parameter, made on the first
     step. The six operations run in order block by block. A missing
     gradient counts as zero; a non-finite one raises before its parameter
-    changes.
+    changes. Each updated parameter's .grad is None afterwards.
     """
     for name, t in params.items():
         _sgd_update(name, t, state, lr, momentum, weight_decay)
@@ -123,6 +123,7 @@ def _sgd_update(
         vb += s
         np.multiply(vb, lr, out=s)
         wb -= s
+    t.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +305,6 @@ def train_loop(
         for b_start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[b_start : b_start + cfg.batch_size]]
             batch_labels = np.array([s.label for s in batch])
-            model.zero_grad()
             rest = dict(params)  # the parameters no node took as input: normally none
 
             def apply_grad(leaf: Tensor) -> None:
@@ -312,7 +312,6 @@ def train_loop(
                 name = names.get(id(leaf))
                 if name is not None:
                     _sgd_update(name, rest.pop(name), state, lr, cfg.momentum, cfg.weight_decay)
-                    leaf.grad = None
 
             # a diverging run overflows in here and in validation; the loss check and
             # each gradient's check report it, so numpy's warnings would be noise
@@ -355,15 +354,15 @@ def train_loop(
 def train_fold(
     dataset: Sequence[Sample], folds: Sequence[Tuple[np.ndarray, np.ndarray]], fold: int,
     model_cfg: ModelConfig, cfg: TrainConfig,
-) -> Tuple[FoldResult, HsdaNet]:
+) -> FoldResult:
     """Train one of split_and_fold's folds from the seeded init, templates from init substream 1 + fold.
 
-    Returns the fold's result and its trained model.
+    The fold's model lives only in here; its best weights leave as the result's best_state.
     """
     model = HsdaNet(model_cfg, seed=cfg.seed)
     templates = make_templates(model_cfg.d, make_rng(cfg.seed, "init", substream=1 + fold))
     train_set, val_set = ([dataset[i] for i in idx] for idx in folds[fold])
-    return train_loop(model, templates, train_set, val_set, cfg, fold=fold), model
+    return train_loop(model, templates, train_set, val_set, cfg, fold=fold)
 
 
 @dataclass
@@ -381,13 +380,10 @@ def run_protocol(
     test_idx, folds = split_and_fold(labels, cfg)
     test_set = [dataset[i] for i in test_idx]
 
-    fold_results = []
-    for fold in range(len(folds)):
-        result, model = train_fold(dataset, folds, fold, model_cfg, cfg)
-        fold_results.append(result)
-
+    fold_results = [train_fold(dataset, folds, fold, model_cfg, cfg) for fold in range(len(folds))]
     best_fold = max(range(len(fold_results)), key=lambda i: fold_results[i].best_val_acc)
-    restore_parameters(model, fold_results[best_fold].best_state)  # the last fold's model, reused
+    model = HsdaNet(model_cfg, seed=cfg.seed)
+    restore_parameters(model, fold_results[best_fold].best_state)
     metrics = evaluate(model, test_set, cfg.batch_size)
     return ProtocolResult(fold_results, best_fold, metrics, model)
 

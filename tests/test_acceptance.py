@@ -185,7 +185,7 @@ def test_criterion_6_end_to_end_synthetic():
     dataset2 = build_dataset(synth_generate(60, seed=42), canvas_size=model_cfg.canvas_size)
     assert dataset_sha256(dataset2) == dataset_sha256(dataset)
     _, folds = split_and_fold([s.label for s in dataset2], train_cfg)
-    rerun, _ = train_fold(dataset2, folds, result.best_fold, model_cfg, train_cfg)
+    rerun = train_fold(dataset2, folds, result.best_fold, model_cfg, train_cfg)
     assert rerun.history == best.history  # float equality, so bitwise
 
 
@@ -203,7 +203,7 @@ def test_criterion_7_ablation_hooks():
     )
     for model_cfg, extra in variants:
         cfg = TrainConfig(seed=5, batch_size=8, max_epochs=5, patience=5, **extra)
-        res, _ = train_fold(samples, folds, 0, model_cfg, cfg)
+        res = train_fold(samples, folds, 0, model_cfg, cfg)
         losses = [h[2] for h in res.history]
         assert len(losses) == 5
         for before, after in zip(losses, losses[1:]):

@@ -551,10 +551,12 @@ class TestExitCodesAndEnv:
         err = capsys.readouterr().err
         assert "error:" in err and "run.cfg" in err
 
-    def test_bad_thread_cap_exits_one(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HSDA_THREADS", "many")
+    @pytest.mark.parametrize("cap", ["many", "\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+    def test_bad_thread_cap_exits_one(self, tmp_path, monkeypatch, capsys, cap):
+        monkeypatch.setenv("HSDA_THREADS", cap)
         assert cli.main(["synth", "--n", "2", "--out", str(tmp_path / "d")]) == 1
-        assert "HSDA_THREADS" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: HSDA_THREADS ") and "Traceback" not in err
 
     def test_thread_cap_pins_blas_pools(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HSDA_THREADS", "2")

@@ -1,6 +1,8 @@
 """Optimizer arithmetic, split protocol, metrics parity, loop semantics."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,16 @@ class TestSgdStep:
             sgd_step(params, state, lr=0.1, momentum=0.9, weight_decay=0.05)
         np.testing.assert_array_equal(params["stage2.w"].values, before)
         assert "stage2.w" not in state
+
+    def test_updated_parameters_drop_their_gradients(self):
+        # "long" spans several blocks of the blocked update; "no_grad" has no gradient to drop
+        rng = np.random.default_rng(5)
+        shapes = {"a": (5, 7), "long": (3 * 32768 + 5,), "no_grad": (4,)}
+        params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+        for n in ("a", "long"):
+            params[n].grad = rng.normal(size=shapes[n]).astype(np.float32)
+        sgd_step(params, {}, lr=0.1, momentum=0.9, weight_decay=0.05)
+        assert [n for n, t in params.items() if t.grad is not None] == []
 
     def test_missing_gradient_still_decays(self):
         t = Tensor(np.array([2.0]), requires_grad=True)
@@ -543,6 +555,29 @@ class TestProtocol:
             assert t.grad is None and t.requires_grad
             assert same_arrays(t.values, want[name].values), name
 
+    def test_each_fold_model_dies_with_its_fold(self, monkeypatch):
+        made, alive, net, loop = [], [], train.HsdaNet, train.train_loop
+
+        def tracked_net(*args, **kwargs):
+            model = net(*args, **kwargs)
+            made.append(weakref.ref(model))
+            return model
+
+        def checking_loop(*args, **kwargs):
+            gc.collect()
+            alive.append([r() is not None for r in made])
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(train, "HsdaNet", tracked_net)
+        monkeypatch.setattr(train, "train_loop", checking_loop)
+        cfg = TrainConfig(seed=4, batch_size=4, max_epochs=1, patience=1)
+        result = run_protocol(tiny_samples(20, seed=21), toy_config(), cfg)
+        # while fold i trains, only its own model is alive
+        assert alive == [[False] * i + [True] for i in range(cfg.k_folds)]
+        gc.collect()
+        assert [r() is not None for r in made] == [False] * cfg.k_folds + [True]
+        assert made[-1]() is result.model
+
     def test_protocol_reproducible(self):
         # each fold rerun on its own through train_fold gives run_protocol's fold bit for bit
         dataset = tiny_samples(20, seed=21)
@@ -551,9 +586,9 @@ class TestProtocol:
         _, folds = split_and_fold([s.label for s in dataset], cfg)
         assert len(a.fold_results) == len(folds) == cfg.k_folds
         for fold, ra in enumerate(a.fold_results):
-            rb, model = train_fold(dataset, folds, fold, toy_config(), cfg)
+            rb = train_fold(dataset, folds, fold, toy_config(), cfg)
             assert rb.fold == fold and rb.history == ra.history
-            assert list(rb.best_state) == list(ra.best_state) == list(model.parameter_dict())
+            assert list(rb.best_state) == list(ra.best_state) == list(a.model.parameter_dict())
             for name, values in rb.best_state.items():
                 assert same_arrays(values, ra.best_state[name]), (fold, name)
 
