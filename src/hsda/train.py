@@ -93,7 +93,7 @@ _BLOCK = 1 << 15  # elements per pass: a block of w, g, v and the scratch stays 
 def sgd_step(
     params: Dict[str, Tensor], state: Dict[str, np.ndarray], lr: float, momentum: float, weight_decay: float
 ) -> None:
-    """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place, then drop g.
+    """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place.
 
     state[name] is the momentum buffer v of a parameter, made on the first
     step. The six operations run in order block by block. A missing
