@@ -4,10 +4,11 @@ Subcommands: preprocess | render | synth | train | evaluate | gradcheck.
 Settings merge three layers, later winning: dataclass defaults, --config
 file, explicit flags; evaluate then takes the SIDECAR_KEYS settings from the
 checkpoint sidecar, and refuses data whose built samples do not match the
-sidecar's data_sha256. Every value is checked at the merge. Every output
-directory receives a config.txt with the fully merged settings, so any
-artifact can be traced back to the run that made it. Identical inputs,
-flags, and seed give byte-identical outputs.
+sidecar's data_sha256. gradcheck's scale falls back to toy, not full. Every
+value is checked at the merge. Every output directory receives a config.txt
+with the fully merged settings, so any artifact can be traced back to the
+run that made it. Identical inputs, flags, and seed give byte-identical
+outputs.
 
 Exit codes: 0 success, 1 validation or check failure, 2 usage error.
 
@@ -23,9 +24,10 @@ import os
 import sys
 
 from .errors import ConfigError, ProtocolError
-from .runconfig import FIELDS, MODEL_SCALES, RunConfig, make_runconfig, write_runconfig
+from .runconfig import FIELDS, MODEL_SCALES, RunConfig, make_runconfig, parse_config_file, write_runconfig
 
 GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_SCALES = tuple(scale for scale in MODEL_SCALES if scale != "full")  # full is too large to check
 
 # settings that ride with the weights in the checkpoint sidecar, so evaluate
 # rebuilds the same split and architecture without re-specifying flags
@@ -42,15 +44,11 @@ def _pin_threads() -> None:
         os.environ[name] = cap
 
 
-def _runconfig_from(args: argparse.Namespace, sidecar=None) -> RunConfig:
-    """Defaults, then --config, then flags, then the checkpoint sidecar."""
+def _runconfig_from(args: argparse.Namespace, pinned=None) -> RunConfig:
+    """Defaults, then --config, then flags, then the settings a command pins."""
     # every flag named after a setting; make_runconfig skips the ones not given (None)
     overrides = {key: value for key, value in vars(args).items() if key in FIELDS}
-    if getattr(args, "no_multiscale", False):
-        overrides["multiscale"] = False
-    if getattr(args, "no_contrastive", False):
-        overrides["contrastive_weight"] = 0.0
-    overrides.update(sidecar or {})
+    overrides.update(pinned or {})
     return make_runconfig(getattr(args, "config", None), overrides)
 
 
@@ -223,7 +221,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = _runconfig_from(args)
+    # the flag, then the --config file, then toy: RunConfig's own default is full
+    scale = args.scale or (args.config and parse_config_file(args.config).get("scale")) or "toy"
+    cfg = _runconfig_from(args, {"scale": scale})
+    if cfg.scale not in GRADCHECK_SCALES:
+        raise ConfigError("gradcheck takes scale %s, got %r" % (" or ".join(GRADCHECK_SCALES), cfg.scale))
     import numpy as np
 
     from . import diffcore as dc
@@ -319,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="raw recordings file or directory of them")
     p.add_argument("--z-max", type=float, dest="z_max")
     p.add_argument("--scale", choices=MODEL_SCALES, help="model preset")
-    p.add_argument("--no-multiscale", action="store_true", help="disable stage fusion")
-    p.add_argument("--no-contrastive", action="store_true", help="disable the template loss term")
+    p.add_argument("--no-multiscale", dest="multiscale", action="store_const", const=False, help="disable stage fusion")
+    p.add_argument(
+        "--no-contrastive", dest="contrastive_weight", action="store_const", const=0.0, help="disable the template loss term"
+    )
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -332,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every primitive and the composed model")
-    small = [scale for scale in MODEL_SCALES if scale != "full"]  # full is too large to check
-    p.add_argument("--scale", choices=small, default="toy", help="composed model preset")
+    p.add_argument("--scale", choices=GRADCHECK_SCALES, help="composed model preset (else --config's, else toy)")
     common(p)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -342,17 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _pin_threads()
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    args = build_parser().parse_args(argv)
-    try:
+        _pin_threads()  # before parsing: a bad HSDA_THREADS exits 1 even when the usage is wrong
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ProtocolError, FloatingPointError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, ProtocolError, FloatingPointError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

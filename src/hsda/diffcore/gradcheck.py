@@ -20,38 +20,39 @@ from . import ops
 from .rng import make_rng
 from .tensor import Tape, Tensor, backward, using_dtype
 
+EPS = 1e-5  # central-difference step
+
 
 def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def _central_difference(f: Callable[[], Tensor], flat: np.ndarray, i: int, eps: float) -> float:
-    """(f() at flat[i] + eps minus f() at flat[i] - eps) / (2 eps); flat[i] is restored."""
+def _central_difference(f: Callable[[], Tensor], flat: np.ndarray, i: int) -> float:
+    """(f() at flat[i] + EPS minus f() at flat[i] - EPS) / (2 EPS); flat[i] is restored."""
     orig = flat[i]
-    flat[i] = orig + eps
+    flat[i] = orig + EPS
     fp = f().item()
-    flat[i] = orig - eps
+    flat[i] = orig - EPS
     fm = f().item()
     flat[i] = orig
-    return (fp - fm) / (2.0 * eps)
+    return (fp - fm) / (2.0 * EPS)
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x, eps: float = 1e-5) -> float:
+def grad_check(f: Callable[[Tensor], Tensor], x) -> float:
     """Max relative error of the tape gradient of scalar f at x.
 
     f must be deterministic and return a single-element tensor. Every
-    coordinate of x is perturbed by +/-eps, so keep x small.
+    coordinate of x is perturbed by +/-EPS, so keep x small.
     """
     xt = Tensor(np.copy(x.values if isinstance(x, Tensor) else x), requires_grad=True, dtype=np.float64)
-    errs = check_parameter_gradients(lambda: f(xt), {"x": xt}, eps, samples_per_param=xt.size, zero_atol=0.0)
+    errs = check_parameter_gradients(lambda: f(xt), {"x": xt}, samples_per_param=xt.size, zero_atol=0.0)
     return errs["x"]
 
 
 def check_parameter_gradients(
     loss_fn: Callable[[], Tensor],
     params: Dict[str, Tensor],
-    eps: float = 1e-5,
     samples_per_param: int = 8,
     rng: Optional[np.random.Generator] = None,
     zero_atol: float = 1e-6,
@@ -66,7 +67,7 @@ def check_parameter_gradients(
     fails every `err < tol` test.
 
     Coordinates where both sides are below zero_atol count as exact agreement:
-    central differences bottom out at ulp(loss) / (2 eps), so such pairs are
+    central differences bottom out at ulp(loss) / (2 EPS), so such pairs are
     roundoff noise, not evidence. Softmax row shifts make mathematically zero
     gradients with nonzero bitwise effect common in attention stacks.
     """
@@ -94,7 +95,7 @@ def check_parameter_gradients(
             a = analytic[name].reshape(-1)
             errs = [0.0]
             for i in idx:
-                numeric = _central_difference(loss_fn, flat, i, eps)
+                numeric = _central_difference(loss_fn, flat, i)
                 if abs(a[i]) < zero_atol and abs(numeric) < zero_atol:
                     continue
                 errs.append(_rel_err(np.asarray(a[i]), np.asarray(numeric)))
@@ -131,14 +132,14 @@ def _distinct(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.permutation(n).astype(np.float64) * 0.37 - n * 0.2).reshape(shape)
 
 
-def primitive_checks(seed: int = 0, eps: float = 1e-5) -> List[Tuple[str, float]]:
+def primitive_checks(seed: int = 0) -> List[Tuple[str, float]]:
     """grad_check every differentiable primitive; returns (name, max rel err)."""
     rng = make_rng(seed, "check")
     results: List[Tuple[str, float]] = []
 
     def run(name: str, op: Callable[[Tensor], Tensor], x0: np.ndarray) -> None:
         w = _weights(rng, op, x0)
-        results.append((name, grad_check(_scalar(op, w), Tensor(x0), eps=eps)))
+        results.append((name, grad_check(_scalar(op, w), Tensor(x0))))
 
     m34 = rng.normal(size=(3, 4))
     m34b = rng.normal(size=(3, 4))

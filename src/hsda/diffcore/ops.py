@@ -39,6 +39,9 @@ import numpy as np
 from ..errors import ConfigError
 from .tensor import ShapeError, Tensor, active_tape
 
+LAYER_NORM_EPS = 1e-5  # added to the variance
+COSINE_FLOOR = 1e-8  # least norm product cosine_rows divides by
+
 
 def _as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
     if isinstance(x, Tensor):
@@ -371,7 +374,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record((a,), out, bwd, "softmax_rows")
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: int = -1) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
     """Normalize one axis (the last by default) to mean 0 / population variance 1, then affine.
 
     gamma and beta have that axis's length and act along it: axis=0 of a
@@ -389,7 +392,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: 
     # Large maps make every fresh temporary cost page faults, so the steps
     # below update their own temporaries in place where the formula allows.
     xhat = a.values - a.values.mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axis, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axis, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     y = xhat * gv
     y += bv
@@ -424,11 +427,11 @@ def _sum_except(t: np.ndarray, axis: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(t.shape[0], t.shape[1], -1).sum(-1).T).sum(0)
 
 
-def cosine_rows(a: Tensor, b: Tensor, floor: float = 1e-8) -> Tensor:
+def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """Cosine of the angle between row i of a and row i of b, for (n, d) inputs -> (n,).
 
-    Each row's norm product is floored at `floor`; while the floor is active
-    that row's denominator is treated as a constant for the gradient.
+    Each row's norm product is floored at COSINE_FLOOR; while the floor is
+    active that row's denominator is treated as a constant for the gradient.
     """
     if a.values.ndim != 2 or a.shape != b.shape:
         raise ShapeError("cosine_rows: %s vs %s (need two (n, d) matrices)" % (a.shape, b.shape))
@@ -436,8 +439,8 @@ def cosine_rows(a: Tensor, b: Tensor, floor: float = 1e-8) -> Tensor:
     na = np.sqrt((av * av).sum(axis=1))
     nb = np.sqrt((bv * bv).sum(axis=1))
     prod = na * nb
-    live = prod >= floor
-    denom = np.maximum(prod, floor)
+    live = prod >= COSINE_FLOOR
+    denom = np.maximum(prod, COSINE_FLOOR)
     c = (av * bv).sum(axis=1) / denom
     out = _out(c.astype(av.dtype), _requires(a, b))
 

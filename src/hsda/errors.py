@@ -12,9 +12,9 @@ class ProtocolError(ValueError):
 
 
 def read_text(path, error) -> str:
-    """The utf-8 text of a file; bytes that do not decode raise `error`, naming the file."""
+    """The utf-8 text of a file, less any leading BOM; bytes that do not decode raise `error`, naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")  # not utf-8-sig, whose error offsets skip the mark
     except UnicodeDecodeError as exc:
         raise error("%s: not utf-8 text (byte %d)" % (path, exc.start)) from None

@@ -112,15 +112,18 @@ def _finish_block(header, rows, header_line_no) -> RawRecord:
     arr = arr[keep]
     order = np.argsort(arr[:, 0], kind="stable")
     arr = arr[order]
-    return RawRecord(
-        subject_id=subject_id,
-        task_id=task_id,
-        label=label.strip(),
-        t=arr[:, 0],
-        x=arr[:, 1],
-        y=arr[:, 2],
-        p=arr[:, 3],
-    )
+    try:
+        return RawRecord(
+            subject_id=subject_id,
+            task_id=task_id,
+            label=label.strip(),
+            t=arr[:, 0],
+            x=arr[:, 1],
+            y=arr[:, 2],
+            p=arr[:, 3],
+        )
+    except ProtocolError as exc:
+        raise ProtocolError("line %d: %s" % (header_line_no, exc)) from None
 
 
 def parse_raw(path) -> List[RawRecord]:
@@ -155,14 +158,6 @@ def parse_raw(path) -> List[RawRecord]:
     if not records:
         raise ProtocolError("%s: no records found" % path)
     return records
-
-
-def _interpolate_channel(t: np.ndarray, v: np.ndarray, where) -> np.ndarray:
-    valid = np.isfinite(v)
-    out = v.copy()
-    # np.interp extrapolates by holding the nearest valid value constant
-    out[where] = np.interp(t[where], t[valid], v[valid])
-    return out
 
 
 def merge_duplicate_times(r: RawRecord) -> RawRecord:
@@ -200,7 +195,10 @@ def impute_missing(r: RawRecord) -> RawRecord:
                 "subject %s task %d channel %s: fewer than 2 valid samples to interpolate from"
                 % (r.subject_id, r.task_id, name)
             )
-        updates[name] = _interpolate_channel(r.t, v, missing)
+        filled = v.copy()
+        # np.interp extrapolates by holding the nearest valid value constant
+        filled[missing] = np.interp(r.t[missing], r.t[~missing], v[~missing])
+        updates[name] = filled
     return dataclasses.replace(r, **updates) if updates else r
 
 

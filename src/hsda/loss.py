@@ -16,7 +16,6 @@ from . import diffcore as dc
 from .diffcore import Tensor
 
 LOG_FLOOR = 1e-12
-NORM_FLOOR = 1e-8
 TEMPLATE_ALPHA = 0.9
 
 
@@ -60,7 +59,7 @@ def contrastive(f: Tensor, labels: np.ndarray, tmpl: Templates) -> Tensor:
     if labels.shape != (n,):
         raise dc.ShapeError("labels shape %s for %d rows" % (labels.shape, n))
     anchors = np.stack([tmpl.t_neg, tmpl.t_pos])[labels]  # each row's true-class template
-    cos = dc.cosine_rows(f, Tensor(anchors, dtype=f.values.dtype), NORM_FLOOR)
+    cos = dc.cosine_rows(f, Tensor(anchors, dtype=f.values.dtype))
     return dc.mean(dc.sub(1.0, cos))
 
 

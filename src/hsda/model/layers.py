@@ -24,19 +24,20 @@ from ..diffcore import Tensor
 
 
 _DRAW_CHUNK = 8192  # float64 values: 64 KiB
+INIT_STD = 0.02
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """N(0, std^2) draws clipped to two standard deviations, in the default dtype.
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """N(0, INIT_STD^2) draws clipped to two standard deviations, in the default dtype.
 
-    Bit for bit np.clip(rng.normal(0, std, shape), -2 std, 2 std) cast to that
-    dtype, and rng ends in the state that one draw leaves.
+    Bit for bit np.clip(rng.normal(0, INIT_STD, shape), -2 INIT_STD, 2 INIT_STD)
+    cast to that dtype, and rng ends in the state that one draw leaves.
     """
     out = np.empty(shape, dtype=dc.default_dtype())
     flat = out.reshape(-1)
     for start in range(0, flat.size, _DRAW_CHUNK):
-        z = rng.normal(0.0, std, size=min(_DRAW_CHUNK, flat.size - start))
-        flat[start : start + z.size] = np.clip(z, -2.0 * std, 2.0 * std, out=z)
+        z = rng.normal(0.0, INIT_STD, size=min(_DRAW_CHUNK, flat.size - start))
+        flat[start : start + z.size] = np.clip(z, -2.0 * INIT_STD, 2.0 * INIT_STD, out=z)
     return out
 
 

@@ -17,18 +17,13 @@ from ..diffcore import Tensor
 from .layers import Conv1d, Conv2d, Mlp, Module
 
 
-def _halved(n: int) -> int:
-    # k=3, stride 2, pad 1 output size; 1 is a fixed point, never drops below.
-    return (n - 1) // 2 + 1
-
-
 class Rfm2d(Module):
     def __init__(self, channels: int, d_prime: int, in_hw: int, rng):
         self.pool = Conv2d(channels, channels, 3, rng, stride=2)
         self.pw1 = Conv2d(channels, channels, 1, rng)
         self.dw = Conv2d(channels, channels, 3, rng, groups=channels)
         self.pw2 = Conv2d(channels, channels, 1, rng, zero_init=True)
-        self.out_hw = _halved(in_hw)
+        self.out_hw = -(-in_hw // 2)  # the stride-2 conv's ceil(L / stride)
         self.summary = Mlp(channels * self.out_hw * self.out_hw, d_prime, d_prime, rng)
 
     def __call__(self, x: Tensor) -> Tuple[Tensor, Tensor]:

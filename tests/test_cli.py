@@ -91,6 +91,15 @@ class TestRunConfig:
         assert cfg.seed == 2
         assert cfg.n == 64
 
+        def merged(text, *flags):
+            path.write_text(text)
+            return cli._runconfig_from(cli.build_parser().parse_args(["train", "d.csv", "--config", str(path), *flags]))
+
+        cfg = merged("multiscale = true\ncontrastive_weight = 0.5\n", "--no-multiscale", "--no-contrastive")
+        assert (cfg.multiscale, cfg.contrastive_weight) == (False, 0.0)
+        cfg = merged("multiscale = false\ncontrastive_weight = 0.25\n")
+        assert (cfg.multiscale, cfg.contrastive_weight) == (False, 0.25)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         # the scale preset sets the canvas, so a size key is refused
@@ -536,6 +545,25 @@ class TestGradcheckCommand:
         assert sum(line.endswith("nan  FAIL") for line in lines) == 2
         assert lines[-1].startswith("max rel err nan over ")
 
+    def test_scale_from_flag_then_file_then_toy(self, tmp_path, capsys, monkeypatch):
+        from hsda import diffcore
+
+        # stands in for both checks: only the scale of the composed model is read
+        monkeypatch.setattr(diffcore, "primitive_checks", lambda seed: [])
+        monkeypatch.setattr(diffcore, "check_parameter_gradients", lambda *a, **kw: {"stem.w": 0.0})
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scale = synth\n")
+        for argv, scale in (
+            (["--config", str(cfg)], "synth"),
+            (["--config", str(cfg), "--scale", "toy"], "toy"),
+            ([], "toy"),
+        ):
+            assert cli.main(["gradcheck"] + argv) == 0
+            assert "composed %s model, batch 1" % scale in capsys.readouterr().out
+        cfg.write_text("scale = full\n")
+        assert cli.main(["gradcheck", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: gradcheck takes scale synth or toy, got 'full'\n"
+
 
 class TestExitCodesAndEnv:
     def test_usage_error_is_two(self):
@@ -551,12 +579,25 @@ class TestExitCodesAndEnv:
         err = capsys.readouterr().err
         assert "error:" in err and "run.cfg" in err
 
+    def test_config_byte_order_mark_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 5\n")
+        assert cli.main(["synth", "--n", "2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert "seed = 5\n" in (tmp_path / "o" / "config.txt").read_text()
+        # an undecodable byte is still named by its offset in the file, mark included
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 5\n# \xff\n")
+        assert cli.main(["synth", "--n", "2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "run.cfg: not utf-8 text (byte 14)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["many", "\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
     def test_bad_thread_cap_exits_one(self, tmp_path, monkeypatch, capsys, cap):
         monkeypatch.setenv("HSDA_THREADS", cap)
         assert cli.main(["synth", "--n", "2", "--out", str(tmp_path / "d")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: HSDA_THREADS ") and "Traceback" not in err
+        # the cap is read before the arguments are parsed
+        assert cli.main(["frobnicate"]) == 1
+        assert capsys.readouterr().err.startswith("error: HSDA_THREADS ")
 
     def test_thread_cap_pins_blas_pools(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HSDA_THREADS", "2")

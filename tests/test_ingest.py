@@ -85,6 +85,19 @@ class TestParse:
         with pytest.raises(ProtocolError, match="label"):
             parse_raw(write(tmp_path, "s,1,XX\n0,1,2,3\n"))
 
+    def test_header_refusal_names_its_line(self, tmp_path):
+        text = "a,1,HC\n0,1,2,3\n\nb,30,AD\n0,1,2,3\n\nc,2,XX\n0,1,2,3\n"
+        with pytest.raises(ProtocolError, match=r"^line 4: task_id 30 outside 1\.\.25$"):
+            parse_raw(write(tmp_path, text))
+        with pytest.raises(ProtocolError, match=r"^line 7: label 'XX' not one of"):
+            parse_raw(write(tmp_path, text.replace("b,30", "b,3")))
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfs1,1,HC\n0,1,2,3\n")
+        (r,) = parse_raw(path)
+        assert (r.subject_id, r.task_id, r.label) == ("s1", 1, "HC")
+
     def test_rows_sorted_by_timestamp(self, tmp_path):
         recs = parse_raw(write(tmp_path, "s,1,HC\n10,2,2,2\n0,1,1,1\n5,3,3,3\n"))
         np.testing.assert_array_equal(recs[0].t, [0.0, 5.0, 10.0])

@@ -634,11 +634,11 @@ class TestInitialization:
         [(1,), (_DRAW_CHUNK - 1,), (_DRAW_CHUNK,), (_DRAW_CHUNK + 1,), (3 * _DRAW_CHUNK + 5,), (96, 48, 3, 3)],
     )
     def test_chunked_draw_matches_one_shot_draw(self, shape, dtype):
-        std = 0.02
+        std = 0.02  # INIT_STD
         ref_rng, rng = make_rng(5, "init"), make_rng(5, "init")
         want = np.clip(ref_rng.normal(0.0, std, size=shape), -2 * std, 2 * std).astype(dtype)
         with dc.using_dtype(dtype):
-            got = trunc_normal(rng, shape, std)
+            got = trunc_normal(rng, shape)
         assert got.dtype == dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert rng.random() == ref_rng.random()
