@@ -513,7 +513,8 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # than its input. Either way the columns go once dw is taken, before the
 # equally large dcols exist. The output gradient comes in as (C_out, B * out);
 # conv_keys passes the transposed view of its channels-last gradient, not a
-# copy, and BLAS reads it transposed.
+# copy, and BLAS reads it transposed. A convolution no tape records keeps
+# nothing: its planes go as soon as its columns exist, before the GEMM.
 #
 # The map, zero-extended at its far end to stride times the output extent,
 # is split once into stride**nd phase planes of the output's extent, and each
@@ -606,20 +607,28 @@ def _col2im(dcols: np.ndarray, shape: Tuple[int, ...], kernel, stride: int) -> n
     return merged[(slice(None), slice(None)) + tuple(slice(L) for L in extent)]
 
 
-def _conv_core(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride: int, groups: int, need_dx: bool):
+def _conv_core(
+    x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray], stride: int, groups: int, need_dx: bool,
+    recorded: bool,
+):
     """(y, bwd) for a channel-major map x (C_in, B, *S): y is (C_out, B * out), bias added.
 
     bwd takes an output gradient of y's shape and returns (dx, dw), or (dx, dw, db) with a bias.
+    Unless recorded, bwd is None and nothing is kept for it.
     """
     C_out, B, kernel = w.shape[0], x.shape[1], w.shape[2:]
     planes = _planes(x, stride)
     cols = _im2col(planes, kernel, stride)
+    rebuild = cols.shape[1] > 1
+    # columns of more than one tap are rebuilt from the planes in backward; with none to come, the planes go now
+    kept = (planes if rebuild else cols) if recorded else None
+    del planes
     wg = w.reshape(groups, C_out // groups, -1)  # grouped weights times grouped columns, one stacked matmul
     y = np.matmul(wg, cols.reshape(groups, wg.shape[2], -1)).reshape(C_out, -1)
     if bias is not None:
         y += bias[:, None]
-    rebuild = cols.shape[1] > 1
-    kept = planes if rebuild else cols  # columns of more than one tap are rebuilt from the planes in backward
+    if not recorded:
+        return y, None
     x_shape = x.shape
 
     def bwd(gy):
@@ -663,8 +672,10 @@ def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, groups: int
 
     inputs = (x, w) if bias is None else (x, w, bias)
     bias_values = None if bias is None else bias.values
-    y, core_bwd = _conv_core(x.values, w.values, bias_values, stride, groups, x.requires_grad)
-    out = _out(y.reshape((C_out, B) + out_shape), _requires(*inputs))
+    requires = _requires(*inputs)
+    recorded = requires and active_tape() is not None
+    y, core_bwd = _conv_core(x.values, w.values, bias_values, stride, groups, x.requires_grad, recorded)
+    out = _out(y.reshape((C_out, B) + out_shape), requires)
     return _record(inputs, out, lambda g: core_bwd(g.reshape(C_out, -1)), name)
 
 
@@ -708,8 +719,10 @@ def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ConfigError("conv_keys kernel extent must be odd, got %d" % k)
     n = x.shape[-2]
     x_cm = np.ascontiguousarray(np.moveaxis(x.values, -1, 0)).reshape(C_in, -1, n)
-    y, core_bwd = _conv_core(x_cm, w.values, bias.values, 1, 1, x.requires_grad)
-    out = _out(np.ascontiguousarray(y.T).reshape(x.shape[:-1] + (C_out,)), _requires(x, w, bias))
+    requires = _requires(x, w, bias)
+    recorded = requires and active_tape() is not None
+    y, core_bwd = _conv_core(x_cm, w.values, bias.values, 1, 1, x.requires_grad, recorded)
+    out = _out(np.ascontiguousarray(y.T).reshape(x.shape[:-1] + (C_out,)), requires)
 
     def bwd(g):
         dx, dw, db = core_bwd(g.reshape(-1, C_out).T)

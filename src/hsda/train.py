@@ -13,7 +13,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,8 +36,32 @@ from .runconfig import TrainConfig
 log = logging.getLogger(__name__)
 
 
+class StrokeImage:
+    """A read-only (C, S, S) image kept as the int32 flat positions any channel lights and their (C, n) values.
+
+    A rendered stroke lights a few percent of its canvas. np.asarray rebuilds the dense array bit for
+    bit: a position is lit when any channel's bits there are not all zero, so even a -0.0 is kept.
+    """
+
+    __slots__ = ("shape", "dtype", "lit", "values")
+
+    def __init__(self, pixels: np.ndarray):
+        flat = pixels.reshape(pixels.shape[0], -1)
+        self.shape, self.dtype = pixels.shape, pixels.dtype
+        self.lit = np.flatnonzero(np.any(flat.view("u%d" % flat.itemsize), axis=0)).astype(np.int32)
+        self.values = flat[:, self.lit]
+        self.lit.flags.writeable = self.values.flags.writeable = False
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a StrokeImage has no dense array to view: densifying copies")
+        dense = np.zeros(self.shape, dtype=self.dtype)
+        dense.reshape(self.shape[0], -1)[:, self.lit] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 class Sample(NamedTuple):
-    image: np.ndarray  # (3, S, S) rendered stroke, in the default dtype
+    image: Union[np.ndarray, StrokeImage]  # (3, S, S) rendered stroke: np.asarray gives its dense bytes
     signal: np.ndarray  # (9, T) kinematic channels, each z-scored over the record, in the default dtype
     label: int
 
@@ -48,6 +72,8 @@ def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[S
     The label is the stroke's own; a stroke whose kinematics or canvas
     coordinates are not finite is dropped with a warning naming it. Image and
     signal are stored in the default dtype, the one the model casts them to.
+    The image is a StrokeImage: np.asarray, which the model applies to its
+    input, gives the dense (3, S, S) bytes.
     """
     dtype = dc.default_dtype()
     samples = []
@@ -58,13 +84,13 @@ def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[S
         except ProtocolError as exc:
             log.warning(drop_line(stroke, exc))
             continue
-        image, signal = canvas.pixels.astype(dtype, copy=False), sig.channels.astype(dtype, copy=False)
-        samples.append(Sample(image, signal, LABEL_TO_INDEX[stroke.label]))
+        image = StrokeImage(canvas.pixels.astype(dtype, copy=False))
+        samples.append(Sample(image, sig.channels.astype(dtype, copy=False), LABEL_TO_INDEX[stroke.label]))
     return samples
 
 
 def dataset_sha256(samples: Sequence[Sample]) -> str:
-    """sha256 over each sample's label, its arrays' dtypes and shapes, then their bytes, in order.
+    """sha256 over each sample's label, its arrays' dtypes and shapes, then their dense bytes, in order.
 
     The dtypes and shapes delimit the bytes: equal bytes split or typed otherwise hash apart.
     """
@@ -72,7 +98,7 @@ def dataset_sha256(samples: Sequence[Sample]) -> str:
     for s in samples:
         header = (s.label, s.image.dtype.str, s.image.shape, s.signal.dtype.str, s.signal.shape)
         digest.update(repr(header).encode())
-        digest.update(s.image.tobytes())
+        digest.update(np.asarray(s.image).tobytes())
         digest.update(s.signal.tobytes())
     return digest.hexdigest()
 
@@ -95,10 +121,11 @@ def sgd_step(
 ) -> None:
     """v <- momentum*v + (g + wd*w); w <- w - lr*v, both in place.
 
-    state[name] is the momentum buffer v of a parameter, made on the first
-    step. The six operations run in order block by block. A missing
-    gradient counts as zero; a non-finite one raises before its parameter
-    changes. Each updated parameter's .grad is None afterwards.
+    state[name] is the momentum buffer v of a parameter; a direct caller's
+    first step makes it (train_loop makes every buffer up front). The six
+    operations run in order block by block. A missing gradient counts as
+    zero; a non-finite one raises before its parameter changes. Each updated
+    parameter's .grad is None afterwards.
     """
     for name, t in params.items():
         _sgd_update(name, t, state, lr, momentum, weight_decay)
@@ -290,7 +317,8 @@ def train_loop(
         raise ProtocolError("fold %d has an empty train or validation set" % fold)
     params = model.parameter_dict()
     names = {id(t): name for name, t in params.items()}
-    state: Dict[str, np.ndarray] = {}
+    # every momentum buffer exists before the first forward, not on top of its tape in the first backward
+    state = {name: np.zeros_like(t.values) for name, t in params.items()}
     shuffle_rng = make_rng(cfg.seed, "shuffle", substream=1 + fold)
     history: List[Tuple[int, float, float, float]] = []
     # epoch 0 always beats -1 and fills best_state
@@ -365,12 +393,24 @@ def train_fold(
     return train_loop(model, templates, train_set, val_set, cfg, fold=fold)
 
 
+def state_sha256(state: Dict[str, np.ndarray]) -> str:
+    """sha256 over each entry's name, dtype and shape, then its bytes, in the state's order."""
+    digest = hashlib.sha256()
+    for name, values in state.items():
+        digest.update(repr((name, values.dtype.str, values.shape)).encode())
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
 @dataclass
 class ProtocolResult:
+    """fold_results[i].best_state is empty for every fold but best_fold; state_sha256[i] pins each."""
+
     fold_results: List[FoldResult]
     best_fold: int
     test_metrics: Metrics
     model: HsdaNet
+    state_sha256: List[str]
 
 
 def run_protocol(
@@ -380,12 +420,21 @@ def run_protocol(
     test_idx, folds = split_and_fold(labels, cfg)
     test_set = [dataset[i] for i in test_idx]
 
-    fold_results = [train_fold(dataset, folds, fold, model_cfg, cfg) for fold in range(len(folds))]
-    best_fold = max(range(len(fold_results)), key=lambda i: fold_results[i].best_val_acc)
+    fold_results, digests, best_fold = [], [], 0
+    for fold in range(len(folds)):
+        result = train_fold(dataset, folds, fold, model_cfg, cfg)
+        digests.append(state_sha256(result.best_state))
+        fold_results.append(result)
+        # only a strictly higher accuracy wins, so the first maximum stays best; the loser's weights go
+        if result.best_val_acc > fold_results[best_fold].best_val_acc:
+            fold_results[best_fold].best_state = {}
+            best_fold = fold
+        elif fold != best_fold:
+            result.best_state = {}
     model = HsdaNet(model_cfg, seed=cfg.seed)
     restore_parameters(model, fold_results[best_fold].best_state)
     metrics = evaluate(model, test_set, cfg.batch_size)
-    return ProtocolResult(fold_results, best_fold, metrics, model)
+    return ProtocolResult(fold_results, best_fold, metrics, model, digests)
 
 
 # ---------------------------------------------------------------------------

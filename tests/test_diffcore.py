@@ -5,6 +5,7 @@ triple-loop matmul and sliding-window convolutions, direct bin arithmetic for
 the adaptive pools. Gradients are verified against central differences.
 """
 
+import contextlib
 import itertools
 import tracemalloc
 import weakref
@@ -881,6 +882,27 @@ class TestTapeMemory:
         assert live < 1.1 * x.values.nbytes < cols_bytes / 2, (live, x.values.nbytes, cols_bytes)
         backward(y, tape)
         assert x.grad is not None and w.grad is not None
+
+    def test_untaped_stride2_conv_drops_its_phase_planes_before_the_gemm(self):
+        # with nothing to record, only the columns and the output are live at the GEMM; the bits stay the same
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(4, 2, 32, 32)))
+        w = Tensor(rng.normal(size=(32, 4, 3, 3)), requires_grad=True)
+        planes_bytes = x.values.nbytes
+        cols_bytes, y_bytes = 9 * 4 * 2 * 16 * 16 * x.values.itemsize, 32 * 2 * 16 * 16 * x.values.itemsize
+        assert y_bytes > planes_bytes  # so the planes beside the columns are not the peak by themselves
+        peaks, outputs = [], []
+        for taped in (True, False):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                with Tape() if taped else contextlib.nullcontext():
+                    outputs.append(conv2d(x, w, stride=2).values)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < cols_bytes + y_bytes + planes_bytes / 2 < peaks[0], (peaks, cols_bytes, y_bytes)
+        assert outputs[0].tobytes() == outputs[1].tobytes()
 
     def test_pairwise_absdiff_keeps_one_byte_per_difference(self):
         rng = np.random.default_rng(5)

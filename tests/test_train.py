@@ -20,6 +20,7 @@ from hsda.model import HsdaNet, ModelConfig, restore_parameters, synth_config, t
 from hsda.train import (
     Metrics,
     Sample,
+    StrokeImage,
     TrainConfig,
     build_dataset,
     cosine_lr,
@@ -28,6 +29,7 @@ from hsda.train import (
     run_protocol,
     sgd_step,
     split_and_fold,
+    state_sha256,
     train_fold,
     train_loop,
     write_history_csv,
@@ -459,6 +461,20 @@ class TestTrainLoop:
         assert len(result.history) == 2
         assert events == ["backward", "sgd_step"] * 4
 
+    def test_momentum_buffers_exist_before_the_first_update(self, monkeypatch):
+        # made up front, so the first backward's high-water mark does not carry them too
+        update, seen = train._sgd_update, []
+
+        def checking_update(name, t, state, *args):
+            assert name in state, name
+            seen.append(name)
+            return update(name, t, state, *args)
+
+        monkeypatch.setattr(train, "_sgd_update", checking_update)
+        model_params = HsdaNet(toy_config(), seed=3).parameter_dict()
+        self.loop(max_epochs=1, patience=1)  # 6 samples in batches of 4
+        assert sorted(seen) == sorted(list(model_params) * 2)
+
     def test_separable_data_reaches_full_val_accuracy(self):
         # synth-scale model on generator data; at this reduced data volume
         # takeoff is seed-dependent, so the seed is load-bearing. The test
@@ -584,13 +600,33 @@ class TestProtocol:
         cfg = TrainConfig(seed=4, batch_size=4, max_epochs=2, patience=2)
         a = run_protocol(dataset, toy_config(), cfg)
         _, folds = split_and_fold([s.label for s in dataset], cfg)
-        assert len(a.fold_results) == len(folds) == cfg.k_folds
+        assert len(a.fold_results) == len(a.state_sha256) == len(folds) == cfg.k_folds
         for fold, ra in enumerate(a.fold_results):
             rb = train_fold(dataset, folds, fold, toy_config(), cfg)
             assert rb.fold == fold and rb.history == ra.history
-            assert list(rb.best_state) == list(ra.best_state) == list(a.model.parameter_dict())
-            for name, values in rb.best_state.items():
-                assert same_arrays(values, ra.best_state[name]), (fold, name)
+            assert list(rb.best_state) == list(a.model.parameter_dict())
+            assert state_sha256(rb.best_state) == a.state_sha256[fold], fold
+        assert state_sha256(a.fold_results[a.best_fold].best_state) == a.state_sha256[a.best_fold]
+
+    def test_only_the_first_best_fold_keeps_its_weights(self, monkeypatch):
+        # a beaten fold's weights go as soon as a later fold beats it; a tie keeps the earlier fold
+        accs, loop, refs, alive = iter([0.5, 0.75, 0.75, 0.25]), train.train_loop, [], []
+
+        def fixed_acc_loop(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(r() is not None for r in refs))
+            result = loop(*args, **kwargs)
+            result.best_val_acc = next(accs)
+            refs.append(weakref.ref(result.best_state["classifier.w"]))
+            return result
+
+        monkeypatch.setattr(train, "train_loop", fixed_acc_loop)
+        cfg = TrainConfig(seed=4, batch_size=4, max_epochs=1, patience=1)
+        result = run_protocol(tiny_samples(20, seed=21), toy_config(), cfg)
+        assert result.best_fold == 1
+        assert [bool(r.best_state) for r in result.fold_results] == [False, True, False, False]
+        assert alive == [0, 1, 1, 1]  # while a fold trains, only the best state so far is held
+        assert len(set(result.state_sha256)) == cfg.k_folds
 
 
 class TestArtifacts:
@@ -653,6 +689,25 @@ class TestBuildDataset:
         wide, _ = model(wide_images, wide_signals)
         np.testing.assert_array_equal(narrow.values.view(np.uint32), wide.values.view(np.uint32))
 
+    def test_images_are_stored_as_their_lit_positions(self):
+        # a rendered stroke lights a few percent of a 128-px canvas; only those positions are kept
+        records = synth_generate(4, seed=0)
+        for s, record in zip(build_dataset(records, canvas_size=128), records):
+            assert s.image.lit.nbytes + s.image.values.nbytes <= 0.1 * 3 * 128 * 128 * 4
+            dense = render_image(record, size=128).pixels.astype(np.float32)
+            assert same_arrays(np.asarray(s.image), dense)
+
+    def test_stroke_image_densifies_to_the_same_bytes(self):
+        pixels = np.zeros((3, 5, 5))
+        pixels[0, 1, 2], pixels[1, 1, 2], pixels[2, 4, 4], pixels[1, 0, 0] = 0.5, np.nan, -0.0, 1.0
+        image = StrokeImage(pixels)
+        assert image.shape == (3, 5, 5) and image.dtype == np.float64
+        assert list(image.lit) == [0, 7, 24]
+        assert same_arrays(np.asarray(image), pixels)
+        assert same_arrays(np.asarray([image, image], dtype=np.float32), np.stack([pixels] * 2).astype(np.float32))
+        with pytest.raises(ValueError):
+            image.values[0, 0] = 2.0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_kinematics_dropped(self, caplog):
         good, _ = synth_generate(1, seed=0)
@@ -708,6 +763,15 @@ class TestDatasetDigest:
             wide = build_dataset(records, canvas_size=16)
         assert dataset_sha256(narrow) == dataset_sha256(build_dataset(records, canvas_size=16))
         assert dataset_sha256(narrow) != dataset_sha256(wide)
+
+    def test_digests_of_densely_stored_datasets_still_hold(self):
+        # checkpoints trained when images were stored dense carry these data_sha256 values
+        records = synth_generate(2, seed=0)
+        narrow = dataset_sha256(build_dataset(records, canvas_size=16))
+        with dc.using_dtype(np.float64):
+            wide = dataset_sha256(build_dataset(records, canvas_size=16))
+        assert narrow == "154a263bcd33a6ef71990a6901444a2ee1d55d1a3243fa7c86ad019d9c8f7c3d"
+        assert wide == "1cc13b18cd5bcb2e110a3a8316c2b3b3f83b9044887f26b785d302b9f9c9a2cb"
 
 
 class TestTrainConfigGuards:
