@@ -100,13 +100,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
     records = parse_raw(args.raw)
     out = _prepare_out(cfg)
-    lines, subjects = [], []
+    lines, subjects, seen = [], [], set()
     kept = dropped = 0
     for r in records:
         if r.subject_id not in subjects:
             subjects.append(r.subject_id)
         try:
-            seq, outliers = clean_record(r, cfg.z_max)
+            seq, outliers = clean_record(r, cfg.z_max, seen)
             signals = kinematic_features(seq)
         except ProtocolError as exc:
             dropped += 1
@@ -116,7 +116,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         write_signal_csv(signals, os.path.join(out, filename))
         kept += 1
         lines.append("%s: ok, outliers replaced %d -> %s" % (record_name(r), outliers, filename))
-    with open(os.path.join(out, "manifest.txt"), "w") as fh:
+    with open(os.path.join(out, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("subjects: %s\n" % " ".join(subjects))
         fh.write("kept: %d\ndropped: %d\n" % (kept, dropped))
         for line in lines:
@@ -348,7 +348,7 @@ def main(argv=None) -> int:
         _pin_threads()  # before parsing: a bad HSDA_THREADS exits 1 even when the usage is wrong
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ProtocolError, FloatingPointError, OSError) as exc:
+    except (ConfigError, ProtocolError, FloatingPointError, OSError, UnicodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

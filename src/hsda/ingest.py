@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -259,13 +259,20 @@ class Cleaned(NamedTuple):
     outliers: int  # samples whose x, y or p the outlier repair changed
 
 
-def clean_record(r: RawRecord, z_max: float) -> Cleaned:
-    """merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers.
+def clean_record(r: RawRecord, z_max: float, seen: Optional[Set[Tuple[str, int]]] = None) -> Cleaned:
+    """repeat check -> merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers.
 
-    A record that any step refuses raises ProtocolError naming why: too few
-    valid samples, outlier flags that leave fewer than two samples to refill
-    the rest from, or an interpolation that overflows.
+    seen holds the (subject, task) of the blocks before r in the same input,
+    whether they were kept or not; r joins it. A record that any step refuses
+    raises ProtocolError naming why: it repeats an earlier block's subject and
+    task (the first block stands), too few valid samples, outlier flags that
+    leave fewer than two samples to refill the rest from, or an interpolation
+    that overflows.
     """
+    if seen is not None:
+        if (r.subject_id, r.task_id) in seen:
+            raise ProtocolError("repeats an earlier block")
+        seen.add((r.subject_id, r.task_id))
     r = merge_duplicate_times(r)
     if not salvageable(r):
         raise ProtocolError("too few valid samples")
@@ -283,13 +290,14 @@ def clean_record(r: RawRecord, z_max: float) -> Cleaned:
 def preprocess(records: Iterable[RawRecord], z_max: float = RunConfig.z_max) -> List[StrokeSequence]:
     """clean_record on every record; the kept sequences, in input order.
 
-    A record that clean_record refuses is dropped with a warning that gives
-    the reason. Other records of the same subject are unaffected.
+    A record that clean_record refuses, a repeat of an earlier block among
+    them, is dropped with a warning that gives the reason. Other records of
+    the same subject are unaffected.
     """
-    kept = []
+    kept, seen = [], set()
     for r in records:
         try:
-            kept.append(clean_record(r, z_max).sequence)
+            kept.append(clean_record(r, z_max, seen).sequence)
         except ProtocolError as exc:
             log.warning(drop_line(r, exc))
     return kept

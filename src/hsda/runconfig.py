@@ -156,7 +156,7 @@ def make_runconfig(path=None, overrides: Optional[Mapping[str, object]] = None) 
 
 def write_config_file(path, settings: Mapping[str, object], comment: str) -> None:
     """A `# comment` line, then one key = value line per setting, in order."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# %s\n" % comment)
         for key, value in settings.items():
             if isinstance(value, bool):

@@ -442,13 +442,13 @@ def run_protocol(
 
 
 def write_history_csv(path: str, history: Sequence[Tuple[int, float, float, float]]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,lr,train_loss,val_acc\n")
         for epoch, lr, loss_value, acc in history:
             fh.write("%d,%.17g,%.17g,%.17g\n" % (epoch, lr, loss_value, acc))
 
 
 def write_metrics(path: str, metrics: Metrics) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in metrics.as_dict().items():
             fh.write("%s=%s\n" % (key, value))

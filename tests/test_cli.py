@@ -44,6 +44,24 @@ HUGE_KINEMATICS_RAW = """b,1,HC
 35.0,1.169467856889077,1.752644835086882,-0.521113075241252
 """
 
+# s01 task 01 twice, with different samples: the first block stands
+REPEATED_BLOCK_RAW = """s01,1,HC
+0,0.0,0.0,0.5
+5,0.1,0.2,0.5
+10,0.2,0.4,0.6
+15,0.3,0.5,0.6
+20,0.5,0.6,0.7
+25,0.6,0.6,0.7
+
+s01,1,HC
+0,1.0,0.0,0.5
+5,0.8,0.3,0.5
+10,0.5,0.7,0.6
+15,0.1,0.9,0.6
+20,0.0,1.2,0.7
+25,0.2,1.4,0.7
+"""
+
 FAST_TRAIN = "max_epochs = 2\npatience = 2\nbatch_size = 4\n"
 
 
@@ -245,6 +263,23 @@ class TestPreprocessCommand:
             "s04 task 04": "(kinematic channel speed is not finite)",
         }
 
+    def test_repeated_block_dropped_and_the_first_kept(self, tmp_path):
+        from hsda.features import kinematic_features, write_signal_csv
+        from hsda.ingest import clean_record, parse_raw
+
+        raw = tmp_path / "twice.csv"
+        raw.write_text(REPEATED_BLOCK_RAW)
+        out = tmp_path / "sig"
+        assert cli.main(["preprocess", str(raw), "--out", str(out)]) == 0
+        manifest = open(out / "manifest.txt").read()
+        assert "kept: 1\ndropped: 1\n" in manifest
+        assert manifest.splitlines()[-1] == "s01 task 01: dropped (repeats an earlier block)"
+        assert sorted(f for f in os.listdir(out) if f.endswith(".csv")) == ["s01_task01.csv"]
+        expected = tmp_path / "expected.csv"
+        first = parse_raw(str(raw))[0]
+        write_signal_csv(kinematic_features(clean_record(first, RunConfig.z_max).sequence), str(expected))
+        assert (out / "s01_task01.csv").read_bytes() == expected.read_bytes()
+
     def test_non_utf8_raw_exits_one(self, tmp_path, capsys):
         raw = tmp_path / "latin.csv"
         raw.write_bytes(TWO_SUBJECT_RAW.encode() + b"s05,1,HC\n0,\xff,0,0.5\n")
@@ -311,6 +346,19 @@ class TestRenderCommand:
             "s03 task 02: dropped (outlier repair flags 40 of 40 samples, fewer than 2 left to refill from)",
             "s04 task 04: dropped (kinematic channel speed is not finite)",
         ]
+
+    def test_repeated_block_named_on_stderr(self, tmp_path):
+        raw = tmp_path / "twice.csv"
+        raw.write_text(REPEATED_BLOCK_RAW)
+        out = tmp_path / "img"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsda.__file__)))
+        argv = ["render", str(raw), "--scale", "toy", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsda.cli"] + argv, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["s01 task 01: dropped (repeats an earlier block)"]
+        assert sorted(f for f in os.listdir(out) if f.endswith(".ppm")) == ["s01_task01.ppm"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_color_range_overflow_is_a_dropped_record(self, tmp_path, capsys):
@@ -425,6 +473,16 @@ class TestTrainEvaluateCommands:
         assert cli.main(argv) == 1
         assert "checkpoint sidecar is missing 'data_sha256'" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "metrics.txt").exists()
+
+    def test_repeated_block_across_files_kept_once(self, tmp_path):
+        # train and evaluate read every file of a directory as one input
+        data = tmp_path / "data"
+        data.mkdir()
+        first, again = REPEATED_BLOCK_RAW.split("\n\n")
+        (data / "a.csv").write_text(first + "\n")
+        (data / "b.csv").write_text(again)
+        (seq,) = cli._load_sequences(str(data), RunConfig())
+        np.testing.assert_array_equal(seq.x, [0.0, 0.1, 0.2, 0.3, 0.5, 0.6])
 
     def test_seed_changes_history(self, tmp_path):
         a = self.train(tmp_path, tmp_path / "a")
@@ -572,6 +630,46 @@ class TestExitCodesAndEnv:
                 cli.main(argv)
             assert exc.value.code == 2
 
+    def test_files_written_as_utf8_not_in_the_locale_encoding(self, tmp_path):
+        # numpy's savetxt warns on its own, so only hsda's opens are made fatal
+        script = (
+            "import sys, warnings\n"
+            "warnings.filterwarnings('error', category=EncodingWarning, module=r'hsda\\.')\n"
+            "from hsda.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsda.__file__)))
+        data, train = str(tmp_path / "data" / "synthetic.csv"), str(tmp_path / "train")
+        commands = [
+            ["synth", "--n", "6", "--seed", "7", "--out", str(tmp_path / "data")],
+            ["preprocess", data, "--out", str(tmp_path / "sig")],
+            ["train", data, "--config", write_fast_cfg(tmp_path), "--scale", "toy", "--out", train],
+            ["evaluate", data, "--checkpoint", os.path.join(train, "checkpoint.bin"), "--out", str(tmp_path / "ev")],
+        ]
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-c", script] + argv,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess"])
+    def test_name_the_locale_cannot_encode_exits_one(self, tmp_path, command):
+        # an ASCII locale without UTF-8 mode: neither the path nor the sidecar can hold "é"
+        raw = tmp_path / "raw.csv"
+        raw.write_text(REPEATED_BLOCK_RAW.split("\n\n")[0].replace("s01", "hc_\u00e900") + "\n", encoding="utf-8")
+        argv = {"synth": ["synth", "--n", "2", "--out", "d\u00e9"], "preprocess": ["preprocess", str(raw)]}[command]
+        src = os.path.dirname(os.path.dirname(hsda.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsda.cli"] + argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = 1\n# \xff\n")
@@ -693,6 +791,7 @@ class TestWholeFiles:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "OSError", _Unreachable, raising=False)
             mp.setattr(cli, "FloatingPointError", _Unreachable, raising=False)
+            mp.setattr(cli, "UnicodeError", _Unreachable, raising=False)
             for argv in commands:
                 if argv[0] == "evaluate" and codes[-1]:
                     break  # no checkpoint to evaluate

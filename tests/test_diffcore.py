@@ -1110,6 +1110,43 @@ class TestGradients:
         assert step - set(names) == set()
         assert len(step) >= 20
 
+    # one line per (call, input): the gradcheck report reads these names
+    CHECK_NAMES = """
+        add:lhs add:rhs add:scalar sub:lhs sub:rhs mul:lhs mul:rhs mul:scalar neg sigmoid relu log clamp_min
+        sum:all sum:axis0 sum:axis1-keep mean:all mean:axis1 max:axis1 max:axis0-keep
+        reshape flatten permute transpose transpose:batched concat:first concat:second
+        matmul:lhs matmul:rhs matmul:batched-lhs matmul:batched-rhs matmul:paired-lhs matmul:paired-rhs
+        add_bias:mat add_bias:vec add_bias:batched-x add_bias:batched-vec add_bias:batched-mat
+        scale_rows:mat scale_rows:s scale_rows:batched-mat scale_rows:batched-s
+        pairwise_absdiff:q pairwise_absdiff:k pairwise_absdiff:batched-q pairwise_absdiff:batched-k
+        softmax_rows softmax_rows:batched layer_norm:x layer_norm:gamma layer_norm:beta
+        layer_norm:axis1-x layer_norm:axis1-gamma layer_norm:axis1-beta cosine_rows:a cosine_rows:b max_pool1d
+        conv1d:x conv1d:w conv1d:b conv1d:stride2 conv1d:depthwise conv1d:grouped-x conv1d:grouped-w
+        conv2d:x conv2d:w conv2d:b conv2d:stride2 conv2d:depthwise conv2d:pointwise conv2d:grouped-x conv2d:grouped-w
+        add_centered:a add_centered:b add_centered:1-tap conv_keys:x conv_keys:w conv_keys:b
+        layer_norm:axis0-x layer_norm:axis0-gamma layer_norm:axis0-beta
+    """.split()
+
+    def test_every_checked_input_reported_once(self):
+        names = [name for name, _ in primitive_checks(0)]
+        assert len(self.CHECK_NAMES) == 81
+        assert len(names) == len(set(names))
+        assert set(names) == set(self.CHECK_NAMES)
+
+    def test_primitive_checks_record_only_64_bit_nodes(self, monkeypatch):
+        # a constant made at the 32-bit default drags ops such as add_centered down to float32
+        dtypes = []
+        record = Tape.record
+
+        def spy(tape, inputs, output, backward_fn, name):
+            dtypes.append((name, output.dtype))
+            return record(tape, inputs, output, backward_fn, name)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        primitive_checks(0)
+        assert len(dtypes) >= 81
+        assert [(name, dtype) for name, dtype in dtypes if dtype != np.float64] == []
+
     def test_composed_expression(self):
         # small stem-like composite: conv2d -> relu -> pool-ish mean -> linear
         rng = make_rng(9, "check")

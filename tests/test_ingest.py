@@ -251,7 +251,7 @@ class TestDropIncomplete:
 
     def test_unsalvageable_channel_dropped(self):
         bad = make_record(10, x=np.full(10, np.nan))
-        assert preprocess([bad, make_record(10)]) != []
+        assert preprocess([bad, make_record(10, task_id=2)]) != []
         assert len(preprocess([bad])) == 0
 
     def test_record_blanked_by_outlier_repair_dropped(self, caplog):
@@ -270,7 +270,7 @@ class TestDropIncomplete:
         ]
 
     def test_identity_when_complete(self):
-        recs = [make_record(10, seed=i) for i in range(3)]
+        recs = [make_record(10, seed=i, task_id=i + 1) for i in range(3)]
         kept = preprocess(recs)
         assert len(kept) == len(recs)
         for seq, r in zip(kept, recs):
@@ -278,6 +278,29 @@ class TestDropIncomplete:
 
     def test_empty_input(self):
         assert preprocess([]) == []
+
+
+class TestRepeatedBlocks:
+    def test_repeat_dropped_and_the_first_block_kept(self, caplog):
+        from hsda.train import build_dataset
+
+        first, again = make_record(20, seed=0), make_record(20, seed=1)
+        kept = preprocess([first, again, make_record(20, seed=2, task_id=2)])
+        assert [s.task_id for s in kept] == [1, 2]
+        np.testing.assert_array_equal(kept[0].x, first.x)
+        assert [rec.getMessage() for rec in caplog.records] == ["s1 task 01: dropped (repeats an earlier block)"]
+        assert len(build_dataset(preprocess([first, again]), canvas_size=16)) == 1
+
+    def test_repeat_of_a_dropped_block_also_dropped(self, caplog):
+        kept = preprocess([make_record(3), make_record(20)])
+        assert kept == []
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "s1 task 01: dropped (too few valid samples)",
+            "s1 task 01: dropped (repeats an earlier block)",
+        ]
+
+    def test_same_task_of_another_subject_kept(self):
+        assert len(preprocess([make_record(20), make_record(20, subject_id="s2")])) == 2
 
 
 class TestDuplicateTimes:
