@@ -62,6 +62,11 @@ def _record_stem(r) -> str:
     return "%s_task%02d" % (r.subject_id, r.task_id)
 
 
+def _unencodable(filename: str, exc: UnicodeEncodeError) -> str:
+    """The drop reason of a record whose output file name the file system cannot encode."""
+    return "the file name %s cannot be encoded in %s" % (filename, exc.encoding)
+
+
 def _model_config(cfg: RunConfig, **overrides):
     from .model import ModelConfig, synth_config, toy_config
 
@@ -113,7 +118,12 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
             lines.append(drop_line(r, exc))
             continue
         filename = _record_stem(r) + ".csv"
-        write_signal_csv(signals, os.path.join(out, filename))
+        try:
+            write_signal_csv(signals, os.path.join(out, filename))
+        except UnicodeEncodeError as exc:
+            dropped += 1
+            lines.append(drop_line(r, _unencodable(filename, exc)))
+            continue
         kept += 1
         lines.append("%s: ok, outliers replaced %d -> %s" % (record_name(r), outliers, filename))
     with open(os.path.join(out, "manifest.txt"), "w", encoding="utf-8") as fh:
@@ -140,7 +150,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         except ProtocolError as exc:
             print(drop_line(seq, exc), file=sys.stderr)
             continue
-        write_ppm(canvas, os.path.join(out, _record_stem(seq) + ".ppm"))
+        filename = _record_stem(seq) + ".ppm"
+        try:
+            write_ppm(canvas, os.path.join(out, filename))
+        except UnicodeEncodeError as exc:
+            print(drop_line(seq, _unencodable(filename, exc)), file=sys.stderr)
+            continue
         written += 1
     print("%d images (%dx%d) -> %s" % (written, size, size, out))
     return 0

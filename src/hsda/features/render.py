@@ -7,6 +7,8 @@ its pressure is above 0. Each segment between consecutive on-paper samples
 is resampled into steps of at most one pixel, the way ``np.linspace`` spaces
 its points; each step is a Bresenham line between its rounded end points.
 All steps are painted in trace order and the last write to a pixel wins.
+The canvas keeps only the painted pixels, their positions and final colors;
+a dense array is made when asked for.
 Color carries the dynamics: R, G, B are the min-max normalized pressure
 rate, acceleration, and angular speed of the nearer sample, mapped to
 [0.1, 1.0] so stroke pixels never fade to background.
@@ -15,7 +17,6 @@ rate, acceleration, and angular speed of the nearer sample, mapped to
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +30,35 @@ COLOR_FLOOR = 0.1
 MARGIN_PX = 4
 
 
-@dataclass
 class RgbCanvas:
-    """Square RGB image, channels-first, values in [0, 1], background 0."""
+    """A read-only square RGB image, channels-first, values in [0, 1], background 0.
 
-    pixels: np.ndarray  # (3, H, W)
+    It keeps what the stroke paints: the sorted int32 flat positions `lit` and their (3, n) colors
+    `values`. `.pixels` and np.asarray give the dense (3, S, S) array, a fresh copy each time.
+    """
 
-    def __post_init__(self):
-        if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
-            raise ValueError("expected (3, H, W) pixels, got %s" % (self.pixels.shape,))
-        if not (self.pixels.min() >= 0 and self.pixels.max() <= 1):  # False for NaN too
+    __slots__ = ("shape", "dtype", "lit", "values")
+
+    def __init__(self, size: int, lit: np.ndarray, values: np.ndarray):
+        if not np.all((values >= 0) & (values <= 1)):  # False for NaN too
             raise ValueError("pixel values outside [0, 1]")
+        self.shape, self.dtype = (3, size, size), values.dtype
+        self.lit, self.values = lit.astype(np.int32), values
+        self.lit.flags.writeable = self.values.flags.writeable = False
+
+    @property
+    def pixels(self) -> np.ndarray:
+        return np.asarray(self)
+
+    def astype(self, dtype) -> "RgbCanvas":
+        return RgbCanvas(self.shape[1], self.lit, self.values.astype(dtype))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("an RgbCanvas has no dense array to view: densifying copies")
+        dense = np.zeros(self.shape, dtype=self.dtype)
+        dense.reshape(3, -1)[:, self.lit] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 def _minmax_unit(v: np.ndarray) -> np.ndarray:
@@ -51,7 +70,7 @@ def _minmax_unit(v: np.ndarray) -> np.ndarray:
 
 
 def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
-    """Rasterize one stroke sequence onto a size x size canvas.
+    """Rasterize one stroke sequence onto a size x size canvas; no on-paper segment leaves it empty.
 
     Kinematics, colors or canvas coordinates that are not finite raise ProtocolError.
     """
@@ -71,7 +90,6 @@ def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
     y = np.asarray(s.y, dtype=np.float64)
     xmin, xmax = x.min(), x.max()
     ymin, ymax = y.min(), y.max()
-    canvas = np.zeros((3, size, size), dtype=np.float64)
     center = (size - 1) / 2.0
     # a subnormal extent overflows the scale, and coordinates near the float
     # limit overflow the extent (scale 0) or the midpoint: all are refused below
@@ -84,8 +102,7 @@ def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
     if extent == 0.0:
         log.warning("%s: degenerate bounding box, rendering a single pixel", record_name(s))
         ci = int(round(center))
-        canvas[:, ci, ci] = colors[:, 0]
-        return RgbCanvas(canvas)
+        return RgbCanvas(size, np.array([ci * size + ci]), colors[:, :1])
     if not (0.0 < scale < np.inf and np.all(np.isfinite(col)) and np.all(np.isfinite(row))):
         raise ProtocolError("pen coordinates overflow the canvas mapping")
 
@@ -119,14 +136,12 @@ def render_image(s: StrokeSequence, size: int) -> RgbCanvas:
     pixel = (rr * size + cc)[write]
     # the first hit in reverse order is the last write, which wins
     pixel, last = np.unique(pixel[::-1], return_index=True)
-    canvas.reshape(3, -1)[:, pixel] = colors[:, color_of[::-1][last]]
-
-    return RgbCanvas(canvas)
+    return RgbCanvas(size, pixel, colors[:, color_of[::-1][last]])
 
 
 def write_ppm(canvas: RgbCanvas, path) -> None:
     """Binary portable pixmap, maxval 255."""
-    h, w = canvas.pixels.shape[1:]
+    h, w = canvas.shape[1:]
     data = np.clip(np.rint(canvas.pixels * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))

@@ -156,12 +156,14 @@ def make_runconfig(path=None, overrides: Optional[Mapping[str, object]] = None) 
 
 def write_config_file(path, settings: Mapping[str, object], comment: str) -> None:
     """A `# comment` line, then one key = value line per setting, in order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# %s\n" % comment)
-        for key, value in settings.items():
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            fh.write("%s = %s\n" % (key, value))
+    text = "# %s\n" % comment
+    for key, value in settings.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        text += "%s = %s\n" % (key, value)
+    data = text.encode("utf-8")  # before the open: a value UTF-8 cannot hold leaves no file behind
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_runconfig(cfg: RunConfig, path) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor, make_rng
 from .errors import ConfigError, ProtocolError
-from .features import kinematic_features, render_image
+from .features import RgbCanvas, kinematic_features, render_image
 from .ingest import LABEL_TO_INDEX, StrokeSequence, drop_line
 from .loss import (
     Templates,
@@ -36,32 +36,8 @@ from .runconfig import TrainConfig
 log = logging.getLogger(__name__)
 
 
-class StrokeImage:
-    """A read-only (C, S, S) image kept as the int32 flat positions any channel lights and their (C, n) values.
-
-    A rendered stroke lights a few percent of its canvas. np.asarray rebuilds the dense array bit for
-    bit: a position is lit when any channel's bits there are not all zero, so even a -0.0 is kept.
-    """
-
-    __slots__ = ("shape", "dtype", "lit", "values")
-
-    def __init__(self, pixels: np.ndarray):
-        flat = pixels.reshape(pixels.shape[0], -1)
-        self.shape, self.dtype = pixels.shape, pixels.dtype
-        self.lit = np.flatnonzero(np.any(flat.view("u%d" % flat.itemsize), axis=0)).astype(np.int32)
-        self.values = flat[:, self.lit]
-        self.lit.flags.writeable = self.values.flags.writeable = False
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a StrokeImage has no dense array to view: densifying copies")
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        dense.reshape(self.shape[0], -1)[:, self.lit] = self.values
-        return dense if dtype is None else dense.astype(dtype, copy=False)
-
-
 class Sample(NamedTuple):
-    image: Union[np.ndarray, StrokeImage]  # (3, S, S) rendered stroke: np.asarray gives its dense bytes
+    image: Union[np.ndarray, RgbCanvas]  # (3, S, S) rendered stroke: np.asarray gives its dense bytes
     signal: np.ndarray  # (9, T) kinematic channels, each z-scored over the record, in the default dtype
     label: int
 
@@ -72,19 +48,18 @@ def build_dataset(strokes: Sequence[StrokeSequence], canvas_size: int) -> List[S
     The label is the stroke's own; a stroke whose kinematics or canvas
     coordinates are not finite is dropped with a warning naming it. Image and
     signal are stored in the default dtype, the one the model casts them to.
-    The image is a StrokeImage: np.asarray, which the model applies to its
-    input, gives the dense (3, S, S) bytes.
+    The image is render's RgbCanvas, its painted values cast: np.asarray,
+    which the model applies to its input, gives the dense (3, S, S) bytes.
     """
     dtype = dc.default_dtype()
     samples = []
     for stroke in strokes:
         try:
             sig = kinematic_features(stroke)
-            canvas = render_image(stroke, size=canvas_size)
+            image = render_image(stroke, size=canvas_size).astype(dtype)
         except ProtocolError as exc:
             log.warning(drop_line(stroke, exc))
             continue
-        image = StrokeImage(canvas.pixels.astype(dtype, copy=False))
         samples.append(Sample(image, sig.channels.astype(dtype, copy=False), LABEL_TO_INDEX[stroke.label]))
     return samples
 

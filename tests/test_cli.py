@@ -656,19 +656,46 @@ class TestExitCodesAndEnv:
             )
             assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("command", ["synth", "preprocess"])
-    def test_name_the_locale_cannot_encode_exits_one(self, tmp_path, command):
-        # an ASCII locale without UTF-8 mode: neither the path nor the sidecar can hold "é"
-        raw = tmp_path / "raw.csv"
-        raw.write_text(REPEATED_BLOCK_RAW.split("\n\n")[0].replace("s01", "hc_\u00e900") + "\n", encoding="utf-8")
-        argv = {"synth": ["synth", "--n", "2", "--out", "d\u00e9"], "preprocess": ["preprocess", str(raw)]}[command]
+    @staticmethod
+    def run_in_ascii_locale(tmp_path, argv):
+        # an ASCII locale without UTF-8 mode: the file system cannot encode "é"
         src = os.path.dirname(os.path.dirname(hsda.__file__))
         env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "hsda.cli"] + argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
         )
+
+    def test_out_dir_the_locale_cannot_encode_exits_one(self, tmp_path):
+        proc = self.run_in_ascii_locale(tmp_path, ["synth", "--n", "2", "--out", "d\u00e9"])
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("command", ["preprocess", "render"])
+    def test_record_name_the_locale_cannot_encode_is_dropped(self, tmp_path, command):
+        first, second = REPEATED_BLOCK_RAW.split("\n\n")
+        raw = tmp_path / "raw.csv"
+        raw.write_text(first.replace("s01", "hc_000") + "\n\n" + second.replace("s01", "hc_\u00e900"), encoding="utf-8")
+        argv = {"preprocess": ["preprocess", str(raw)], "render": ["render", str(raw), "--scale", "toy"]}[command]
+        proc = self.run_in_ascii_locale(tmp_path, argv)
+        assert proc.returncode == 0, proc.stderr
+        suffix = {"preprocess": ".csv", "render": ".ppm"}[command]
+        assert sorted(f for f in os.listdir(tmp_path / "out") if f.endswith(suffix)) == ["hc_000_task01" + suffix]
+        drop = "hc_\u00e900 task 01: dropped (the file name hc_\u00e900_task01%s cannot be encoded in ascii)" % suffix
+        if command == "preprocess":
+            manifest = (tmp_path / "out" / "manifest.txt").read_text(encoding="utf-8").splitlines()
+            assert manifest[1:] == [
+                "kept: 1", "dropped: 1", "hc_000 task 01: ok, outliers replaced 0 -> hc_000_task01.csv", drop
+            ]
+        else:
+            assert proc.stderr == drop.replace("\u00e9", "\\xe9") + "\n"  # stderr escapes what the locale cannot encode
+            assert proc.stdout.startswith("1 images (16x16) -> out")
+
+    def test_config_txt_is_written_whole_or_not_at_all(self, tmp_path, capsys):
+        # the argv Python makes from the byte 0xff: the directory can be made, but UTF-8 cannot hold its name
+        out = tmp_path / "d\udcff"
+        assert cli.main(["synth", "--n", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "config.txt").exists()
 
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -174,10 +174,47 @@ class TestRender:
         np.testing.assert_allclose(base, moved, atol=1e-12)
 
     def test_canvas_rejects_nan(self):
-        pixels = np.zeros((3, 4, 4))
-        pixels[1, 2, 2] = np.nan
         with pytest.raises(ValueError, match="outside"):
-            RgbCanvas(pixels)
+            RgbCanvas(4, np.array([10]), np.array([[0.5], [np.nan], [0.5]]))
+
+    def test_canvas_densifies_to_the_same_bytes(self):
+        values = np.array([[1.0, 0.5, 0.1], [0.2, 0.3, 0.1], [0.4, 0.6, 1.0]])
+        canvas = RgbCanvas(5, np.array([0, 7, 24]), values)
+        assert canvas.shape == (3, 5, 5) and canvas.dtype == np.float64 and canvas.lit.dtype == np.int32
+        dense = np.zeros((3, 25))
+        dense[:, [0, 7, 24]] = values
+        dense = dense.reshape(3, 5, 5)
+        for got in (canvas.pixels, np.asarray(canvas)):
+            assert got.dtype == np.float64 and got.tobytes() == dense.tobytes()
+        batch = np.asarray([canvas, canvas], dtype=np.float32)
+        assert batch.dtype == np.float32 and batch.tobytes() == np.stack([dense] * 2).astype(np.float32).tobytes()
+        narrow = canvas.astype(np.float32)
+        assert narrow.dtype == np.float32 and narrow.pixels.tobytes() == dense.astype(np.float32).tobytes()
+        with pytest.raises(ValueError):
+            canvas.values[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            canvas.lit[0] = 1
+        with pytest.raises(ValueError, match="copies"):
+            np.asarray(canvas, copy=False)
+
+    @pytest.mark.parametrize("size", [16, 128])
+    def test_lit_is_exactly_the_painted_positions(self, size):
+        n = 6
+        point = make_stroke(np.arange(n) * 5.0, np.ones(n), np.ones(n), np.full(n, 0.5))
+        for s in synth_generate(4, seed=0) + [point]:
+            canvas = render_image(s, size=size)
+            assert np.all(np.diff(canvas.lit) > 0)
+            painted = np.flatnonzero(canvas.pixels.reshape(3, -1).max(axis=0) > 0)
+            assert np.array_equal(canvas.lit, painted) and canvas.values.shape == (3, painted.size)
+        assert list(canvas.lit) == [(size // 2) * (size + 1)]  # the point's one pixel, at the center
+
+    def test_no_on_paper_segment_renders_an_empty_canvas(self):
+        t_ms, x, y, _ = circle_arrays(seconds=0.5)
+        # pen up throughout, and pen down on every other sample only
+        for p in (np.zeros(len(x)), np.arange(len(x)) % 2 * 0.5):
+            canvas = render_image(make_stroke(t_ms, x, y, p), size=64)
+            assert canvas.lit.shape == (0,) and canvas.values.shape == (3, 0)
+            assert canvas.pixels.tobytes() == np.zeros((3, 64, 64)).tobytes()
 
     def test_degenerate_point_single_pixel(self, caplog):
         n = 6

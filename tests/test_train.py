@@ -20,7 +20,6 @@ from hsda.model import HsdaNet, ModelConfig, restore_parameters, synth_config, t
 from hsda.train import (
     Metrics,
     Sample,
-    StrokeImage,
     TrainConfig,
     build_dataset,
     cosine_lr,
@@ -696,17 +695,6 @@ class TestBuildDataset:
             assert s.image.lit.nbytes + s.image.values.nbytes <= 0.1 * 3 * 128 * 128 * 4
             dense = render_image(record, size=128).pixels.astype(np.float32)
             assert same_arrays(np.asarray(s.image), dense)
-
-    def test_stroke_image_densifies_to_the_same_bytes(self):
-        pixels = np.zeros((3, 5, 5))
-        pixels[0, 1, 2], pixels[1, 1, 2], pixels[2, 4, 4], pixels[1, 0, 0] = 0.5, np.nan, -0.0, 1.0
-        image = StrokeImage(pixels)
-        assert image.shape == (3, 5, 5) and image.dtype == np.float64
-        assert list(image.lit) == [0, 7, 24]
-        assert same_arrays(np.asarray(image), pixels)
-        assert same_arrays(np.asarray([image, image], dtype=np.float32), np.stack([pixels] * 2).astype(np.float32))
-        with pytest.raises(ValueError):
-            image.values[0, 0] = 2.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_kinematics_dropped(self, caplog):
