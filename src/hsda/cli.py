@@ -53,8 +53,7 @@ def _runconfig_from(args: argparse.Namespace, pinned=None) -> RunConfig:
 
 
 def _prepare_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    write_runconfig(cfg, os.path.join(cfg.out, "config.txt"))
+    write_runconfig(cfg, os.path.join(cfg.out, "config.txt"))  # makes cfg.out once the settings are encoded
     return cfg.out
 
 

@@ -186,10 +186,6 @@ def primitive_checks(seed: int = 0) -> List[Tuple[str, float]]:
     run("scale_rows", ops.scale_rows, mat=m34, s=rng.normal(size=(3, 1)))
     run("scale_rows:batched", ops.scale_rows, mat=b234, s=rng.normal(size=(2, 3, 1)))
 
-    run("pairwise_absdiff", ops.pairwise_absdiff, q=_distinct(rng, (3, 5)), k=_distinct(rng, (4, 5)) + 0.11)
-    bq, bk = _distinct(rng, (2, 3, 5)), _distinct(rng, (2, 4, 5)) + 0.11
-    run("pairwise_absdiff:batched", ops.pairwise_absdiff, q=bq, k=bk)
-
     run("softmax_rows", ops.softmax_rows, x=2.0 * rng.normal(size=(3, 5)))
     run("softmax_rows:batched", ops.softmax_rows, x=2.0 * rng.normal(size=(2, 3, 5)))
     gam = rng.uniform(0.5, 1.5, size=5)
@@ -220,12 +216,10 @@ def primitive_checks(seed: int = 0) -> List[Tuple[str, float]]:
     wg2 = rng.normal(size=(4, 2, 3, 3)) * 0.5
     run("conv2d:grouped", lambda x, w: ops.conv2d(x, w, None, groups=2), x=rng.normal(size=(4, 2, 4, 4)), w=wg2)
 
-    k5 = rng.normal(size=(3, 2, 5))
-    run("add_centered", ops.add_centered, a=k5, b=rng.normal(size=(3, 2, 3)))
-    run("add_centered:1-tap", lambda b: ops.add_centered(Tensor(k5), b), b=rng.normal(size=(3, 2, 1)))
-
-    xk = rng.normal(size=(2, 3, 5, 4))  # (B, n_q, n_k, C_in)
-    run("conv_keys", ops.conv_keys, x=xk, w=rng.normal(size=(3, 4, 5)) * 0.5, b=rng.normal(size=3))
+    kernels = {"w%d" % t: rng.normal(size=(3, 4, t)) * 0.5 for t in (5, 3, 1)}
+    biases = {"b%d" % t: rng.normal(size=3) for t in (5, 3, 1)}
+    run("key_difference_conv", lambda q, k, *p: ops.key_difference_conv(q, k, p[:3], p[3:]),
+        q=_distinct(rng, (2, 3, 4)), k=_distinct(rng, (2, 5, 4)) + 0.11, **kernels, **biases)
     ln_cm = rng.normal(size=(5, 2, 3, 2))
     run("layer_norm:axis0", lambda x, g, b: ops.layer_norm(x, g, b, axis=0), x=ln_cm, gamma=gam, beta=bet)
 

@@ -3,21 +3,21 @@
 Every function takes/returns :class:`Tensor` and registers a backward rule on
 the active tape. Broadcasting is deliberately narrow: elementwise ops accept
 identical shapes or a scalar on one side, nothing else. Dedicated primitives
-(add_bias, add_centered, scale_rows, pairwise_absdiff, cosine_rows) cover the
-row/column and kernel-tap patterns the network needs, which keeps every
-backward rule simple enough to audit.
+(add_bias, scale_rows, cosine_rows, key_difference_conv) cover the row/column
+and pairwise patterns the network needs, which keeps every backward rule
+simple enough to audit.
 
 The model runs a whole batch of samples through one call, so the matrix ops
-take a leading batch axis: matmul, add_bias, scale_rows, pairwise_absdiff,
-softmax_rows, transpose and layer_norm act on the trailing axes of (B, ...)
-inputs, and flatten keeps the batch axis. The convolutions take only
+take a leading batch axis: matmul, add_bias, scale_rows, softmax_rows,
+transpose, layer_norm and key_difference_conv act on the trailing axes of
+(B, ...) inputs, and flatten keeps the batch axis. The convolutions take only
 channel-major maps (C, B, *S), the layout their GEMM produces, and
 adaptive_max_pool1d pools the last axis of any 3-axis map: one sample is a
-batch of one. conv_keys instead convolves a channels-last (..., n, C) stack
-along its n axis, through the same lowering as the others. Every convolution
-has one contract: odd kernels, each axis padded by half its kernel, so an
-axis of extent L gives ceil(L / stride) outputs. Each op records one tape
-node for the whole batch.
+batch of one. key_difference_conv builds the pairwise differences |q_i - k_j|
+channel-major and convolves them along the key axis through the same lowering.
+Every convolution has one contract: odd kernels, each axis padded by half its
+kernel, so an axis of extent L gives ceil(L / stride) outputs. Each op records
+one tape node for the whole batch.
 layer_norm normalizes the last axis unless its ``axis`` argument names
 another; axis=0 normalizes the channels of a (C, B, H, W) map where they lie.
 
@@ -134,10 +134,17 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record((a,), out, lambda g: (g * y * (1.0 - y),), "sigmoid")
 
 
+def _gated(a: Tensor, out: Tensor, mask, name: str) -> Tensor:
+    """Record out, whose gradient is g * mask(); only a recorded node builds the mask, kept as one bit per value."""
+    if not (a.requires_grad and active_tape() is not None):
+        return out
+    bits = np.packbits(mask())
+    return _record((a,), out, lambda g: (g * np.unpackbits(bits, count=g.size).reshape(g.shape).view(np.bool_),), name)
+
+
 def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0
     out = _out(np.fmax(a.values, 0), a.requires_grad)  # fmax: NaN and -0.0 map to +0.0, like the mask
-    return _record((a,), out, lambda g: (g * mask,), "relu")
+    return _gated(a, out, lambda: a.values > 0, "relu")
 
 
 def log(a: Tensor) -> Tensor:
@@ -147,9 +154,8 @@ def log(a: Tensor) -> Tensor:
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(x, floor); gradient passes where x >= floor, zero where clamped."""
-    mask = a.values >= floor
     out = _out(np.maximum(a.values, floor), a.requires_grad)
-    return _record((a,), out, lambda g: (g * mask,), "clamp_min")
+    return _gated(a, out, lambda: a.values >= floor, "clamp_min")
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +320,6 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, bwd, "add_bias")
 
 
-def add_centered(a: Tensor, b: Tensor) -> Tensor:
-    """a + b with b's taps centred on a's last axis, as if b were zero-padded to a's extent.
-
-    Outer taps of a get + 0.0, so a -0.0 there becomes +0.0 as under the padding.
-    """
-    ka, kb = a.shape[-1], b.shape[-1]
-    if a.shape[:-1] != b.shape[:-1] or kb > ka or (ka - kb) % 2:
-        raise ShapeError("add_centered: %s with %s (leading axes differ or b not centrable)" % (a.shape, b.shape))
-    lo, hi = (ka - kb) // 2, (ka + kb) // 2
-    y = a.values + 0.0
-    for j in range(kb):  # one long strided add per tap: a slice add would loop over a 1-5 long axis
-        np.add(a.values[..., lo + j], b.values[..., j], out=y[..., lo + j])
-    out = _out(y, _requires(a, b))
-    return _record((a, b), out, lambda g: (g, g[..., lo:hi]), "add_centered")
-
-
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     """Multiply row i of an (..., m, n) matrix by scalar s[..., i, 0] from an (..., m, 1) column."""
     if a.values.ndim < 2 or s.shape != a.shape[:-1] + (1,):
@@ -340,23 +330,6 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
         return g * s.values, (g * a.values).sum(axis=-1, keepdims=True)
 
     return _record((a, s), out, bwd, "scale_rows")
-
-
-def pairwise_absdiff(q: Tensor, k: Tensor) -> Tensor:
-    """D[..., i, j, :] = |q_i - k_j| for row sets q (..., m, d) and k (..., n, d)."""
-    if q.values.ndim < 2 or k.values.ndim != q.values.ndim or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
-        raise ShapeError("pairwise_absdiff: %s vs %s" % (q.shape, k.shape))
-    diff = q.values[..., :, None, :] - k.values[..., None, :, :]
-    # the sign as one byte per difference; g * sign casts it back exactly, and
-    # a NaN difference gets 0, where a cast of np.sign would warn
-    sign = np.subtract(diff > 0, diff < 0, dtype=np.int8)
-    out = _out(np.abs(diff, out=diff), _requires(q, k))
-
-    def bwd(g):
-        gs = g * sign
-        return gs.sum(axis=-2), -gs.sum(axis=-3)
-
-    return _record((q, k), out, bwd, "pairwise_absdiff")
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -497,10 +470,10 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # convolutions (cross-correlation semantics, no kernel flip)
 
 
-# One lowering, _conv_core, serves every spatial rank and conv_keys. Kernels
-# are odd and every axis is padded by half its kernel, so an axis of extent L
-# gives ceil(L / stride) outputs. A channel-major map (C_in, B, *S) is
-# unfolded into columns laid out (C_in, taps, B, *out), read by the GEMM as
+# One lowering, _conv_core, serves every spatial rank and key_difference_conv.
+# Kernels are odd and every axis is padded by half its kernel, so an axis of
+# extent L gives ceil(L / stride) outputs. A channel-major map (C_in, B, *S)
+# is unfolded into columns laid out (C_in, taps, B, *out), read by the GEMM as
 # (C_in * taps, B * out): batch and output positions share the column axis, so
 # every group of every sample goes through one stacked matmul, and its (C_out,
 # B * out) product is already the channel-major output. Taps run in C order
@@ -510,11 +483,12 @@ def adaptive_max_pool1d(a: Tensor, out_len: int) -> Tensor:
 # of the input at stride 1, one copy of it otherwise) and only the input's
 # *shape*, and rebuilds the same column bytes with the same _im2col call at
 # the start of its backward. A 1x1 convolution keeps its columns, no larger
-# than its input. Either way the columns go once dw is taken, before the
-# equally large dcols exist. The output gradient comes in as (C_out, B * out);
-# conv_keys passes the transposed view of its channels-last gradient, not a
-# copy, and BLAS reads it transposed. A convolution no tape records keeps
-# nothing: its planes go as soon as its columns exist, before the GEMM.
+# than its input; key_difference_conv keeps neither and rebuilds its map too.
+# _conv_grads lets the columns go once dw is taken, before the equally large
+# dcols exist. The output gradient comes in as (C_out, B * out); key_difference_conv
+# passes the transposed view of its channels-last gradient, not a copy, and
+# BLAS reads it transposed. A convolution no tape records keeps nothing: its
+# planes go as soon as its columns exist, before the GEMM.
 #
 # The map, zero-extended at its far end to stride times the output extent,
 # is split once into stride**nd phase planes of the output's extent, and each
@@ -613,15 +587,15 @@ def _conv_core(
 ):
     """(y, bwd) for a channel-major map x (C_in, B, *S): y is (C_out, B * out), bias added.
 
-    bwd takes an output gradient of y's shape and returns (dx, dw), or (dx, dw, db) with a bias.
+    bwd takes an output gradient of y's shape and returns _conv_grads' tuple.
     Unless recorded, bwd is None and nothing is kept for it.
     """
-    C_out, B, kernel = w.shape[0], x.shape[1], w.shape[2:]
+    C_out, kernel = w.shape[0], w.shape[2:]
     planes = _planes(x, stride)
     cols = _im2col(planes, kernel, stride)
     rebuild = cols.shape[1] > 1
     # columns of more than one tap are rebuilt from the planes in backward; with none to come, the planes go now
-    kept = (planes if rebuild else cols) if recorded else None
+    kept = [planes if rebuild else cols] if recorded else None  # backward pops it, so its columns can go
     del planes
     wg = w.reshape(groups, C_out // groups, -1)  # grouped weights times grouped columns, one stacked matmul
     y = np.matmul(wg, cols.reshape(groups, wg.shape[2], -1)).reshape(C_out, -1)
@@ -629,24 +603,30 @@ def _conv_core(
         y += bias[:, None]
     if not recorded:
         return y, None
-    x_shape = x.shape
 
-    def bwd(gy):
-        nonlocal kept
-        cols, kept = (_im2col(kept, kernel, stride) if rebuild else kept), None
-        gg = gy.reshape(groups, wg.shape[1], -1)
-        dw = np.matmul(gg, cols.reshape(groups, wg.shape[2], -1).transpose(0, 2, 1)).reshape(w.shape)
-        shape, cols = cols.shape, None
-        dx = None
-        if need_dx:
-            dx = _col2im(_product(wg.transpose(0, 2, 1), gg).reshape(shape), x_shape, kernel, stride)
-        if bias is None:
-            return dx, dw
-        # One position per sample: add the samples in order, as a sample-major
-        # (B, C_out) gradient sums, which keeps seeded results bit for bit.
-        return dx, dw, gy.sum(axis=1) if gy.shape[1] > B else np.ascontiguousarray(gy.T).sum(axis=0)
+    def bwd(gy, x_shape=x.shape, with_bias=bias is not None):
+        columns = (lambda: _im2col(kept.pop(), kernel, stride)) if rebuild else kept.pop
+        return _conv_grads(gy, columns, w, x_shape, stride, groups, need_dx, with_bias)
 
     return y, bwd
+
+
+def _conv_grads(gy, columns, w: np.ndarray, x_shape, stride: int, groups: int, need_dx: bool, with_bias: bool):
+    """(dx, dw[, db]) of a (C_in, B, *S) map's convolution from gy (C_out, B * out); its columns go once dw is taken."""
+    kernel, B = w.shape[2:], x_shape[1]
+    wg = w.reshape(groups, w.shape[0] // groups, -1)
+    cols = columns()
+    gg = gy.reshape(groups, wg.shape[1], -1)
+    dw = np.matmul(gg, cols.reshape(groups, wg.shape[2], -1).transpose(0, 2, 1)).reshape(w.shape)
+    shape, cols = cols.shape, None
+    dx = None
+    if need_dx:
+        dx = _col2im(_product(wg.transpose(0, 2, 1), gg).reshape(shape), x_shape, kernel, stride)
+    if not with_bias:
+        return dx, dw
+    # One position per sample: add the samples in order, as a sample-major
+    # (B, C_out) gradient sums, which keeps seeded results bit for bit.
+    return dx, dw, gy.sum(axis=1) if gy.shape[1] > B else np.ascontiguousarray(gy.T).sum(axis=0)
 
 
 def _conv(x: Tensor, w: Tensor, bias: Optional[Tensor], stride: int, groups: int, name: str):
@@ -703,31 +683,55 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None, stride: int = 1,
     return _conv(x, w, bias, stride, groups, "conv2d")
 
 
-def conv_keys(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Same-padded cross-correlation along axis -2 of a channels-last stack: (..., n, C_in) -> (..., n, C_out).
+def key_difference_conv(q: Tensor, k: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """Convolve |q_i - k_j| along key j, features as channels: (..., m, d) and (..., n, d) -> (..., m, n, C_out).
 
-    w is (C_out, C_in, k) with k odd and bias (C_out,). The difference
-    attention runs it over the key axis of the pairwise differences
-    (..., n_q, n_k, d_h), whose features are already the last axis, so no
-    tape node moves them. Inside, _conv_core lowers the stack as a
-    channel-major map (C_in, rows / n, n).
+    The kernel is the sum of the (C_out, d, k) kernels centred on the first, the widest, whose k is odd; the bias
+    is the biases' sum. The node keeps q, k and the parameters, which must not change before backward: it
+    rebuilds the differences, their signs, the merged kernel and the columns bit for bit.
     """
-    if w.values.ndim != 3 or x.values.ndim < 2 or x.shape[-1] != w.shape[1] or bias.shape != (w.shape[0],):
-        raise ShapeError("conv_keys: input %s, weight %s, bias %s" % (x.shape, w.shape, bias.shape))
-    C_out, C_in, k = w.shape
-    if k % 2 == 0:
-        raise ConfigError("conv_keys kernel extent must be odd, got %d" % k)
-    n = x.shape[-2]
-    x_cm = np.ascontiguousarray(np.moveaxis(x.values, -1, 0)).reshape(C_in, -1, n)
-    requires = _requires(x, w, bias)
-    recorded = requires and active_tape() is not None
-    y, core_bwd = _conv_core(x_cm, w.values, bias.values, 1, 1, x.requires_grad, recorded)
-    out = _out(np.ascontiguousarray(y.T).reshape(x.shape[:-1] + (C_out,)), requires)
+    qv, kv, ws, bs = q.values, k.values, [t.values for t in kernels], [t.values for t in biases]
+    if qv.ndim < 2 or kv.ndim != qv.ndim or q.shape[:-2] != k.shape[:-2] or ws[0].ndim != 3 or not (
+        q.shape[-1] == k.shape[-1] == ws[0].shape[1]
+    ):
+        raise ShapeError("key_difference_conv: rows %s and %s with kernel %s" % (q.shape, k.shape, ws[0].shape))
+    (C_out, d, K), n = ws[0].shape, k.shape[-2]
+    if K % 2 == 0:
+        raise ConfigError("key_difference_conv kernel extent must be odd, got %d" % K)
+    centrable = all(w.shape[:-1] == (C_out, d) and w.shape[-1] <= K and (K - w.shape[-1]) % 2 == 0 for w in ws)
+    if not (centrable and bs and all(b.shape == (C_out,) for b in bs)):
+        shapes = ([w.shape for w in ws], [b.shape for b in bs])
+        raise ShapeError("key_difference_conv: kernels %s and biases %s are not one centred convolution" % shapes)
+
+    def differences():
+        """q_i - k_j laid out (d, rows, n), channel-major, rows being everything before the key axis."""
+        return (np.moveaxis(qv, -1, 0)[..., :, None] - np.moveaxis(kv, -1, 0)[..., None, :]).reshape(d, -1, n)
+
+    x_cm = differences()
+    y, _ = _conv_core(np.abs(x_cm, out=x_cm), _merge_centred(ws), functools.reduce(np.add, bs), 1, 1, False, False)
+    out = _out(np.ascontiguousarray(y.T).reshape(q.shape[:-1] + (n, C_out)), _requires(q, k, *kernels, *biases))
 
     def bwd(g):
-        dx, dw, db = core_bwd(g.reshape(-1, C_out).T)
-        if dx is not None:
-            dx = np.ascontiguousarray(np.moveaxis(dx, 0, -1)).reshape(g.shape[:-1] + (C_in,))
-        return dx, dw, db
+        kept = [differences()]
+        # one byte per sign: g * sign casts it back exactly, and a NaN difference gets 0
+        sign = np.subtract(kept[0] > 0, kept[0] < 0, dtype=np.int8)
+        np.abs(kept[0], out=kept[0])
+        merged, columns = _merge_centred(ws), lambda: _im2col(_planes(kept.pop(), 1), (K,), 1)
+        dx, dw, db = _conv_grads(g.reshape(-1, C_out).T, columns, merged, kept[0].shape, 1, 1, True, True)
+        gs = np.ascontiguousarray(np.moveaxis(dx, 0, -1)).reshape(g.shape[:-1] + (d,))
+        gs *= np.moveaxis(sign, 0, -1).reshape(gs.shape)
+        centred = ((K - w.shape[-1]) // 2 for w in ws[1:])
+        return (gs.sum(axis=-2), -gs.sum(axis=-3), dw) + tuple(dw[..., c : K - c] for c in centred) + (db,) * len(bs)
 
-    return _record((x, w, bias), out, bwd, "conv_keys")
+    return _record((q, k, *kernels, *biases), out, bwd, "key_difference_conv")
+
+
+def _merge_centred(kernels: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum the kernels centred on the first, as zero-padded: each step is the sum so far + 0.0, then its centre taps."""
+    y = kernels[0]
+    for b in kernels[1:]:
+        lo = (y.shape[-1] - b.shape[-1]) // 2
+        a, y = y, y + 0.0
+        for j in range(b.shape[-1]):
+            np.add(a[..., lo + j], b[..., j], out=y[..., lo + j])
+    return y

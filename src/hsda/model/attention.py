@@ -47,11 +47,10 @@ class DiscrepancyNet(Module):
 
     The three are centred and linear, so their sum is one 5-tap convolution
     (padding 2) with the bias b5 + b3 + b1 and the kernel w5 + w3 + w1, each
-    shorter kernel added onto the centre taps by add_centered. Each call
-    merges the kernels on the tape, so the six parameters of
-    conv5/conv3/conv1 get their gradients through it. conv_keys runs the
-    merged convolution on the (..., n_q, n_k, d_h) differences as they lie,
-    keys along axis -2 and features last, so no transpose enters the tape.
+    shorter kernel added onto the centre taps. key_difference_conv runs it as
+    one tape node from q, k and the six parameters of conv5/conv3/conv1: it
+    lays the differences out channel-major, as the convolution reads them,
+    keeps none of them and rebuilds them in backward.
     """
 
     def __init__(self, d_h: int, rng):
@@ -62,11 +61,9 @@ class DiscrepancyNet(Module):
 
     def __call__(self, q: Tensor, k: Tensor) -> Tensor:
         """q (..., n_q, d_h) and k (..., n_k, d_h) -> weights (..., n_q, n_k)."""
-        diff = dc.pairwise_absdiff(q, k)  # (..., n_q, n_k, d_h)
-        kernel = dc.add_centered(dc.add_centered(self.conv5.w, self.conv3.w), self.conv1.w)
-        bias = dc.add(dc.add(self.conv5.b, self.conv3.b), self.conv1.b)
-        agg = dc.conv_keys(diff, kernel, bias)  # keys are the sequence axis, features the channels
-        logits = dc.reshape(self.reduce(dc.reshape(agg, (-1, q.shape[-1]))), diff.shape[:-1])
+        convs = (self.conv5, self.conv3, self.conv1)
+        agg = dc.key_difference_conv(q, k, [c.w for c in convs], [c.b for c in convs])  # (..., n_q, n_k, d_h)
+        logits = dc.reshape(self.reduce(dc.reshape(agg, (-1, q.shape[-1]))), agg.shape[:-1])
         return dc.softmax_rows(logits)
 
 

@@ -79,6 +79,7 @@ class HsdaNet(Module):
             raise ConfigError("%d images but %d signals" % (images.shape[0], len(signals)))
         batch = images.shape[0]
         image_tokens, map2d = self.stem(Tensor(images))
+        del images  # the stem's tape keeps what its backward needs, so the dense batch can go
         signal_tokens, map1d = self.signal_embed(signals)
         x = dc.concat([dc.reshape(image_tokens, (batch, 1, cfg.d)), signal_tokens], axis=1)
 

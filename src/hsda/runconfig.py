@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -155,17 +156,25 @@ def make_runconfig(path=None, overrides: Optional[Mapping[str, object]] = None) 
 
 
 def write_config_file(path, settings: Mapping[str, object], comment: str) -> None:
-    """A `# comment` line, then one key = value line per setting, in order."""
-    text = "# %s\n" % comment
+    """A `# comment` line, then one key = value line per setting, in order.
+
+    Every line is encoded before the file's directory is made, so a value UTF-8 cannot hold leaves no
+    directory or file behind, only a ConfigError naming the file and the setting.
+    """
+    data = b"# %s\n" % comment.encode("utf-8")
     for key, value in settings.items():
         if isinstance(value, bool):
             value = "true" if value else "false"
-        text += "%s = %s\n" % (key, value)
-    data = text.encode("utf-8")  # before the open: a value UTF-8 cannot hold leaves no file behind
+        try:
+            data += ("%s = %s\n" % (key, value)).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            name = os.path.basename(path)  # the path itself may be the value
+            raise ConfigError("%s: setting %s cannot be written as UTF-8 (%s)" % (name, key, exc.reason)) from None
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(data)
 
 
 def write_runconfig(cfg: RunConfig, path) -> None:
-    """Serialize every field, one per line, in declaration order."""
+    """Serialize every field, one per line, in declaration order; makes path's directory if need be."""
     write_config_file(path, dataclasses.asdict(cfg), "settings used to produce the artifacts in this directory")

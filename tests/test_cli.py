@@ -697,6 +697,14 @@ class TestExitCodesAndEnv:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "config.txt").exists()
 
+    def test_out_dir_utf8_cannot_hold_is_not_created(self, tmp_path, capsys):
+        # the settings are encoded before the directory is made; the message names the file and the setting
+        out = tmp_path / "d\udcff"
+        assert cli.main(["synth", "--n", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config.txt: setting out cannot be written as UTF-8 (surrogates not allowed)\n", err
+        assert not os.path.lexists(out) and os.listdir(tmp_path) == []
+
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = 1\n# \xff\n")

@@ -32,6 +32,7 @@ from hsda.model import (
     toy_config,
     trunc_normal,
 )
+from hsda.model import network
 from hsda.model.layers import _DRAW_CHUNK, ChannelNorm2d, Linear, Module
 
 
@@ -716,8 +717,16 @@ class TestMergedKernels:
             gy = rng.normal(size=(2, 5, 6))
 
             def three_convs(q, k):
-                d_h, n_k = q.shape[-1], k.shape[-2]
-                diff = dc.pairwise_absdiff(q, k)
+                (B, n_q, d_h), n_k = q.shape, k.shape[-2]
+                # |q_i - k_j| from taped primitives: one-hot matmuls repeat the rows, and |x| = relu(x) + relu(-x)
+                pick_q = np.repeat(np.eye(n_q), n_k, axis=1)  # (n_q, n_q * n_k): column i * n_k + j picks q_i
+                pick_k = np.tile(np.eye(n_k), n_q)  # (n_k, n_q * n_k): column i * n_k + j picks k_j
+
+                def rows(x, pick):
+                    return dc.transpose(dc.matmul(dc.transpose(x), Tensor(pick)))  # (B, n_q * n_k, d_h)
+
+                signed = dc.sub(rows(q, pick_q), rows(k, pick_k))
+                diff = dc.reshape(dc.add(dc.relu(signed), dc.relu(dc.neg(signed))), (B, n_q, n_k, d_h))
                 stacked = dc.reshape(dc.permute(diff, (3, 0, 1, 2)), (d_h, -1, n_k))
                 agg = dc.add(dc.add(net.conv5(stacked), net.conv3(stacked)), net.conv1(stacked))
                 flat = dc.reshape(dc.permute(agg, (1, 2, 0)), (-1, d_h))
@@ -732,7 +741,7 @@ class TestMergedKernels:
 
 
 class TestStepStructure:
-    def test_one_conv_keys_per_daw_and_one_stem_permute(self, monkeypatch):
+    def test_one_key_difference_conv_per_daw_and_one_stem_permute(self, monkeypatch):
         net = HsdaNet(toy_config(), seed=0)
         tape = dc.Tape()
         recorded = {DiscrepancyNet: [], ImageStem: []}
@@ -757,13 +766,39 @@ class TestStepStructure:
 
         n_heads = sum(name.endswith(".daw.conv5.w") for name in net.parameter_dict())
         assert n_heads > 0 and len(recorded[DiscrepancyNet]) == n_heads
-        for names in recorded[DiscrepancyNet]:
-            assert names.count("conv_keys") == 1
-            assert not {"conv1d", "permute", "concat"} & set(names)
+        # one fused node from q, k and the six convolution parameters, then the reducing perceptron and softmax
+        daw = ["key_difference_conv", "reshape", "matmul", "add_bias", "relu", "matmul", "add_bias", "reshape", "softmax_rows"]
+        assert recorded[DiscrepancyNet] == [daw] * n_heads
         assert len(recorded[ImageStem]) == 1
         stem = recorded[ImageStem][0]
         # the channel-major map goes back to sample order once, for the flatten
         assert stem.count("permute") == 1 and stem[stem.index("permute") + 1] == "reshape"
+
+
+    def test_no_dense_image_batch_alive_past_the_stem(self, monkeypatch):
+        # the stem's tape keeps what its backward needs; the (B, 3, S, S) batch made from the samples goes
+        cfg = synth_config()
+        net = HsdaNet(cfg, seed=0)
+        rng = np.random.default_rng(4)
+        batch, S = 8, cfg.canvas_size
+        images = [rng.random((3, S, S)).astype(np.float32) for _ in range(batch)]
+        signals = [rng.normal(size=(cfg.n_channels, 60)) for _ in range(batch)]
+        held, call = [], HybridBlock.__call__
+
+        def first_block(block, *args, **kwargs):
+            if not held:  # bytes still live that the forward allocated in hsda.model.network itself
+                snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, network.__file__)])
+                held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+            return call(block, *args, **kwargs)
+
+        monkeypatch.setattr(HybridBlock, "__call__", first_block)
+        tracemalloc.start()
+        try:
+            with dc.Tape():
+                net(images, signals)
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] < batch * 3 * S * S * 4, held
 
 
 class TestModelGradients:
