@@ -1,6 +1,8 @@
 """Command-line pipeline driver.
 
 Subcommands: preprocess | render | synth | train | evaluate | gradcheck.
+Every data command reads a raw CSV or each *.csv of a directory as one input;
+preprocess and render clean, make and write one record at a time, in order.
 Settings merge three layers, later winning: dataclass defaults, --config
 file, explicit flags; evaluate then takes the SIDECAR_KEYS settings from the
 checkpoint sidecar, and refuses data whose built samples do not match the
@@ -57,15 +59,6 @@ def _prepare_out(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _record_stem(r) -> str:
-    return "%s_task%02d" % (r.subject_id, r.task_id)
-
-
-def _unencodable(filename: str, exc: UnicodeEncodeError) -> str:
-    """The drop reason of a record whose output file name the file system cannot encode."""
-    return "the file name %s cannot be encoded in %s" % (filename, exc.encoding)
-
-
 def _model_config(cfg: RunConfig, **overrides):
     from .model import ModelConfig, synth_config, toy_config
 
@@ -73,24 +66,44 @@ def _model_config(cfg: RunConfig, **overrides):
     return preset(use_multiscale=cfg.multiscale, **overrides)
 
 
-def _load_sequences(data_path: str, cfg: RunConfig):
-    """Parse one raw CSV, or every *.csv in a directory, then preprocess."""
-    from .ingest import parse_raw, preprocess
+def _read_raw(path: str):
+    """The records of one raw CSV, or of every *.csv in a directory in name order."""
+    from .ingest import parse_raw
 
-    if os.path.isdir(data_path):
-        paths = sorted(
-            os.path.join(data_path, name)
-            for name in os.listdir(data_path)
-            if name.endswith(".csv")
-        )
-        if not paths:
-            raise ProtocolError("no .csv files in %s" % data_path)
-    else:
-        paths = [data_path]
-    records = []
-    for path in paths:
-        records.extend(parse_raw(path))
-    return preprocess(records, z_max=cfg.z_max)
+    if not os.path.isdir(path):
+        return parse_raw(path)
+    names = sorted(name for name in os.listdir(path) if name.endswith(".csv"))
+    if not names:
+        raise ProtocolError("no .csv files in %s" % path)
+    return [r for name in names for r in parse_raw(os.path.join(path, name))]
+
+
+def _load_sequences(data_path: str, cfg: RunConfig):
+    from .ingest import preprocess
+
+    return preprocess(_read_raw(data_path), z_max=cfg.z_max)
+
+
+def _write_records(records, cfg: RunConfig, make, write, suffix: str):
+    """Clean each record in input order, sharing one repeat check, and write make(sequence) to <out>/<file>.
+
+    Yields (record, report line, whether <file> = <subject>_task<NN><suffix> was
+    written); the line is ``<name>: ok, outliers replaced N -> <file>`` or a drop line.
+    """
+    from .ingest import clean_record, drop_line, record_name
+
+    seen = set()
+    for r in records:
+        filename = "%s_task%02d%s" % (r.subject_id, r.task_id, suffix)
+        try:
+            seq, outliers = clean_record(r, cfg.z_max, seen)
+            write(make(seq), os.path.join(cfg.out, filename))
+        except ProtocolError as exc:
+            yield r, drop_line(r, exc), False
+        except UnicodeEncodeError as exc:
+            yield r, drop_line(r, "the file name %s cannot be encoded in %s" % (filename, exc.encoding)), False
+        else:
+            yield r, "%s: ok, outliers replaced %d -> %s" % (record_name(r), outliers, filename), True
 
 
 # ---------------------------------------------------------------------------
@@ -100,62 +113,31 @@ def _load_sequences(data_path: str, cfg: RunConfig):
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .features import kinematic_features, write_signal_csv
-    from .ingest import clean_record, drop_line, parse_raw, record_name
 
-    records = parse_raw(args.raw)
+    records = _read_raw(args.raw)
     out = _prepare_out(cfg)
-    lines, subjects, seen = [], [], set()
-    kept = dropped = 0
-    for r in records:
-        if r.subject_id not in subjects:
-            subjects.append(r.subject_id)
-        try:
-            seq, outliers = clean_record(r, cfg.z_max, seen)
-            signals = kinematic_features(seq)
-        except ProtocolError as exc:
-            dropped += 1
-            lines.append(drop_line(r, exc))
-            continue
-        filename = _record_stem(r) + ".csv"
-        try:
-            write_signal_csv(signals, os.path.join(out, filename))
-        except UnicodeEncodeError as exc:
-            dropped += 1
-            lines.append(drop_line(r, _unencodable(filename, exc)))
-            continue
-        kept += 1
-        lines.append("%s: ok, outliers replaced %d -> %s" % (record_name(r), outliers, filename))
+    reports = list(_write_records(records, cfg, kinematic_features, write_signal_csv, ".csv"))
+    kept = sum(written for _, _, written in reports)
     with open(os.path.join(out, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("subjects: %s\n" % " ".join(subjects))
-        fh.write("kept: %d\ndropped: %d\n" % (kept, dropped))
-        for line in lines:
-            fh.write(line + "\n")
-    print("%d records kept, %d dropped -> %s" % (kept, dropped, out))
+        fh.write("subjects: %s\n" % " ".join(dict.fromkeys(r.subject_id for r, _, _ in reports)))
+        fh.write("kept: %d\ndropped: %d\n" % (kept, len(reports) - kept))
+        fh.writelines(line + "\n" for _, line, _ in reports)
+    print("%d records kept, %d dropped -> %s" % (kept, len(reports) - kept, out))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .features import render_image, write_ppm
-    from .ingest import drop_line
 
     size = _model_config(cfg).canvas_size
-    sequences = _load_sequences(args.raw, cfg)
+    records = _read_raw(args.raw)
     out = _prepare_out(cfg)
     written = 0
-    for seq in sequences:
-        try:
-            canvas = render_image(seq, size=size)
-        except ProtocolError as exc:
-            print(drop_line(seq, exc), file=sys.stderr)
-            continue
-        filename = _record_stem(seq) + ".ppm"
-        try:
-            write_ppm(canvas, os.path.join(out, filename))
-        except UnicodeEncodeError as exc:
-            print(drop_line(seq, _unencodable(filename, exc)), file=sys.stderr)
-            continue
-        written += 1
+    for _, line, ok in _write_records(records, cfg, lambda seq: render_image(seq, size=size), write_ppm, ".ppm"):
+        written += ok
+        if not ok:
+            print(line, file=sys.stderr)  # as it happens, in input order with ingest's warnings
     print("%d images (%dx%d) -> %s" % (written, size, size, out))
     return 0
 
@@ -314,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", help="output directory")
 
     p = sub.add_parser("preprocess", help="raw pen stream -> kinematic signal CSVs + manifest")
-    p.add_argument("raw", help="raw recordings file")
+    p.add_argument("raw", help="raw recordings file or directory of them")
     p.add_argument("--z-max", type=float, dest="z_max", help="outlier threshold")
     common(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("render", help="raw pen stream -> dynamics-colored P6 images")
-    p.add_argument("raw", help="raw recordings file")
+    p.add_argument("raw", help="raw recordings file or directory of them")
     p.add_argument("--z-max", type=float, dest="z_max")
     p.add_argument("--scale", choices=MODEL_SCALES, help="model preset whose canvas to draw")
     common(p)

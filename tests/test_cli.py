@@ -332,19 +332,29 @@ class TestRenderCommand:
 
     def test_dropped_records_named_on_stderr(self, tmp_path):
         # a fresh process, so no test harness handler stands in for logging's stderr fallback
-        raw = tmp_path / "mixed.csv"
-        raw.write_text(TWO_SUBJECT_RAW + "\n" + unusable_blocks())
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsda.__file__)))
-        argv = ["render", str(raw), "--scale", "synth", "--out", str(tmp_path / "img")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "hsda.cli"] + argv, env=env, capture_output=True, text=True, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines() == [
+
+        def render_stderr(text, name):
+            raw = tmp_path / name
+            raw.write_text(text)
+            argv = ["render", str(raw), "--scale", "synth", "--out", str(tmp_path / name.replace(".csv", ""))]
+            proc = subprocess.run(
+                [sys.executable, "-m", "hsda.cli"] + argv, env=env, capture_output=True, text=True, timeout=300
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stderr.splitlines()
+
+        assert render_stderr(TWO_SUBJECT_RAW + "\n" + unusable_blocks(), "mixed.csv") == [
             "s02 task 03: dropped (too few valid samples)",
             "s03 task 02: 40 of 40 samples flagged as outliers",
             "s03 task 02: dropped (outlier repair flags 40 of 40 samples, fewer than 2 left to refill from)",
             "s04 task 04: dropped (kinematic channel speed is not finite)",
+        ]
+        # a record's drop is reported before a later record is cleaned
+        assert render_stderr(HUGE_KINEMATICS_RAW + "\n" + TWO_SUBJECT_RAW, "huge_first.csv") == [
+            "b task 01: 3 of 6 samples flagged as outliers",
+            "b task 01: dropped (kinematic channel range overflows the color scale)",
+            "s02 task 03: dropped (too few valid samples)",
         ]
 
     def test_repeated_block_named_on_stderr(self, tmp_path):
@@ -483,6 +493,13 @@ class TestTrainEvaluateCommands:
         (data / "b.csv").write_text(again)
         (seq,) = cli._load_sequences(str(data), RunConfig())
         np.testing.assert_array_equal(seq.x, [0.0, 0.1, 0.2, 0.3, 0.5, 0.6])
+        # preprocess and render read the directory the same way
+        assert cli.main(["preprocess", str(data), "--out", str(tmp_path / "sig")]) == 0
+        manifest = (tmp_path / "sig" / "manifest.txt").read_text().splitlines()
+        assert manifest[-1] == "s01 task 01: dropped (repeats an earlier block)"
+        assert sorted(f for f in os.listdir(tmp_path / "sig") if f.endswith(".csv")) == ["s01_task01.csv"]
+        assert cli.main(["render", str(data), "--scale", "toy", "--out", str(tmp_path / "img")]) == 0
+        assert sorted(f for f in os.listdir(tmp_path / "img") if f.endswith(".ppm")) == ["s01_task01.ppm"]
 
     def test_seed_changes_history(self, tmp_path):
         a = self.train(tmp_path, tmp_path / "a")
