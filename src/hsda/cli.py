@@ -1,7 +1,7 @@
 """Command-line pipeline driver.
 
 Subcommands: preprocess | render | synth | train | evaluate | gradcheck.
-Every data command reads a raw CSV or each *.csv of a directory as one input;
+Every data command reads its raw file or directory with ingest.parse_raw;
 preprocess and render clean, make and write one record at a time, in order.
 Settings merge three layers, later winning: dataclass defaults, --config
 file, explicit flags; evaluate then takes the SIDECAR_KEYS settings from the
@@ -66,22 +66,10 @@ def _model_config(cfg: RunConfig, **overrides):
     return preset(use_multiscale=cfg.multiscale, **overrides)
 
 
-def _read_raw(path: str):
-    """The records of one raw CSV, or of every *.csv in a directory in name order."""
-    from .ingest import parse_raw
-
-    if not os.path.isdir(path):
-        return parse_raw(path)
-    names = sorted(name for name in os.listdir(path) if name.endswith(".csv"))
-    if not names:
-        raise ProtocolError("no .csv files in %s" % path)
-    return [r for name in names for r in parse_raw(os.path.join(path, name))]
-
-
 def _load_sequences(data_path: str, cfg: RunConfig):
-    from .ingest import preprocess
+    from .ingest import parse_raw, preprocess
 
-    return preprocess(_read_raw(data_path), z_max=cfg.z_max)
+    return preprocess(parse_raw(data_path), z_max=cfg.z_max)
 
 
 def _write_records(records, cfg: RunConfig, make, write, suffix: str):
@@ -113,8 +101,9 @@ def _write_records(records, cfg: RunConfig, make, write, suffix: str):
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .features import kinematic_features, write_signal_csv
+    from .ingest import parse_raw
 
-    records = _read_raw(args.raw)
+    records = parse_raw(args.raw)
     out = _prepare_out(cfg)
     reports = list(_write_records(records, cfg, kinematic_features, write_signal_csv, ".csv"))
     kept = sum(written for _, _, written in reports)
@@ -129,9 +118,10 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     cfg = _runconfig_from(args)
     from .features import render_image, write_ppm
+    from .ingest import parse_raw
 
     size = _model_config(cfg).canvas_size
-    records = _read_raw(args.raw)
+    records = parse_raw(args.raw)
     out = _prepare_out(cfg)
     written = 0
     for _, line, ok in _write_records(records, cfg, lambda seq: render_image(seq, size=size), write_ppm, ".ppm"):
@@ -238,7 +228,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         worst = float(np.max([worst, err]))  # np.max keeps a NaN error; builtin max may drop it
         print("  %-24s %.3e  %s" % (name, err, "ok" if ok else "FAIL"))
 
-    print("primitive gradients (eps 1e-5, 64-bit):")
+    print("primitive gradients (eps %g, 64-bit):" % dc.gradcheck.EPS)
     for name, err in dc.primitive_checks(seed=cfg.seed):
         report(name, err)
     if failures:

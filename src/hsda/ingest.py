@@ -2,7 +2,9 @@
 
 The raw format (csv-v1) is block-structured text: each block opens with a
 ``subject_id,task_id,label`` line followed by ``t_ms,x,y,p`` sample lines;
-blocks are separated by blank lines. Field values that fail to parse become
+blocks are separated by blank lines. A directory reads as every ``*.csv`` in
+it, in name order, as one input; each error names its file and line as
+``<file>:<line>: ...``. Field values that fail to parse become
 missing samples rather than dropped rows; rows without a usable timestamp are
 dropped, since timestamps define the interpolation axis and are never
 imputed. The cleaned trace keeps the units it was recorded in; the features
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -58,27 +61,17 @@ class RawRecord:
 
 
 @dataclass
-class StrokeSequence:
+class StrokeSequence(RawRecord):
     """Dense pen trace in its recorded units: every x, y and p is finite."""
 
-    subject_id: str
-    task_id: int
-    label: str
-    t: np.ndarray  # milliseconds
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-
     def __post_init__(self):
+        super().__post_init__()
         for name in CHANNELS:
             v = getattr(self, name)
             if not np.all(np.isfinite(v)):
                 raise ProtocolError(
                     "non-finite %s channel in subject %s task %d" % (name, self.subject_id, self.task_id)
                 )
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def record_name(r) -> str:
@@ -92,21 +85,18 @@ def drop_line(r, reason) -> str:
 
 
 def _parse_field(text: str) -> float:
-    text = text.strip()
-    if not text:
-        return np.nan
     try:
-        return float(text)
+        return float(text.strip())  # float alone keeps U+001F; "" raises and is missing too
     except ValueError:
         return np.nan
 
 
-def _finish_block(header, rows, header_line_no) -> RawRecord:
+def _finish_block(header, rows, where) -> RawRecord:
     subject_id, task_text, label = header
     try:
         task_id = int(task_text)
     except ValueError:
-        raise ProtocolError("line %d: task_id %r is not an integer" % (header_line_no, task_text))
+        raise ProtocolError("%s: task_id %r is not an integer" % (where, task_text))
     arr = np.array(rows, dtype=np.float64).reshape(-1, 4)
     keep = np.isfinite(arr[:, 0])  # rows without a timestamp are unusable
     arr = arr[keep]
@@ -123,41 +113,48 @@ def _finish_block(header, rows, header_line_no) -> RawRecord:
             p=arr[:, 3],
         )
     except ProtocolError as exc:
-        raise ProtocolError("line %d: %s" % (header_line_no, exc)) from None
+        raise ProtocolError("%s: %s" % (where, exc)) from None
 
 
-def parse_raw(path) -> List[RawRecord]:
-    """Parse a csv-v1 file into records, preserving block order."""
-    lines = read_text(path, ProtocolError).splitlines()
-
+def _parse_file(path) -> List[RawRecord]:
     records: List[RawRecord] = []
     header = None
-    header_line_no = 0
+    where = ""  # <file>:<line> of the open block's header
     rows: List[Tuple[float, float, float, float]] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_text(path, ProtocolError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             if header is not None:
-                records.append(_finish_block(header, rows, header_line_no))
+                records.append(_finish_block(header, rows, where))
                 header, rows = None, []
             continue
         fields = stripped.split(",")
         if header is None:
             if len(fields) != 3:
                 raise ProtocolError(
-                    "line %d: expected header 'subject_id,task_id,label', got %r" % (line_no, stripped)
+                    "%s:%d: expected header 'subject_id,task_id,label', got %r" % (path, line_no, stripped)
                 )
             header = tuple(f.strip() for f in fields)
-            header_line_no = line_no
+            where = "%s:%d" % (path, line_no)
             continue
         if len(fields) != 4:
-            raise ProtocolError("line %d: expected 't_ms,x,y,p', got %r" % (line_no, stripped))
+            raise ProtocolError("%s:%d: expected 't_ms,x,y,p', got %r" % (path, line_no, stripped))
         rows.append(tuple(_parse_field(f) for f in fields))
     if header is not None:
-        records.append(_finish_block(header, rows, header_line_no))
+        records.append(_finish_block(header, rows, where))
     if not records:
         raise ProtocolError("%s: no records found" % path)
     return records
+
+
+def parse_raw(path) -> List[RawRecord]:
+    """The records of a csv-v1 file, or of every *.csv in a directory in name order; blocks keep file order."""
+    if not os.path.isdir(path):
+        return _parse_file(path)
+    names = sorted(name for name in os.listdir(path) if name.endswith(".csv"))
+    if not names:
+        raise ProtocolError("no .csv files in %s" % path)
+    return [r for name in names for r in _parse_file(os.path.join(path, name))]
 
 
 def merge_duplicate_times(r: RawRecord) -> RawRecord:
@@ -243,15 +240,6 @@ def remove_outliers(r: RawRecord, z_max: float) -> RawRecord:
 MIN_SAMPLES = 5  # downstream differencing needs this many points
 
 
-def salvageable(r: RawRecord) -> bool:
-    if len(r) < MIN_SAMPLES:
-        return False
-    for name in CHANNELS:
-        if np.count_nonzero(np.isfinite(getattr(r, name))) < 2:
-            return False
-    return True
-
-
 class Cleaned(NamedTuple):
     """What preprocessing made of one raw record."""
 
@@ -260,7 +248,7 @@ class Cleaned(NamedTuple):
 
 
 def clean_record(r: RawRecord, z_max: float, seen: Optional[Set[Tuple[str, int]]] = None) -> Cleaned:
-    """repeat check -> merge_duplicate_times -> salvageable check -> impute_missing -> remove_outliers.
+    """repeat check -> merge_duplicate_times -> sample-count check -> impute_missing -> remove_outliers.
 
     seen holds the (subject, task) of the blocks before r in the same input,
     whether they were kept or not; r joins it. A record that any step refuses
@@ -274,13 +262,11 @@ def clean_record(r: RawRecord, z_max: float, seen: Optional[Set[Tuple[str, int]]
             raise ProtocolError("repeats an earlier block")
         seen.add((r.subject_id, r.task_id))
     r = merge_duplicate_times(r)
-    if not salvageable(r):
+    if len(r) < MIN_SAMPLES or any(np.count_nonzero(np.isfinite(getattr(r, name))) < 2 for name in CHANNELS):
         raise ProtocolError("too few valid samples")
     imputed = impute_missing(r)
     repaired = remove_outliers(imputed, z_max=z_max)
-    sequence = StrokeSequence(
-        repaired.subject_id, repaired.task_id, repaired.label, repaired.t, repaired.x, repaired.y, repaired.p
-    )
+    sequence = StrokeSequence(**vars(repaired))
     changed = np.zeros(len(imputed), dtype=bool)
     for name in CHANNELS:
         changed |= getattr(imputed, name) != getattr(repaired, name)

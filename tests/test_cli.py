@@ -293,6 +293,14 @@ class TestPreprocessCommand:
         assert cli.main(["preprocess", str(raw), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_outputs_written_into_the_input_directory_are_refused_by_name(self, tmp_path, capsys):
+        dd = str(tmp_path / "dd")
+        assert cli.main(["synth", "--n", "2", "--out", dd]) == 0
+        assert cli.main(["preprocess", dd, "--out", dd]) == 0  # its signal CSVs land next to synthetic.csv
+        capsys.readouterr()
+        assert cli.main(["preprocess", dd, "--out", str(tmp_path / "dd2")]) == 1
+        assert "error: %s:1: expected header" % os.path.join(dd, "ad_000_task01.csv") in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert cli.main(["preprocess", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err

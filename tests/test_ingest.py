@@ -1,5 +1,7 @@
 """Raw parsing, imputation, outlier repair, and the z-score the features apply."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,12 +68,14 @@ class TestParse:
         assert [r.subject_id for r in recs] == ["a", "b"]
 
     def test_malformed_header_reports_line(self, tmp_path):
-        with pytest.raises(ProtocolError, match="line 1"):
-            parse_raw(write(tmp_path, "only,two\n0,1,2,3\n"))
+        path = write(tmp_path, "only,two\n0,1,2,3\n")
+        with pytest.raises(ProtocolError, match="^%s:1: expected header" % re.escape(str(path))):
+            parse_raw(path)
 
     def test_malformed_sample_reports_line(self, tmp_path):
-        with pytest.raises(ProtocolError, match="line 3"):
-            parse_raw(write(tmp_path, "s,1,HC\n0,1,2,3\n1,2,3\n"))
+        path = write(tmp_path, "s,1,HC\n0,1,2,3\n1,2,3\n")
+        with pytest.raises(ProtocolError, match="^%s:3: expected 't_ms,x,y,p'" % re.escape(str(path))):
+            parse_raw(path)
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ProtocolError, match="no records"):
@@ -87,10 +91,28 @@ class TestParse:
 
     def test_header_refusal_names_its_line(self, tmp_path):
         text = "a,1,HC\n0,1,2,3\n\nb,30,AD\n0,1,2,3\n\nc,2,XX\n0,1,2,3\n"
-        with pytest.raises(ProtocolError, match=r"^line 4: task_id 30 outside 1\.\.25$"):
+        path = re.escape(str(tmp_path / "raw.csv"))
+        with pytest.raises(ProtocolError, match=r"^%s:4: task_id 30 outside 1\.\.25$" % path):
             parse_raw(write(tmp_path, text))
-        with pytest.raises(ProtocolError, match=r"^line 7: label 'XX' not one of"):
+        with pytest.raises(ProtocolError, match=r"^%s:7: label 'XX' not one of" % path):
             parse_raw(write(tmp_path, text.replace("b,30", "b,3")))
+
+    def test_directory_reads_every_csv_in_name_order(self, tmp_path):
+        write(tmp_path, "b,1,HC\n0,1,1,1\n\nc,1,AD\n0,2,2,2\n", "2.csv")
+        write(tmp_path, "a,1,HC\n0,3,3,3\n", "1.csv")
+        write(tmp_path, "not,csv,v1,at,all\n", "notes.txt")
+        assert [r.subject_id for r in parse_raw(tmp_path)] == ["a", "b", "c"]
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(ProtocolError, match="no .csv files in"):
+            parse_raw(tmp_path / "empty")
+
+    def test_directory_error_names_its_file(self, tmp_path):
+        # a signal CSV that preprocess wrote into the directory it read
+        write(tmp_path, "s,1,HC\n0,1,2,3\n", "raw.csv")
+        write(tmp_path, "x,y,p,speed\n0.1,0.2,0.3,0.4\n", "s_task01.csv")
+        with pytest.raises(ProtocolError) as info:
+            parse_raw(tmp_path)
+        assert str(info.value).startswith("%s:1: expected header" % (tmp_path / "s_task01.csv"))
 
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -231,6 +253,21 @@ class TestStandardize:
         r = make_record(5, x=np.array([1.0, np.nan, 3.0, 4.0, 5.0]))
         with pytest.raises(ProtocolError, match="non-finite x channel in subject s1 task 1"):
             StrokeSequence(r.subject_id, r.task_id, r.label, r.t, r.x, r.y, r.p)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(task_id=0), "task_id 0 outside 1..25"),
+            (dict(label="XX"), "label 'XX' not one of"),
+            (dict(p=np.ones(4)), r"channel lengths disagree: \[4, 5\]"),
+            (dict(t=np.array([0.0, 5.0, 3.0, 8.0, 9.0])), "timestamps decrease in subject s1 task 1"),
+        ],
+    )
+    def test_refuses_what_a_raw_record_refuses(self, overrides, message):
+        fields = dict(vars(make_record(5)), **overrides)
+        for cls in (RawRecord, StrokeSequence):
+            with pytest.raises(ProtocolError, match="^" + message):
+                cls(**fields)
 
     @given(st.integers(0, 2**32 - 1), st.integers(6, 200))
     @settings(max_examples=30, deadline=None)
